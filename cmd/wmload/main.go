@@ -11,9 +11,11 @@
 // so the server records a full trace for it, and the report adds the
 // server-side per-stage timing breakdown (queue wait, compile, sim,
 // journal) plus the trace ID of the slowest request for follow-up in
-// GET /debug/traces.  With -job-heavy, every job runs one fixed
-// compute-heavy program and the report's "jobs done/s" line becomes
-// the headline — the scenario for comparing wmserved -batch settings.
+// GET /debug/traces.  With -job-heavy, every job runs the same
+// compute-heavy loop (with a per-job constant, so none is answered
+// from the server's response cache) and the report's "jobs done/s"
+// line becomes the headline — the scenario for comparing wmserved
+// -batch settings.
 // With -endpoints a,b,c the load spreads across the nodes of a
 // wmserved cluster — round-robin by default, or pinned per program
 // with -affinity key — and the report adds per-node request, error,
@@ -49,7 +51,7 @@ func run() int {
 		runFrac     = flag.Float64("run-fraction", 0.5, "fraction of requests hitting /run instead of /compile")
 		jobs        = flag.Bool("jobs", false, "drive all traffic through the asynchronous job API")
 		jobFrac     = flag.Float64("job-fraction", 0, "fraction of iterations driving a job lifecycle (submit, poll, cancel)")
-		jobHeavy    = flag.Bool("job-heavy", false, "job traffic submits one fixed compute-heavy program and reports jobs done/s (the wmserved -batch comparison scenario; implies -jobs)")
+		jobHeavy    = flag.Bool("job-heavy", false, "job traffic submits one compute-heavy program (a distinct constant per job, so every job simulates) and reports jobs done/s (the wmserved -batch comparison scenario; implies -jobs)")
 		retries     = flag.Int("retries", 3, "retry shed (429/503) responses this many times with capped backoff, honoring Retry-After")
 		trace       = flag.Bool("trace", false, "send a traceparent with every request and report the server's per-stage timing breakdown")
 		seed        = flag.Int64("seed", 1, "traffic mix seed")

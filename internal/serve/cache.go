@@ -67,6 +67,19 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	return el.Value.(*cacheEntry).body, true
 }
 
+// peek is Get without side effects: no LRU promotion and no hit or
+// miss counted.  The serving path uses it to re-check for a body stored
+// while it waited to lead a flight, after its counted Get missed.
+func (c *Cache) peek(k Key) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[k]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*cacheEntry).body, true
+}
+
 // Put stores the body under the key and evicts least-recently-used
 // entries until the budget holds again.  A body that alone exceeds the
 // budget is not stored (it would evict everything for one entry).

@@ -385,7 +385,7 @@ func TestClusterForwardPropagatesDeadline(t *testing.T) {
 	req := tc.requestOwnedBy(t, kindRun, "n1", 13)
 	// A simulation far too long for 30ms (but trivial next to the
 	// owner's own 30s default, which must NOT be the budget used).
-	req.Source = strings.Replace(heavyJobProgram, "300000", "200000000", 1)
+	req.Source = strings.Replace(heavyJobProgram(0), "300000", "200000000", 1)
 	if owner := tc.owner(kindRun, req); owner != "n1" {
 		// The source swap moved the key; find a heavy variant owned by n1.
 		for n := int64(0); ; n++ {

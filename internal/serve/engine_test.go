@@ -103,40 +103,46 @@ func TestEngineRunsMetric(t *testing.T) {
 // TestJobBatchInterleaved: one worker with JobBatch=4 completes a
 // burst of jobs whose results are identical to dedicated execution —
 // the batch gate changes host scheduling, never simulation results.
+// Each job has its own source, so none completes from the response
+// cache and all four really interleave.
 func TestJobBatchInterleaved(t *testing.T) {
 	// Heavy enough to span many slices (so the gate actually rotates),
 	// light enough to finish promptly under the race detector.
-	const batchSrc = `int main(void) {
+	batchSrc := func(n int) string {
+		return fmt.Sprintf(`int main(void) {
     int i; double s;
-    s = 0.0;
+    s = %d.0;
     for (i = 0; i < 200000; i++) s = s + i * 0.5;
     putd(s);
     return 0;
-}`
-	_, dedicated := newTestServer(t, Config{})
-	want := post(t, dedicated, "/run", &Request{Source: batchSrc})
-	if want.status != http.StatusOK {
-		t.Fatalf("dedicated run: status %d, body %s", want.status, want.body)
+}`, n)
 	}
-	var wantRR RunResponse
-	if err := json.Unmarshal(want.body, &wantRR); err != nil {
-		t.Fatal(err)
+	const jobs = 4
+	_, dedicated := newTestServer(t, Config{})
+	want := make([]RunResponse, jobs)
+	for n := range want {
+		res := post(t, dedicated, "/run", &Request{Source: batchSrc(n)})
+		if res.status != http.StatusOK {
+			t.Fatalf("dedicated run %d: status %d, body %s", n, res.status, res.body)
+		}
+		if err := json.Unmarshal(res.body, &want[n]); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	_, ts := newTestServer(t, Config{JobWorkers: 1, JobBatch: 4})
-	const jobs = 4
+	var ec execCounter
+	_, ts := newTestServer(t, Config{JobWorkers: 1, JobBatch: 4, CompileHook: ec.hook})
 	ids := make([]string, jobs)
+	keys := make([]Key, jobs)
 	for n := range ids {
-		// Distinct tenants defeat nothing here (same program), but give
-		// the fair scheduler several queues to rotate over.
-		res, jr := submitJob(t, ts, &JobRequest{
-			Request: Request{Source: batchSrc},
-			Tenant:  fmt.Sprintf("t%d", n%2),
-		})
+		// Two tenants give the fair scheduler several queues to rotate
+		// over.
+		req := &JobRequest{Request: Request{Source: batchSrc(n)}, Tenant: fmt.Sprintf("t%d", n%2)}
+		res, jr := submitJob(t, ts, req)
 		if res.status != http.StatusAccepted {
 			t.Fatalf("submit %d: status %d, body %s", n, res.status, res.body)
 		}
-		ids[n] = jr.ID
+		ids[n], keys[n] = jr.ID, req.cacheKey(kindRun)
 	}
 	for n, id := range ids {
 		jr := waitTerminal(t, ts, id, 0)
@@ -146,9 +152,12 @@ func TestJobBatchInterleaved(t *testing.T) {
 		if jr.Result == nil {
 			t.Fatalf("job %d: no result", n)
 		}
-		if jr.Result.Output != wantRR.Output || jr.Result.Cycles != wantRR.Cycles {
+		if jr.Result.Output != want[n].Output || jr.Result.Cycles != want[n].Cycles {
 			t.Errorf("job %d diverged from dedicated run: output=%q cycles=%d, want output=%q cycles=%d",
-				n, jr.Result.Output, jr.Result.Cycles, wantRR.Output, wantRR.Cycles)
+				n, jr.Result.Output, jr.Result.Cycles, want[n].Output, want[n].Cycles)
+		}
+		if got := ec.count(keys[n]); got != 1 {
+			t.Errorf("job %d executed %d times, want 1", n, got)
 		}
 	}
 }

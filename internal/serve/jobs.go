@@ -398,105 +398,133 @@ func (jm *jobManager) runClaimed(js []*job) {
 
 // runJob executes one job through the shared perform pipeline, feeding
 // the execution core's progress snapshots into the job's generation
-// stream.  With a durable store, the run checkpoints periodically and
-// transient failures (a checkpoint that no longer verifies) retry
-// with backoff, falling back candidate by candidate to a clean start.
-// A non-nil gate serializes this job's slices with its batchmates.
+// stream.  The response cache sits in front of execution: a job whose
+// content address an earlier job or sync /run already answered
+// completes from the stored body without compiling or simulating, and
+// a job that executes to a 200 result fills the cache for both tiers.
+// With a durable store, the run checkpoints periodically and transient
+// failures (a checkpoint that no longer verifies) retry with backoff,
+// falling back candidate by candidate to a clean start.  A non-nil
+// gate serializes this job's slices with its batchmates.
 func (jm *jobManager) runJob(j *job, gate wmstream.BatchGate) {
 	ctx, cancel := context.WithTimeout(jm.srv.base, jm.cfg.JobTimeout)
 	defer cancel()
 
-	canceledEarly := false
 	var rec durable.JobRecord
 	var runSpan *obs.Span
-	j.update(func() {
-		j.qspan.End()
-		j.qspan = nil
-		if j.cancelRequested {
-			canceledEarly = true
-			j.state = jobCanceled
-			j.expires = time.Now().Add(jm.cfg.JobTTL)
-		} else {
-			j.state = jobRunning
-			j.cancel = cancel
-			runSpan = j.root.StartChild("run")
-		}
-		rec = jm.recordLocked(j)
-	})
-	jm.putTraced(j, rec, rec.State)
-	if canceledEarly {
+	j.mu.Lock()
+	j.qspan.End()
+	j.qspan = nil
+	if j.cancelRequested {
+		j.state = jobCanceled
+		j.expires = time.Now().Add(jm.cfg.JobTTL)
+		jm.settleLocked(j)
+		j.mu.Unlock()
 		jm.srv.metrics.jobs.add(`event="canceled"`, 1)
-		jm.finishTrace(j, "canceled")
 		return
 	}
+	j.state = jobRunning
+	j.cancel = cancel
+	runSpan = j.root.StartChild("run")
+	rec = jm.recordLocked(j)
+	j.bumpLocked()
+	j.mu.Unlock()
+	jm.putTraced(j, rec, rec.State)
 	// The run span carries the execution through the shared pipeline:
 	// compile passes, sim slices, and checkpoint spills all become its
 	// children via the context.
 	ctx = obs.ContextWith(ctx, runSpan)
 
-	var out runOutcome
-	for {
-		out = jm.runOnce(ctx, j, gate)
+	key := j.req.cacheKey(kindRun)
+	out, hit := jm.cached(j, runSpan, key)
+	for !hit {
+		out = jm.runOnce(ctx, j, gate, key)
 		if out.resumeErr == nil || !jm.retryWait(j) {
 			break
 		}
 	}
 
-	event := ""
+	var body []byte
+	if !hit && out.status == http.StatusOK && out.run != nil {
+		body = out.body()
+	}
+	var event string
 	var dropRefs []*durable.CheckpointRef
-	j.update(func() {
-		j.cancel = nil
-		switch {
-		case j.cancelRequested:
+	j.mu.Lock()
+	j.cancel = nil
+	switch {
+	case j.cancelRequested:
+		j.state = jobCanceled
+		event = `event="canceled"`
+	case jm.srv.base.Err() != nil:
+		// Server shutdown, not user cancellation.  With a journal the
+		// job goes back to queued — the final checkpoint taken on
+		// cancellation (or the last periodic one) resumes it on the next
+		// boot.  Memory-only, it can only be canceled.
+		if jm.store != nil {
+			j.state = jobQueued
+			event = `event="requeued"`
+		} else {
 			j.state = jobCanceled
 			event = `event="canceled"`
-		case jm.srv.base.Err() != nil:
-			// Server shutdown, not user cancellation.  With a journal
-			// the job goes back to queued — the final checkpoint taken
-			// on cancellation (or the last periodic one) resumes it on
-			// the next boot.  Memory-only, it can only be canceled.
-			if jm.store != nil {
-				j.state = jobQueued
-				event = `event="requeued"`
-			} else {
-				j.state = jobCanceled
-				event = `event="canceled"`
-			}
-		case out.status == http.StatusOK && out.run != nil:
-			j.state = jobDone
-			j.result = out.run
-			event = `event="completed"`
-		default:
-			j.state = jobFailed
-			if out.errResp != nil {
-				j.errMsg = out.errResp.Error
-				j.diags = out.errResp.Diagnostics
-			} else {
-				j.errMsg = fmt.Sprintf("unexpected outcome (status %d)", out.status)
-			}
-			event = `event="failed"`
 		}
-		if j.state.terminal() {
-			j.expires = time.Now().Add(jm.cfg.JobTTL)
-			dropRefs = append(dropRefs, j.resume, j.resumePrev)
-			j.resume, j.resumePrev = nil, nil
+	case out.status == http.StatusOK && out.run != nil:
+		j.state = jobDone
+		j.result = out.run
+		event = `event="completed"`
+		if body != nil {
+			// Filled before the done generation is published, so a
+			// client that sees done finds the entry.
+			jm.srv.cache.Put(key, body)
 		}
-		if j.state == jobFailed {
-			runSpan.SetError(j.errMsg)
+	default:
+		j.state = jobFailed
+		if out.errResp != nil {
+			j.errMsg = out.errResp.Error
+			j.diags = out.errResp.Diagnostics
+		} else {
+			j.errMsg = fmt.Sprintf("unexpected outcome (status %d)", out.status)
 		}
-		rec = jm.recordLocked(j)
-	})
-	runSpan.SetAttrInt("attempts", int64(rec.Attempt))
+		event = `event="failed"`
+		runSpan.SetError(j.errMsg)
+	}
+	runSpan.SetAttrInt("attempts", int64(j.attempt))
 	runSpan.End()
-	jm.putTraced(j, rec, rec.State)
+	if j.state.terminal() {
+		j.expires = time.Now().Add(jm.cfg.JobTTL)
+		dropRefs = append(dropRefs, j.resume, j.resumePrev)
+		j.resume, j.resumePrev = nil, nil
+		jm.settleLocked(j)
+		j.mu.Unlock()
+	} else {
+		rec = jm.recordLocked(j)
+		j.bumpLocked()
+		j.mu.Unlock()
+		jm.putTraced(j, rec, rec.State)
+	}
 	jm.removeRefs(dropRefs...)
 	jm.srv.metrics.jobs.add(event, 1)
-	j.mu.Lock()
-	terminal := j.state.terminal()
-	j.mu.Unlock()
-	if terminal {
-		jm.finishTrace(j, rec.State)
+}
+
+// cached looks the job's content address up in the response cache and
+// decodes a stored /run body into the job's result.  The stored bytes
+// are exactly what a cold run renders, so a hit is indistinguishable
+// from an execution except that it carries no progress.
+func (jm *jobManager) cached(j *job, runSpan *obs.Span, key Key) (runOutcome, bool) {
+	sp := runSpan.StartChild("cache.lookup")
+	body, ok := jm.srv.cache.Get(key)
+	var res RunResponse
+	if ok && json.Unmarshal(body, &res) != nil {
+		ok = false
 	}
+	sp.End()
+	if !ok {
+		j.root.SetAttr("cache", "miss")
+		return runOutcome{}, false
+	}
+	j.root.SetAttr("cache", "hit")
+	jm.srv.metrics.jobs.add(`event="cache_hit"`, 1)
+	return runOutcome{status: http.StatusOK, run: &res}, true
 }
 
 // putTraced journals one record with a journal.append child span on
@@ -509,22 +537,24 @@ func (jm *jobManager) putTraced(j *job, rec durable.JobRecord, state string) err
 	return err
 }
 
-// finishTrace closes the job's end-to-end trace at a terminal state.
-func (jm *jobManager) finishTrace(j *job, state string) {
-	j.mu.Lock()
-	tr, root := j.trace, j.root
-	j.mu.Unlock()
-	if tr == nil {
-		return
+// settleLocked publishes a terminal state the job has just entered:
+// journal the record, close the end-to-end trace, and only then bump
+// the generation.  Pollers read state under j.mu, so none sees the
+// terminal state before its trace is finished.  Caller holds j.mu.
+func (jm *jobManager) settleLocked(j *job) {
+	rec := jm.recordLocked(j)
+	jm.putTraced(j, rec, rec.State)
+	if j.trace != nil {
+		j.root.SetAttr("state", rec.State)
+		j.trace.Finish()
 	}
-	root.SetAttr("state", state)
-	tr.Finish()
+	j.bumpLocked()
 }
 
 // runOnce is one attempt: load the best resume candidate, run through
 // perform with checkpointing wired, and on a resume failure drop the
 // candidate so the next attempt falls back.
-func (jm *jobManager) runOnce(ctx context.Context, j *job, gate wmstream.BatchGate) runOutcome {
+func (jm *jobManager) runOnce(ctx context.Context, j *job, gate wmstream.BatchGate, key Key) runOutcome {
 	opts := wmstream.SimOptions{
 		MaxWall:       jm.cfg.JobTimeout,
 		ProgressEvery: jm.cfg.JobProgressEvery,
@@ -551,6 +581,9 @@ func (jm *jobManager) runOnce(ctx context.Context, j *job, gate wmstream.BatchGa
 			return nil // a failed spill degrades; it never aborts the run
 		}
 	}
+	if h := jm.cfg.CompileHook; h != nil {
+		h(key)
+	}
 	out := jm.srv.perform(ctx, kindRun, j.req, opts)
 	if out.resumeErr != nil {
 		// The blob passed its content hash but would not decode into
@@ -572,17 +605,12 @@ func (jm *jobManager) runOnce(ctx context.Context, j *job, gate wmstream.BatchGa
 func (jm *jobManager) cancelJob(j *job) *JobResponse {
 	now := time.Now()
 	var tomb *durable.JobRecord
-	var canceledRec *durable.JobRecord
 	var dropRefs []*durable.CheckpointRef
 	defer func() {
-		// Journal outside the locks: deletes become tombstones, queued
-		// cancellations become terminal records.
+		// Journal deletes outside the locks, as tombstones.
 		if tomb != nil {
 			jm.put(*tomb)
 			jm.removeRefs(dropRefs...)
-		}
-		if canceledRec != nil {
-			jm.put(*canceledRec)
 		}
 	}()
 	jm.mu.Lock()
@@ -605,13 +633,7 @@ func (jm *jobManager) cancelJob(j *job) *JobResponse {
 			j.qspan.SetAttr("outcome", "canceled")
 			j.qspan.End()
 			j.qspan = nil
-			if j.trace != nil {
-				j.root.SetAttr("state", "canceled")
-				defer j.trace.Finish()
-			}
-			j.bumpLocked()
-			r := jm.recordLocked(j)
-			canceledRec = &r
+			jm.settleLocked(j)
 			jm.srv.metrics.jobs.add(`event="canceled"`, 1)
 		} else {
 			// A worker claimed it between our lookup and now; it will
@@ -650,10 +672,11 @@ func (jm *jobManager) close() {
 	if jm.store == nil {
 		for _, q := range jm.pending {
 			for _, j := range q {
-				j.update(func() {
-					j.state = jobCanceled
-					j.expires = now.Add(jm.cfg.JobTTL)
-				})
+				j.mu.Lock()
+				j.state = jobCanceled
+				j.expires = now.Add(jm.cfg.JobTTL)
+				jm.settleLocked(j)
+				j.mu.Unlock()
 				jm.srv.metrics.jobs.add(`event="canceled"`, 1)
 			}
 		}

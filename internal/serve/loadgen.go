@@ -49,12 +49,13 @@ type LoadConfig struct {
 	// long-poll to a terminal state (or occasionally cancel midway).
 	// Default 0 (sync traffic only).
 	JobFraction float64
-	// JobHeavy makes job traffic submit one fixed compute-heavy
-	// program instead of the hit/miss mix, so simulation time (not
-	// compile or queue time) dominates and completed jobs per second
-	// becomes the headline number — the scenario for comparing
-	// wmserved -batch settings.  Cancel probes are disabled so every
-	// lifecycle counts toward throughput.
+	// JobHeavy makes job traffic submit a compute-heavy program (a
+	// distinct constant per job, so none is a cache hit) instead of
+	// the hit/miss mix, so simulation time (not compile or queue time)
+	// dominates and completed jobs per second becomes the headline
+	// number — the scenario for comparing wmserved -batch settings.
+	// Cancel probes are disabled so every lifecycle counts toward
+	// throughput.
 	JobHeavy bool
 	// Seed makes the traffic mix reproducible (default 1).
 	Seed int64
@@ -277,18 +278,23 @@ int main(void) {
 }`,
 }
 
-// heavyJobProgram is the fixed workload of the JobHeavy scenario:
-// enough simulated cycles that one job spans many execution slices,
-// so batch-mode interleaving (wmserved -batch) has something to
-// rotate over, while still completing in well under a second of host
-// time per job.
-const heavyJobProgram = `int main(void) {
+// heavyJobProgram is the workload of the JobHeavy scenario: enough
+// simulated cycles that one job spans many execution slices, so
+// batch-mode interleaving (wmserved -batch) has something to rotate
+// over, while still completing in well under a second of host time per
+// job.  The job's sequence number n is baked in as the starting sum,
+// so every job has its own content address and really simulates
+// instead of completing from the response cache; the cycle count does
+// not depend on n.
+func heavyJobProgram(n int64) string {
+	return fmt.Sprintf(`int main(void) {
     int i; double s;
-    s = 0.0;
+    s = %d.0;
     for (i = 0; i < 300000; i++) s = s + i * 0.5;
     putd(s);
     return 0;
-}`
+}`, n)
+}
 
 // missProgram builds a unique source (cold-compile traffic): the
 // constant is baked into the text, so every n has a distinct content
@@ -497,7 +503,7 @@ func (sh *loadShard) jobIteration(ctx context.Context, client *http.Client, cfg 
 	}
 	level := rng.Intn(4)
 	if cfg.JobHeavy {
-		src = heavyJobProgram
+		src = heavyJobProgram(int64(w)<<32 | n)
 		level = 3
 	}
 	// The whole lifecycle — submit, polls, cancel — stays on one node:

@@ -201,6 +201,10 @@ func TestMetricsExpositionGrammar(t *testing.T) {
 	post(t, ts, "/compile", &Request{Source: helloSrc, Level: intp(1)})
 	post(t, ts, "/run", &Request{Source: streamSrc, Level: intp(3)})
 	postRaw(t, ts, "/compile", []byte("{not json"))
+	// A job the /run above already answered: a job cache hit.
+	if jr := runJobToEnd(t, ts, &JobRequest{Request: Request{Source: streamSrc, Level: intp(3)}}); jr.State != "done" {
+		t.Fatalf("job ended %q (error %q)", jr.State, jr.Error)
+	}
 
 	sc := scrape(t, ts)
 	if len(sc.samples) == 0 {
@@ -221,6 +225,18 @@ func TestMetricsExpositionGrammar(t *testing.T) {
 		if _, ok := sc.types[fam]; !ok {
 			t.Errorf("family %s not declared", fam)
 		}
+	}
+	hits := -1.0
+	for _, s := range sc.samples {
+		if s.name == "wmserved_jobs_total" && s.labels == `event="cache_hit"` {
+			hits = s.value
+		}
+	}
+	if hits != 1 {
+		t.Errorf(`wmserved_jobs_total{event="cache_hit"} = %g, want 1`, hits)
+	}
+	if typ := sc.types["wmserved_jobs_total"]; typ != "counter" {
+		t.Errorf("jobs_total type %q, want counter", typ)
 	}
 	if typ := sc.types["wmserved_longpoll_wait_seconds"]; typ != "histogram" {
 		t.Errorf("longpoll wait type %q, want histogram", typ)

@@ -25,6 +25,10 @@
 //  5. Successful bodies enter the cache; every outcome feeds the
 //     /metrics counters and the structured request log.
 //
+// The asynchronous job tier (jobs.go) shares the cache: a job looks up
+// its /run content address at dispatch, completes from a stored body
+// on a hit, and stores its own body after a successful execution.
+//
 // Every request is additionally traced end to end (internal/obs): a
 // W3C traceparent is accepted inbound and a span tree — admission,
 // queue wait, compile (with per-pass children), sim slices, journal
@@ -93,10 +97,12 @@ type Config struct {
 	Logger *slog.Logger
 	// Version is reported by /healthz.
 	Version string
-	// CompileHook, when non-nil, is called once per actual execution
-	// (cache misses that reach a worker), with the request's content
-	// address.  Tests use it to assert that coalescing and caching
-	// collapse N identical requests into one compile.
+	// CompileHook, when non-nil, is called once per actual execution,
+	// with the request's content address: a sync cache miss that
+	// reaches a worker, or a job execution attempt.  Cache hits and
+	// coalesced followers, sync or job, never call it.  Tests use it to
+	// assert that coalescing and caching collapse N identical requests
+	// into one compile.
 	CompileHook func(key Key)
 
 	// JobWorkers bounds concurrently executing asynchronous jobs
@@ -449,6 +455,12 @@ func (s *Server) localSync(w http.ResponseWriter, r *http.Request, kind string, 
 
 	flightStart := time.Now()
 	res, shared, leader := s.flights.Do(key, root.Trace().ID().String(), func() flightResult {
+		// A flight on this key that finished after the lookup above
+		// filled the cache before it was forgotten: answer from that
+		// entry instead of executing the key a second time.
+		if body, ok := s.cache.peek(key); ok {
+			return flightResult{status: http.StatusOK, body: body, cached: true}
+		}
 		var fr flightResult
 		ctx, cancel := context.WithTimeout(s.base, budget)
 		defer cancel()
@@ -481,11 +493,20 @@ func (s *Server) localSync(w http.ResponseWriter, r *http.Request, kind string, 
 				body:   mustJSON(&ErrorResponse{Error: "deadline exceeded while queued: " + err.Error()}),
 			}
 		}
+		if fr.status == http.StatusOK {
+			// Filled inside the flight, so the key is always either in
+			// flight or cached and a request arriving in between cannot
+			// execute it again.
+			fill := root.StartChild("cache.fill")
+			s.cache.Put(key, fr.body)
+			fill.End()
+		}
 		return fr
 	})
 
 	cacheState := "miss"
-	if shared {
+	switch {
+	case shared:
 		cacheState = "coalesced"
 		s.metrics.coalesced.inc()
 		// The leader's trace holds the execution spans; this trace
@@ -493,10 +514,8 @@ func (s *Server) localSync(w http.ResponseWriter, r *http.Request, kind string, 
 		attach := root.AddChildAt("singleflight.attach", obs.KindService,
 			flightStart, time.Since(flightStart))
 		attach.SetAttr("leader_trace", leader)
-	} else if res.status == http.StatusOK {
-		fill := root.StartChild("cache.fill")
-		s.cache.Put(key, res.body)
-		fill.End()
+	case res.cached:
+		cacheState = "hit"
 	}
 	s.finish(w, r, kind, start, res.status, res.body, cacheState)
 }

@@ -4,10 +4,12 @@ import "sync"
 
 // flightResult is the outcome one in-flight execution hands to every
 // request coalesced onto it: an HTTP status and a fully rendered
-// response body.
+// response body.  cached marks a leader that found the body already
+// stored and executed nothing.
 type flightResult struct {
 	status int
 	body   []byte
+	cached bool
 }
 
 type flight struct {
@@ -20,8 +22,8 @@ type flight struct {
 // address: the first caller for a key (the leader) runs fn, everyone
 // arriving before it finishes blocks and shares the leader's result.
 // The flight is forgotten before its result is published, so requests
-// arriving after completion start fresh (and normally hit the cache
-// instead).
+// arriving after completion start fresh; the server fills its cache
+// inside fn, so they hit the cache instead.
 type flightGroup struct {
 	mu      sync.Mutex
 	flights map[Key]*flight

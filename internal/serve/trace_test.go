@@ -196,6 +196,11 @@ func TestJobTraceSurvivesRestart(t *testing.T) {
 	if snap.Spans[0].Attrs["state"] != "done" {
 		t.Errorf("resumed trace root state %q, want done", snap.Spans[0].Attrs["state"])
 	}
+	// The rebooted server's cache is empty, so the job really resumed
+	// from its checkpoint rather than completing from the cache.
+	if snap.Spans[0].Attrs["cache"] != "miss" {
+		t.Errorf("resumed trace root cache %q, want miss", snap.Spans[0].Attrs["cache"])
+	}
 	_, counts := spansByName(snap)
 	for _, want := range []string{"queue.wait", "run", "sim.slice"} {
 		if counts[want] == 0 {

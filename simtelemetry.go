@@ -206,7 +206,7 @@ func RunWithTelemetry(p *Program, m Machine, o SimOptions) (SimResult, error) {
 // the simulation promptly, and the telemetry collected up to that
 // point is still returned.
 func RunWithTelemetryContext(ctx context.Context, p *Program, m Machine, o SimOptions) (SimResult, error) {
-	img, err := sim.Link(p.rtl)
+	img, err := p.image()
 	if err != nil {
 		return SimResult{}, err
 	}

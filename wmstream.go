@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"wmstream/internal/acode"
@@ -41,9 +42,23 @@ const (
 	O3 = 3 // + streaming
 )
 
-// Program is a compiled WM program.
+// Program is a compiled WM program.  It is immutable once built and
+// safe for concurrent runs; do not copy it by value.
 type Program struct {
 	rtl *rtl.Program
+
+	// The linked image is built on the first run and shared by every
+	// later one, so repeated runs neither relink nor re-fingerprint.
+	linkOnce sync.Once
+	img      *sim.Image
+	linkErr  error
+}
+
+// image returns the program's linked simulator image, linking it on
+// first use.
+func (p *Program) image() (*sim.Image, error) {
+	p.linkOnce.Do(func() { p.img, p.linkErr = sim.Link(p.rtl) })
+	return p.img, p.linkErr
 }
 
 // Options gives fine-grained control over the optimizer for ablation
@@ -463,7 +478,7 @@ func Run(p *Program, m Machine) (Result, error) {
 // (which errors.Is-matches context.Canceled / context.DeadlineExceeded
 // rather than the simulator's own DeadlockError/TrapError).
 func RunContext(ctx context.Context, p *Program, m Machine) (Result, error) {
-	img, err := sim.Link(p.rtl)
+	img, err := p.image()
 	if err != nil {
 		return Result{}, err
 	}
