@@ -24,6 +24,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -64,7 +65,7 @@ func main() {
 	if *debugPasses {
 		cfg.Debug = io.Writer(os.Stderr)
 	}
-	res, err := wmstream.CompileWithConfig(string(src), cfg)
+	res, err := wmstream.CompileContext(context.Background(), string(src), cfg)
 	for _, d := range res.Diagnostics {
 		fmt.Fprintf(os.Stderr, "wmcc: %s\n", d)
 	}

@@ -39,7 +39,7 @@ func main() {
 	size := flag.Int("size", 100000, "Table I array size")
 	reps := flag.Int("reps", 10, "Table I kernel repetitions")
 	benchJSON := flag.String("bench-json", "", "write per-benchmark telemetry records to this JSON file")
-	engineName := flag.String("engine", "auto", "simulation engine for -bench-json runs: auto, translated, fast, or reference")
+	engineName := flag.String("engine", "auto", "simulation engine for -bench-json runs: auto, translated, or reference")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {

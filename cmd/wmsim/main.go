@@ -35,6 +35,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -47,6 +48,7 @@ import (
 	"wmstream"
 	"wmstream/internal/buildinfo"
 	"wmstream/internal/cli"
+	"wmstream/internal/sim"
 )
 
 func main() {
@@ -55,7 +57,7 @@ func main() {
 	fifo := flag.Int("fifo", 0, "FIFO depth (0 = default)")
 	scu := flag.Int("scu", 0, "number of stream control units (0 = default)")
 	watchdog := flag.Int("watchdog", 0, "deadlock watchdog slack in cycles (0 = default)")
-	engine := flag.String("engine", "auto", "simulation engine: auto, translated, fast, or reference (all bit-identical)")
+	engine := flag.String("engine", "auto", "simulation engine: auto, translated, or reference (bit-identical)")
 	level := flag.Int("O", 3, "optimization level for .mc inputs (0-3)")
 	stats := flag.Bool("stats", false, "print execution statistics and the per-unit stall table to stderr")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (view in Perfetto)")
@@ -74,6 +76,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: wmsim [flags] file.{wm,mc}")
 		os.Exit(2)
 	}
+	if _, err := sim.ParseEngine(*engine); err != nil {
+		fatal(err)
+	}
 	path := flag.Arg(0)
 	src, err := os.ReadFile(path)
 	if err != nil {
@@ -83,7 +88,7 @@ func main() {
 	var p *wmstream.Program
 	var compileStats *wmstream.CompileStats
 	if strings.HasSuffix(path, ".mc") {
-		res, err := wmstream.CompileWithConfig(string(src),
+		res, err := wmstream.CompileContext(context.Background(), string(src),
 			wmstream.CompileConfig{Options: wmstream.LevelOptions(*level)})
 		if err != nil {
 			// Surface the structured diagnostics the way wmcc does, not
@@ -118,12 +123,7 @@ func main() {
 	if *watchdog > 0 {
 		m.WatchdogSlack = *watchdog
 	}
-	switch *engine {
-	case "", "auto", "translated", "fast", "reference":
-		m.Engine = *engine
-	default:
-		fatal(fmt.Errorf("unknown engine %q (want auto, translated, fast, or reference)", *engine))
-	}
+	m.Engine = *engine
 
 	var opts wmstream.SimOptions
 	var traceFile *os.File

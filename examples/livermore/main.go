@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,10 +53,12 @@ func main() {
 			Stream: true, StrengthReduce: true}},
 	}
 	for _, st := range stages {
-		prog, err := wmstream.CompileOptions(src, st.opts)
+		cres, err := wmstream.CompileContext(context.Background(), src,
+			wmstream.CompileConfig{Options: st.opts})
 		if err != nil {
 			log.Fatal(err)
 		}
+		prog := cres.Program
 		res, err := wmstream.Run(prog, wmstream.DefaultMachine())
 		if err != nil {
 			log.Fatal(err)

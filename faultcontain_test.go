@@ -1,6 +1,7 @@
 package wmstream
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -59,7 +60,7 @@ func TestFaultContainmentEndToEnd(t *testing.T) {
 	want := runOutput(t, ref)
 
 	injectEverywhere(t, "panic")
-	res, err := CompileWithConfig(faultProgram, CompileConfig{Options: LevelOptions(O3)})
+	res, err := CompileContext(context.Background(), faultProgram, CompileConfig{Options: LevelOptions(O3)})
 	if err != nil {
 		t.Fatalf("compilation with all passes faulty errored: %v", err)
 	}
@@ -101,7 +102,7 @@ func TestFaultContainmentModes(t *testing.T) {
 	for _, mode := range []string{"error", "corrupt"} {
 		t.Run(mode, func(t *testing.T) {
 			injectEverywhere(t, mode)
-			res, err := CompileWithConfig(faultProgram, CompileConfig{Options: LevelOptions(O3)})
+			res, err := CompileContext(context.Background(), faultProgram, CompileConfig{Options: LevelOptions(O3)})
 			if err != nil {
 				t.Fatalf("mode %s errored: %v", mode, err)
 			}
@@ -120,7 +121,7 @@ func TestFaultContainmentModes(t *testing.T) {
 // diagnostics.
 func TestStrictPromotesDegradation(t *testing.T) {
 	injectEverywhere(t, "panic")
-	res, err := CompileWithConfig(faultProgram, CompileConfig{Options: LevelOptions(O3), Strict: true})
+	res, err := CompileContext(context.Background(), faultProgram, CompileConfig{Options: LevelOptions(O3), Strict: true})
 	if err == nil {
 		t.Fatal("strict compilation succeeded despite degradations")
 	}
@@ -135,7 +136,7 @@ func TestStrictPromotesDegradation(t *testing.T) {
 // TestFrontendDiagnosticPosition checks that a syntax error surfaces as
 // a structured diagnostic with its source position.
 func TestFrontendDiagnosticPosition(t *testing.T) {
-	res, err := CompileWithConfig("int main(void) {\n    retur 0;\n}\n", CompileConfig{})
+	res, err := CompileContext(context.Background(), "int main(void) {\n    retur 0;\n}\n", CompileConfig{})
 	if err == nil {
 		t.Fatal("bad program compiled")
 	}

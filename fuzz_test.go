@@ -1,6 +1,6 @@
-// Public-API fuzzers.  The fast-vs-reference engine differential
+// Public-API fuzzers.  The translated-vs-reference engine differential
 // fuzzer lives with the rest of the differential harness in
-// internal/bench (FuzzFastEngine); this file fuzzes only the exported
+// internal/bench (FuzzEngines); this file fuzzes only the exported
 // surface: Compile and Assemble.
 package wmstream
 

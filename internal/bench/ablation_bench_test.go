@@ -205,7 +205,7 @@ func BenchmarkSimulatorEngines(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, e := range []sim.Engine{sim.EngineTranslated, sim.EngineFast, sim.EngineReference} {
+	for _, e := range []sim.Engine{sim.EngineTranslated, sim.EngineReference} {
 		b.Run(e.String(), func(b *testing.B) {
 			cfg := sim.DefaultConfig()
 			cfg.Engine = e

@@ -11,22 +11,11 @@ import (
 	"wmstream/internal/sim"
 )
 
-// The accelerated engines' correctness contract: for every program,
-// every optimization level, and every machine shape, the fast engine
-// and the translated engine must be cycle-exact against the reference
-// interpreter — same statistics (including the per-unit telemetry
-// attribution), same output, same final memory image, same error.
-// These tests are that contract.
-
-// acceleratedEngines lists every engine validated against the
-// reference.
-var acceleratedEngines = []struct {
-	name string
-	eng  sim.Engine
-}{
-	{"fast", sim.EngineFast},
-	{"translated", sim.EngineTranslated},
-}
+// The translated engine's correctness contract: for every program,
+// every optimization level, and every machine shape, it must be
+// cycle-exact against the reference interpreter — same statistics
+// (including the per-unit telemetry attribution), same output, same
+// final memory image, same error.  These tests are that contract.
 
 // engineResult is everything externally observable about one run.
 type engineResult struct {
@@ -50,7 +39,7 @@ func runEngine(img *sim.Image, cfg sim.Config, eng sim.Engine) engineResult {
 }
 
 // diffEngines compiles the program at the level, runs it under the
-// reference and every accelerated engine, and fails the test on any
+// reference and the translated engine, and fails the test on any
 // observable divergence.
 func diffEngines(t *testing.T, p Program, level int, cfg sim.Config) {
 	t.Helper()
@@ -63,38 +52,32 @@ func diffEngines(t *testing.T, p Program, level int, cfg sim.Config) {
 		t.Fatalf("link: %v", err)
 	}
 	ref := runEngine(img, cfg, sim.EngineReference)
-	for _, e := range acceleratedEngines {
-		got := runEngine(img, cfg, e.eng)
-		if ref.errStr != got.errStr {
-			t.Fatalf("%s: error mismatch:\nreference: %s\n%-9s %s",
-				e.name, ref.errStr, e.name+":", got.errStr)
-		}
-		if !reflect.DeepEqual(ref.stats, got.stats) {
-			t.Errorf("%s: stats mismatch:\nreference: %+v\n%-9s %+v",
-				e.name, ref.stats, e.name+":", got.stats)
-		}
-		if ref.output != got.output {
-			t.Errorf("%s: output mismatch:\nreference: %q\n%-9s %q",
-				e.name, ref.output, e.name+":", got.output)
-		}
-		if !bytes.Equal(ref.mem, got.mem) {
-			t.Errorf("%s: final memory images differ (lengths %d vs %d)",
-				e.name, len(ref.mem), len(got.mem))
-		}
-		if ref.errStr != "" {
-			continue // attribution sums only hold for completed runs
-		}
-		for _, r := range []engineResult{ref, got} {
-			for _, u := range r.stats.Units {
-				if u.Total() != r.stats.Cycles {
-					t.Errorf("unit %s attribution sums to %d, want Cycles=%d",
-						u.Name, u.Total(), r.stats.Cycles)
-				}
+	got := runEngine(img, cfg, sim.EngineTranslated)
+	if ref.errStr != got.errStr {
+		t.Fatalf("error mismatch:\nreference:  %s\ntranslated: %s", ref.errStr, got.errStr)
+	}
+	if !reflect.DeepEqual(ref.stats, got.stats) {
+		t.Errorf("stats mismatch:\nreference:  %+v\ntranslated: %+v", ref.stats, got.stats)
+	}
+	if ref.output != got.output {
+		t.Errorf("output mismatch:\nreference:  %q\ntranslated: %q", ref.output, got.output)
+	}
+	if !bytes.Equal(ref.mem, got.mem) {
+		t.Errorf("final memory images differ (lengths %d vs %d)", len(ref.mem), len(got.mem))
+	}
+	if ref.errStr != "" {
+		return // attribution sums only hold for completed runs
+	}
+	for _, r := range []engineResult{ref, got} {
+		for _, u := range r.stats.Units {
+			if u.Total() != r.stats.Cycles {
+				t.Errorf("unit %s attribution sums to %d, want Cycles=%d",
+					u.Name, u.Total(), r.stats.Cycles)
 			}
 		}
-		if p.Expect != "" && got.output != p.Expect {
-			t.Errorf("%s: output %q, want %q", e.name, got.output, p.Expect)
-		}
+	}
+	if p.Expect != "" && got.output != p.Expect {
+		t.Errorf("output %q, want %q", got.output, p.Expect)
 	}
 }
 
@@ -114,7 +97,7 @@ func TestEngineDifferential(t *testing.T) {
 }
 
 // TestEngineDifferentialStressed re-runs a streaming-heavy subset under
-// machine shapes that exercise every fast-path boundary: unit memory
+// machine shapes that exercise every fast-forward boundary: unit memory
 // latency (events land immediately), a single memory port (SCU/write
 // contention), tiny FIFOs (constant backpressure), one SCU (stream
 // serialization), and tiny unit queues (IFU dispatch stalls).
@@ -143,6 +126,14 @@ func TestEngineDifferentialStressed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// longLatency stretches memory and long-latency operations so that
+// the translated engine's fast-forwards cover long stretches of cycles.
+func longLatency(c *sim.Config) {
+	c.MemLatency = 24
+	c.DivLatency = 40
+	c.MathLatency = 48
 }
 
 // runSliced executes the image in bounded slices through RunSlice.
@@ -207,16 +198,19 @@ func requireSameResult(t *testing.T, label string, want, got engineResult) {
 // contract: a run chopped into arbitrary slices — including slice = 1
 // cycle, and including full serialize/deserialize round trips at every
 // boundary — is bit-identical to the uninterrupted run, for every
-// program, optimization level, and engine.
+// program, optimization level, and engine.  The "fast" axis runs the
+// translated engine on a long-latency machine, where idle skips and SCU
+// batches span many cycles and most slice boundaries land inside one.
 func TestSlicedRunDifferential(t *testing.T) {
 	progs := append(Programs(), Livermore5(256))
 	engines := []struct {
-		name string
-		eng  sim.Engine
+		name   string
+		eng    sim.Engine
+		adjust func(*sim.Config)
 	}{
-		{"ref", sim.EngineReference},
-		{"fast", sim.EngineFast},
-		{"translated", sim.EngineTranslated},
+		{"ref", sim.EngineReference, nil},
+		{"fast", sim.EngineTranslated, longLatency},
+		{"translated", sim.EngineTranslated, nil},
 	}
 	for _, p := range progs {
 		for level := 0; level <= 3; level++ {
@@ -232,18 +226,22 @@ func TestSlicedRunDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("link: %v", err)
 					}
-					want := runEngine(img, sim.DefaultConfig(), e.eng)
+					cfg := sim.DefaultConfig()
+					if e.adjust != nil {
+						e.adjust(&cfg)
+					}
+					want := runEngine(img, cfg, e.eng)
 
-					got := runSliced(t, img, sim.DefaultConfig(), e.eng,
+					got := runSliced(t, img, cfg, e.eng,
 						func() int64 { return 1 }, false)
 					requireSameResult(t, "slice=1", want, got)
 
-					got = runSliced(t, img, sim.DefaultConfig(), e.eng,
+					got = runSliced(t, img, cfg, e.eng,
 						func() int64 { return 8192 }, true)
 					requireSameResult(t, "slice=8192+checkpoint", want, got)
 
 					rng := rand.New(rand.NewSource(int64(level+1)*7919 + int64(len(p.Name))))
-					got = runSliced(t, img, sim.DefaultConfig(), e.eng,
+					got = runSliced(t, img, cfg, e.eng,
 						func() int64 { return 1 + rng.Int63n(20000) }, true)
 					requireSameResult(t, "slice=random+checkpoint", want, got)
 				})
@@ -276,25 +274,22 @@ halt
 	if ref.errStr == "" {
 		t.Fatalf("expected deadlock from the reference engine")
 	}
-	for _, e := range acceleratedEngines {
-		got := runEngine(img, cfg, e.eng)
-		if got.errStr == "" {
-			t.Fatalf("%s: expected a deadlock; reference said %q", e.name, ref.errStr)
-		}
-		if ref.errStr != got.errStr {
-			t.Fatalf("%s: deadlock diagnosis mismatch:\nreference: %s\n%-9s %s",
-				e.name, ref.errStr, e.name+":", got.errStr)
-		}
-		if !reflect.DeepEqual(ref.stats, got.stats) {
-			t.Errorf("%s: stats mismatch:\nreference: %+v\n%-9s %+v",
-				e.name, ref.stats, e.name+":", got.stats)
-		}
+	got := runEngine(img, cfg, sim.EngineTranslated)
+	if got.errStr == "" {
+		t.Fatalf("translated: expected a deadlock; reference said %q", ref.errStr)
+	}
+	if ref.errStr != got.errStr {
+		t.Fatalf("deadlock diagnosis mismatch:\nreference:  %s\ntranslated: %s", ref.errStr, got.errStr)
+	}
+	if !reflect.DeepEqual(ref.stats, got.stats) {
+		t.Errorf("stats mismatch:\nreference:  %+v\ntranslated: %+v", ref.stats, got.stats)
 	}
 }
 
 // TestEngineDifferentialMaxCycles checks the MaxCycles trap fires at
 // the same cycle with the same statistics under both engines, including
-// when the bound lands inside a stalled stretch the fast engine skips.
+// when the bound lands inside a stalled stretch the translated engine
+// skips.
 func TestEngineDifferentialMaxCycles(t *testing.T) {
 	p := Livermore5(256)
 	rp, err := Compile(p, 3)
@@ -315,16 +310,12 @@ func TestEngineDifferentialMaxCycles(t *testing.T) {
 			if ref.errStr == "" {
 				t.Fatalf("expected a MaxCycles trap at %d cycles", max)
 			}
-			for _, e := range acceleratedEngines {
-				got := runEngine(img, cfg, e.eng)
-				if ref.errStr != got.errStr {
-					t.Fatalf("%s: trap mismatch:\nreference: %s\n%-9s %s",
-						e.name, ref.errStr, e.name+":", got.errStr)
-				}
-				if !reflect.DeepEqual(ref.stats, got.stats) {
-					t.Errorf("%s: stats mismatch:\nreference: %+v\n%-9s %+v",
-						e.name, ref.stats, e.name+":", got.stats)
-				}
+			got := runEngine(img, cfg, sim.EngineTranslated)
+			if ref.errStr != got.errStr {
+				t.Fatalf("trap mismatch:\nreference:  %s\ntranslated: %s", ref.errStr, got.errStr)
+			}
+			if !reflect.DeepEqual(ref.stats, got.stats) {
+				t.Errorf("stats mismatch:\nreference:  %+v\ntranslated: %+v", ref.stats, got.stats)
 			}
 		})
 	}

@@ -8,14 +8,13 @@ import (
 	"wmstream/internal/sim"
 )
 
-// FuzzFastEngine compiles arbitrary Mini-C at every optimization level
-// and runs whatever compiles through all three simulation engines with
-// a tight cycle budget, cross-checking every observable: statistics
-// (including per-unit telemetry), program output, and error text.  Any
-// divergence is an accelerated-engine soundness bug — the fast engine's
-// event-stepped skips and the translated engine's compiled closures
-// must both be invisible.
-func FuzzFastEngine(f *testing.F) {
+// FuzzEngines compiles arbitrary Mini-C at every optimization level and
+// runs whatever compiles through both simulation engines with a tight
+// cycle budget, cross-checking every observable: statistics (including
+// per-unit telemetry), program output, and error text.  Any divergence
+// is a translated-engine soundness bug — its compiled closures, idle
+// skips and SCU batches must all be invisible.
+func FuzzEngines(f *testing.F) {
 	for _, p := range append(Programs(), Livermore5(32)) {
 		f.Add(p.Source)
 	}
@@ -49,20 +48,17 @@ func FuzzFastEngine(f *testing.F) {
 				return stats, out.String(), es
 			}
 			refStats, refOut, refErr := exec(sim.EngineReference)
-			for _, e := range acceleratedEngines {
-				gotStats, gotOut, gotErr := exec(e.eng)
-				if refErr != gotErr {
-					t.Fatalf("O%d/%s: engines disagree on error:\nreference: %s\n%-9s %s",
-						lvl, e.name, refErr, e.name+":", gotErr)
-				}
-				if !reflect.DeepEqual(refStats, gotStats) {
-					t.Fatalf("O%d/%s: engines disagree on stats:\nreference: %+v\n%-9s %+v",
-						lvl, e.name, refStats, e.name+":", gotStats)
-				}
-				if refOut != gotOut {
-					t.Fatalf("O%d/%s: engines disagree on output: %q vs %q",
-						lvl, e.name, refOut, gotOut)
-				}
+			gotStats, gotOut, gotErr := exec(sim.EngineTranslated)
+			if refErr != gotErr {
+				t.Fatalf("O%d: engines disagree on error:\nreference:  %s\ntranslated: %s",
+					lvl, refErr, gotErr)
+			}
+			if !reflect.DeepEqual(refStats, gotStats) {
+				t.Fatalf("O%d: engines disagree on stats:\nreference:  %+v\ntranslated: %+v",
+					lvl, refStats, gotStats)
+			}
+			if refOut != gotOut {
+				t.Fatalf("O%d: engines disagree on output: %q vs %q", lvl, refOut, gotOut)
 			}
 		}
 	})

@@ -18,8 +18,7 @@ import (
 type Result struct {
 	Program string
 	Level   int
-	// Engine is the simulation engine that executed the run (auto
-	// resolved to the engine it picks).
+	// Engine is the simulation engine that executed the run.
 	Engine sim.Engine
 	Stats  sim.Stats
 	Output string
@@ -84,7 +83,7 @@ func Run(rp *rtl.Program, cfg sim.Config) (sim.Stats, string, error) {
 // Measure compiles and runs one benchmark at one level with the
 // default machine, timing the simulation (not the compile).
 func Measure(p Program, level int) (Result, error) {
-	return MeasureEngine(p, level, sim.EngineAuto)
+	return MeasureEngine(p, level, sim.EngineTranslated)
 }
 
 // MeasureEngine is Measure on an explicit simulation engine, so
@@ -102,7 +101,7 @@ func MeasureEngine(p Program, level int, engine sim.Engine) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("%s O%d: %w", p.Name, level, err)
 	}
-	return Result{Program: p.Name, Level: level, Engine: engine.Resolve(),
+	return Result{Program: p.Name, Level: level, Engine: engine,
 		Stats: stats, Output: out, HostNS: host.Nanoseconds()}, nil
 }
 

@@ -15,7 +15,7 @@ type Record struct {
 	Program string `json:"program"`
 	Level   int    `json:"level"`
 	// Engine names the simulation engine that produced the record
-	// (translated, fast, or reference), so speed numbers from
+	// (translated or reference), so speed numbers from
 	// different engines are never conflated in downstream diffs.
 	Engine       string `json:"engine"`
 	Cycles       int64  `json:"cycles"`

@@ -17,7 +17,7 @@ func TestWriteJSON(t *testing.T) {
 	levels := []int{0, 3}
 
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, programs, levels, sim.EngineAuto); err != nil {
+	if err := WriteJSON(&buf, programs, levels, sim.EngineTranslated); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	var records []Record
@@ -32,7 +32,7 @@ func TestWriteJSON(t *testing.T) {
 			t.Errorf("bad record: %+v", r)
 		}
 		if r.Engine != "translated" {
-			t.Errorf("%s -O%d: engine %q, want translated (auto resolved)", r.Program, r.Level, r.Engine)
+			t.Errorf("%s -O%d: engine %q, want translated", r.Program, r.Level, r.Engine)
 		}
 		if len(r.Units) < 4 {
 			t.Errorf("%s -O%d: %d units, want IFU+IEU+FEU+SCUs", r.Program, r.Level, len(r.Units))
@@ -64,7 +64,7 @@ func TestWriteJSON(t *testing.T) {
 	// Everything except the host wall-clock fields is deterministic
 	// across generations.
 	var buf2 bytes.Buffer
-	if err := WriteJSON(&buf2, programs, levels, sim.EngineAuto); err != nil {
+	if err := WriteJSON(&buf2, programs, levels, sim.EngineTranslated); err != nil {
 		t.Fatalf("WriteJSON again: %v", err)
 	}
 	var records2 []Record

@@ -123,14 +123,14 @@ func healthJobs(t *testing.T, ts *httptest.Server) *JobsHealth {
 // result byte-identical to an uninterrupted run.
 func TestJobCrashRestartHarness(t *testing.T) {
 	dir := t.TempDir()
-	engines := []string{"fast", "reference"}
+	engines := []string{"translated", "reference"}
 	want := map[string]*RunResponse{}
 	for _, e := range engines {
 		want[e] = baselineRun(t, crashJobReq(e))
 	}
-	if !reflect.DeepEqual(want["fast"], want["reference"]) {
-		t.Fatalf("engines disagree before any crash:\nfast:      %+v\nreference: %+v",
-			want["fast"], want["reference"])
+	if !reflect.DeepEqual(want["translated"], want["reference"]) {
+		t.Fatalf("engines disagree before any crash:\ntranslated: %+v\nreference:  %+v",
+			want["translated"], want["reference"])
 	}
 
 	acked := map[string]string{} // job ID -> engine
@@ -244,7 +244,7 @@ func TestJobQueuedSurviveRestart(t *testing.T) {
 	}
 
 	// Occupy the single worker, then queue jobs behind it.
-	_, blocker := submitJob(t, ts, crashJobReq("fast"))
+	_, blocker := submitJob(t, ts, crashJobReq("translated"))
 	waitCycles(t, ts, blocker.ID, 100_000)
 	var queued []JobResponse
 	for n := 0; n < 3; n++ {
@@ -294,11 +294,11 @@ func TestJobQueuedSurviveRestart(t *testing.T) {
 // restart — the job still completes with the uninterrupted result.
 func TestJobCheckpointCorruptFallback(t *testing.T) {
 	dir := t.TempDir()
-	want := baselineRun(t, crashJobReq("fast"))
+	want := baselineRun(t, crashJobReq("translated"))
 
 	srv := New(durableCfg(dir, nil))
 	ts := httptest.NewServer(srv)
-	res, jr := submitJob(t, ts, crashJobReq("fast"))
+	res, jr := submitJob(t, ts, crashJobReq("translated"))
 	if res.status != http.StatusAccepted {
 		t.Fatalf("submit status %d", res.status)
 	}
@@ -329,6 +329,53 @@ func TestJobCheckpointCorruptFallback(t *testing.T) {
 	}
 	if !reflect.DeepEqual(done.Result, want) {
 		t.Errorf("clean-restart fallback diverged:\nuninterrupted: %+v\nrecovered:     %+v", want, done.Result)
+	}
+}
+
+// TestRecoveredJobUnknownEngine: a queued job journaled under an
+// engine name the simulator does not know ("fast") skipped submit-time
+// validation, so the run itself must reject it: the job executes once,
+// fails through the ordinary run-failure path with the engine error,
+// and is not retried.
+func TestRecoveredJobUnknownEngine(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := durable.Open(durable.Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	req := &Request{Source: helloSrc, Machine: &MachineSpec{Engine: "fast"}}
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "00000000000000fa"
+	if err := st.Put(durable.JobRecord{Seq: 1, ID: id, State: "queued", Request: raw}); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("close store: %v", err)
+	}
+
+	var ec execCounter
+	cfg := durableCfg(dir, nil)
+	cfg.CompileHook = ec.hook
+	srv, ts := newTestServer(t, cfg)
+	if rec, _ := srv.Recovery(); rec.Requeued != 1 {
+		t.Fatalf("recovery requeued %d jobs, want 1 (%+v)", rec.Requeued, rec)
+	}
+	done := waitTerminal(t, ts, id, 0)
+	if done.State != "failed" {
+		t.Fatalf("job ended %q (result %+v), want failed", done.State, done.Result)
+	}
+	if !strings.Contains(done.Error, `unknown engine "fast"`) ||
+		!strings.Contains(done.Error, "auto, translated, or reference") {
+		t.Errorf("job error %q, want the unknown-engine error naming the valid engines", done.Error)
+	}
+	if done.Attempts != 0 {
+		t.Errorf("job attempts %d, want 0 (no retries)", done.Attempts)
+	}
+	if got := ec.count(req.cacheKey(kindRun)); got != 1 {
+		t.Errorf("job executed %d times, want 1", got)
 	}
 }
 
@@ -387,7 +434,7 @@ func TestJobPollDrainReleases(t *testing.T) {
 	srv, ts := newTestServer(t, cfg)
 	// Occupy the worker so the second job stays queued, its generation
 	// frozen — the long-poll genuinely blocks.
-	submitJob(t, ts, crashJobReq("fast"))
+	submitJob(t, ts, crashJobReq("translated"))
 	_, queued := submitJob(t, ts, &JobRequest{Request: Request{Source: helloSrc}})
 
 	type pollResult struct {

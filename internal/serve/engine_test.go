@@ -1,22 +1,24 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
-// TestRunEngineSelection: every engine name is accepted, every engine
-// produces the same answer, and an unknown engine is rejected with a
+// TestRunEngineSelection: every engine name is accepted, both engines
+// produce the same answer, and an unknown engine is rejected with a
 // message naming the valid set.
 func TestRunEngineSelection(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	var want RunResponse
-	for _, engine := range []string{"", "auto", "translated", "fast", "reference"} {
+	for _, engine := range []string{"", "auto", "translated", "reference"} {
 		req := &Request{Source: helloSrc}
 		if engine != "" {
 			req.Machine = &MachineSpec{Engine: engine}
@@ -39,16 +41,49 @@ func TestRunEngineSelection(t *testing.T) {
 		}
 	}
 
-	res := post(t, ts, "/run", &Request{Source: helloSrc, Machine: &MachineSpec{Engine: "quantum"}})
-	if res.status != http.StatusBadRequest {
-		t.Fatalf("bad engine: status %d, want 400", res.status)
+	for _, engine := range []string{"quantum", "fast"} {
+		res := post(t, ts, "/run", &Request{Source: helloSrc, Machine: &MachineSpec{Engine: engine}})
+		if res.status != http.StatusBadRequest {
+			t.Fatalf("engine %q: status %d, want 400", engine, res.status)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(res.body, &er); err != nil {
+			t.Fatalf("engine %q: bad error body: %v", engine, err)
+		}
+		if !strings.Contains(er.Error, "auto, translated, or reference") {
+			t.Errorf("engine %q: message should name the valid engines, got %q", engine, er.Error)
+		}
 	}
-	var er ErrorResponse
-	if err := json.Unmarshal(res.body, &er); err != nil {
-		t.Fatalf("bad engine error body: %v", err)
+}
+
+// TestEngineSpellingsShareCacheEntry: every spelling of the default
+// engine resolves to one content address, so the program executes once
+// and the later spellings are cache hits.
+func TestEngineSpellingsShareCacheEntry(t *testing.T) {
+	var execs atomic.Int64
+	_, ts := newTestServer(t, Config{CompileHook: func(Key) { execs.Add(1) }})
+
+	var body []byte
+	for n, spec := range []*MachineSpec{nil, {}, {Engine: "auto"}, {Engine: "translated"}} {
+		res := post(t, ts, "/run", &Request{Source: helloSrc, Machine: spec})
+		if res.status != http.StatusOK {
+			t.Fatalf("spelling %d: status %d, body %s", n, res.status, res.body)
+		}
+		want := "hit"
+		if n == 0 {
+			want = "miss"
+		}
+		if res.cache != want {
+			t.Errorf("spelling %d: X-Cache %q, want %q", n, res.cache, want)
+		}
+		if n == 0 {
+			body = res.body
+		} else if !bytes.Equal(res.body, body) {
+			t.Errorf("spelling %d: body differs from the first response", n)
+		}
 	}
-	if !strings.Contains(er.Error, "translated") {
-		t.Errorf("bad-engine message should name the valid engines, got %q", er.Error)
+	if got := execs.Load(); got != 1 {
+		t.Errorf("%d executions across the engine spellings, want 1", got)
 	}
 }
 
@@ -59,9 +94,9 @@ func TestRunEngineSelection(t *testing.T) {
 func TestEngineRunsMetric(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	// Two default-engine runs and one explicit fast run.  Distinct
+	// Two default-engine runs and one explicit reference run.  Distinct
 	// machine configs defeat the response cache so each run executes.
-	for _, spec := range []*MachineSpec{nil, {MemLatency: 17}, {MemLatency: 23, Engine: "fast"}} {
+	for _, spec := range []*MachineSpec{nil, {MemLatency: 17, Engine: "auto"}, {MemLatency: 23, Engine: "reference"}} {
 		res := post(t, ts, "/run", &Request{Source: helloSrc, Machine: spec})
 		if res.status != http.StatusOK {
 			t.Fatalf("run: status %d, body %s", res.status, res.body)
@@ -81,7 +116,7 @@ func TestEngineRunsMetric(t *testing.T) {
 
 	for _, want := range []string{
 		`wmserved_engine_runs_total{engine="translated"} 2`,
-		`wmserved_engine_runs_total{engine="fast"} 1`,
+		`wmserved_engine_runs_total{engine="reference"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

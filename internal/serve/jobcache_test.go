@@ -235,7 +235,7 @@ func TestJobCacheDisabled(t *testing.T) {
 // its checkpoint blobs.
 func TestRecoveredJobCompletesFromCache(t *testing.T) {
 	dir := t.TempDir()
-	blocker := crashJobReq("fast")
+	blocker := crashJobReq("translated")
 	target := &JobRequest{Request: Request{
 		Source: `int main(void) {
     int i; double s;

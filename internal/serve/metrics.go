@@ -12,6 +12,7 @@ import (
 	"wmstream"
 	"wmstream/internal/cluster"
 	"wmstream/internal/obs"
+	"wmstream/internal/sim"
 )
 
 // This file is a minimal, dependency-free Prometheus text-format
@@ -180,9 +181,12 @@ func (m *metrics) observeSlow(endpoint, traceID string) {
 }
 
 // observeEngineRun counts one simulation run against the engine that
-// executed it.
+// executed it; a name no engine answers to ran nothing and is not
+// counted.
 func (m *metrics) observeEngineRun(engine string) {
-	m.engineRuns.add(fmt.Sprintf(`engine=%q`, wmstream.ResolveEngine(engine)), 1)
+	if e, err := sim.ParseEngine(engine); err == nil {
+		m.engineRuns.add(fmt.Sprintf(`engine=%q`, e), 1)
+	}
 }
 
 // addSimUnits folds one run's per-unit cycle attribution (the

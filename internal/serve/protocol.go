@@ -7,6 +7,7 @@ import (
 
 	"wmstream"
 	"wmstream/internal/cluster"
+	"wmstream/internal/sim"
 )
 
 // Request is the JSON body accepted by POST /compile and POST /run.
@@ -42,10 +43,9 @@ type MachineSpec struct {
 	NumSCU        int   `json:"num_scu,omitempty"`
 	WatchdogSlack int   `json:"watchdog_slack,omitempty"`
 	MaxCycles     int64 `json:"max_cycles,omitempty"`
-	// Engine selects the simulation engine: "" or "auto" (default,
-	// resolves to the translated engine), "translated", "fast", or
-	// "reference".  All engines produce identical results; the knob
-	// exists for validation and benchmarking.
+	// Engine selects the simulation engine: "", "auto" or "translated"
+	// (the default) or "reference".  Both engines produce identical
+	// results; the knob exists for validation and benchmarking.
 	Engine string `json:"engine,omitempty"`
 }
 
@@ -219,9 +219,13 @@ func (r *Request) machine() wmstream.Machine {
 		if s.MaxCycles > 0 {
 			m.MaxCycles = s.MaxCycles
 		}
-		if s.Engine != "" {
-			m.Engine = s.Engine
-		}
+		m.Engine = s.Engine
+	}
+	// Every spelling of an engine resolves to its canonical name, so
+	// they share one content address; an unknown name is kept for the
+	// run to reject.
+	if e, err := sim.ParseEngine(m.Engine); err == nil {
+		m.Engine = e.String()
 	}
 	return m
 }
@@ -238,10 +242,8 @@ func (r *Request) validate(maxSource int64) error {
 		return fmt.Errorf("level must be 0..3, got %d", *r.Level)
 	}
 	if r.Machine != nil {
-		switch r.Machine.Engine {
-		case "", "auto", "translated", "fast", "reference":
-		default:
-			return fmt.Errorf("engine must be auto, translated, fast, or reference, got %q", r.Machine.Engine)
+		if _, err := sim.ParseEngine(r.Machine.Engine); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -264,7 +266,7 @@ func (k Key) String() string { return fmt.Sprintf("%x", k[:8]) }
 // invalidates old entries rather than aliasing them.
 func (r *Request) cacheKey(kind string) Key {
 	h := sha256.New()
-	fmt.Fprintf(h, "wmserved/2\x00%s\x00opts=%+v\x00", kind, r.options())
+	fmt.Fprintf(h, "wmserved/3\x00%s\x00opts=%+v\x00", kind, r.options())
 	if kind == kindRun {
 		fmt.Fprintf(h, "mach=%+v\x00", r.machine())
 	}

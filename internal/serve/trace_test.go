@@ -165,7 +165,7 @@ func TestJobTraceSurvivesRestart(t *testing.T) {
 	srv := New(durableCfg(dir, nil))
 	ts := httptest.NewServer(srv)
 
-	res, jr := submitJob(t, ts, crashJobReq("fast"))
+	res, jr := submitJob(t, ts, crashJobReq("translated"))
 	if res.status != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", res.status, res.body)
 	}

@@ -41,71 +41,49 @@ import (
 	"wmstream/internal/telemetry"
 )
 
-// Engine selects the simulation loop.  All engines produce identical
+// Engine selects the simulation loop.  Both engines produce identical
 // cycle counts, statistics, telemetry attribution, memory images and
 // faults (the differential tests in internal/bench assert this across
-// the whole benchmark suite); the fast engine gets there sooner by
-// skipping provably-stalled stretches and batching stream transfers,
-// and the translated engine sooner still by running ahead-of-time
-// compiled Go closures instead of decoding on every cycle.
+// the whole benchmark suite); the translated engine gets there sooner
+// by running ahead-of-time compiled Go closures instead of decoding on
+// every cycle, skipping provably-stalled stretches and batching stream
+// transfers.
 type Engine uint8
 
 const (
-	// EngineAuto picks the translated engine unless a feature that needs
-	// per-cycle observation (Config.TraceSink) forces the reference.
-	EngineAuto Engine = iota
-	// EngineFast requests the event-stepped engine (still demoted to
-	// the reference when TraceSink is set — traces are per-cycle).
-	EngineFast
-	// EngineReference forces the plain cycle-by-cycle interpreter.
+	// EngineTranslated, the zero value, is the binary-translating
+	// engine: the image is lowered once to per-instruction Go closures
+	// (cached process-wide by image fingerprint, see translate.go) and
+	// the hot loop runs no decode, no expression interpretation and no
+	// hazard-kind dispatch.  A run with Config.TraceSink set, which
+	// needs per-cycle observation, runs on the reference engine instead.
+	EngineTranslated Engine = iota
+	// EngineReference forces the plain cycle-by-cycle interpreter, the
+	// specification the translated engine is tested against.
 	EngineReference
-	// EngineTranslated requests the binary-translating engine: the image
-	// is lowered once to per-instruction Go closures (cached process-wide
-	// by image fingerprint, see translate.go) and the hot loop runs no
-	// decode, no expression interpretation and no hazard-kind dispatch.
-	EngineTranslated
 )
 
 // String names the engine the way CLI flags and the wire protocol
-// spell it.  EngineAuto reports "auto"; use Resolve when the name of
-// the engine that actually runs is wanted.
+// spell it.
 func (e Engine) String() string {
-	switch e {
-	case EngineFast:
-		return "fast"
-	case EngineReference:
+	if e == EngineReference {
 		return "reference"
-	case EngineTranslated:
-		return "translated"
-	default:
-		return "auto"
 	}
+	return "translated"
 }
 
-// Resolve maps EngineAuto onto the engine it selects when nothing
-// (tracing, recording) forces a demotion; concrete engines resolve to
-// themselves.
-func (e Engine) Resolve() Engine {
-	if e == EngineAuto {
-		return EngineTranslated
-	}
-	return e
-}
-
-// ParseEngine maps a flag or wire engine name onto an Engine ("" and
-// "auto" are EngineAuto).
+// ParseEngine maps a flag or wire engine name onto an Engine.  It is
+// the one decoder of engine names: "", "auto" and "translated" name
+// the translated engine, "reference" the reference engine, and any
+// other name is an error listing the valid ones.
 func ParseEngine(name string) (Engine, error) {
 	switch name {
-	case "", "auto":
-		return EngineAuto, nil
-	case "translated":
+	case "", "auto", "translated":
 		return EngineTranslated, nil
-	case "fast":
-		return EngineFast, nil
 	case "reference":
 		return EngineReference, nil
 	default:
-		return EngineAuto, fmt.Errorf("unknown engine %q (want auto, translated, fast, or reference)", name)
+		return EngineTranslated, fmt.Errorf("unknown engine %q (want auto, translated, or reference)", name)
 	}
 }
 
@@ -157,15 +135,14 @@ type Config struct {
 	// source-level profiler (Machine.Retired).
 	Profile bool
 	// Engine selects the simulation loop (see Engine).  The zero value
-	// EngineAuto uses the translated engine whenever tracing permits.
+	// is the translated engine, used whenever tracing permits.
 	Engine Engine
-	// Ctx, when non-nil, cancels the simulation cooperatively: the
-	// engine loops poll its Done channel (every cancelCheckInterval
-	// cycles in the reference engine, every event step in the fast
-	// engine) and return its error, so a serving deadline bounds even a
-	// runaway simulation.  Cancellation timing is engine-dependent; a
-	// canceled run's partial statistics are not comparable across
-	// engines (completed runs remain byte-identical).
+	// Ctx, when non-nil, cancels the simulation cooperatively: both
+	// engine loops poll its Done channel every cancelCheckInterval
+	// simulated cycles or so and return its error, so a serving
+	// deadline bounds even a runaway simulation.  Cancellation timing
+	// is engine-dependent; a canceled run's partial statistics are not
+	// comparable across engines (completed runs remain byte-identical).
 	Ctx context.Context
 }
 

@@ -15,8 +15,8 @@ import (
 // must agree on all of it.
 
 // runBothEngines assembles and executes a program under the reference
-// and fast engines, asserts they agree on the outcome, and returns the
-// fast machine and the shared error ("" on success).
+// and translated engines, asserts they agree on the outcome, and
+// returns the translated machine and the shared error ("" on success).
 func runBothEngines(t *testing.T, cfg Config, src string) (*Machine, string) {
 	t.Helper()
 	p, err := rtl.Parse(src)
@@ -41,14 +41,14 @@ func runBothEngines(t *testing.T, cfg Config, src string) (*Machine, string) {
 		return m, out.String(), es
 	}
 	_, refOut, refErr := exec(EngineReference)
-	fm, fastOut, fastErr := exec(EngineFast)
-	if refErr != fastErr {
-		t.Fatalf("engines disagree on error:\nreference: %s\nfast:      %s", refErr, fastErr)
+	tm, trOut, trErr := exec(EngineTranslated)
+	if refErr != trErr {
+		t.Fatalf("engines disagree on error:\nreference:  %s\ntranslated: %s", refErr, trErr)
 	}
-	if refOut != fastOut {
-		t.Fatalf("engines disagree on output: %q vs %q", refOut, fastOut)
+	if refOut != trOut {
+		t.Fatalf("engines disagree on output: %q vs %q", refOut, trOut)
 	}
-	return fm, fastErr
+	return tm, trErr
 }
 
 // expectTrap runs the program and requires a *TrapError whose reason
@@ -63,7 +63,7 @@ func expectTrap(t *testing.T, src, want string) {
 	if err != nil {
 		t.Fatalf("link: %v", err)
 	}
-	for _, eng := range []Engine{EngineReference, EngineFast} {
+	for _, eng := range []Engine{EngineReference, EngineTranslated} {
 		cfg := DefaultConfig()
 		cfg.Engine = eng
 		m := New(img, cfg)

@@ -137,9 +137,9 @@ type Machine struct {
 	termErr  error
 	flushed  bool
 
-	// Per-cycle progress classification for the fast engine: progress()
-	// sets otherProgress, progressSCU (stream transfers only) sets
-	// scuProgress.  A cycle with neither is a candidate for idle
+	// Per-cycle progress classification for the translated engine:
+	// progress() sets otherProgress, progressSCU (stream transfers only)
+	// sets scuProgress.  A cycle with neither is a candidate for idle
 	// skipping; a cycle with only SCU progress for transfer batching.
 	scuProgress   bool
 	otherProgress bool
@@ -176,8 +176,8 @@ type Machine struct {
 	// and may go stale as time passes — never the reverse.
 	readyMask [2]uint32
 
-	// tr is the lazily attached translation (EngineTranslated /
-	// EngineAuto); shared across machines via the process-wide cache.
+	// tr is the lazily attached translation (EngineTranslated); shared
+	// across machines via the process-wide cache.
 	tr *translation
 
 	// The translated engine defers per-cycle Idle charges — of fully
@@ -220,7 +220,7 @@ func New(img *Image, cfg Config) *Machine {
 	// Runs headed for the translated engine (the default) attach their
 	// translation here and share its decode cache — for a cached image,
 	// machine construction skips decoding entirely.
-	if cfg.TraceSink == nil && cfg.Engine != EngineFast && cfg.Engine != EngineReference {
+	if cfg.TraceSink == nil && cfg.Engine == EngineTranslated {
 		m.tr = translationFor(img, cfg)
 		m.dec = m.tr.dec
 	} else {
@@ -325,12 +325,9 @@ func (m *Machine) RunSlice(budget int64) (bool, error) {
 	)
 	// The trace recorder observes every cycle, so it forces the
 	// reference engine regardless of the requested engine.
-	switch {
-	case m.rec != nil || m.cfg.Engine == EngineReference:
+	if m.rec != nil || m.cfg.Engine == EngineReference {
 		done, err = m.runRef(limit)
-	case m.cfg.Engine == EngineFast:
-		done, err = m.runFast(limit)
-	default: // EngineAuto, EngineTranslated
+	} else {
 		done, err = m.runTranslated(limit)
 	}
 	if done || err != nil {
@@ -410,7 +407,7 @@ func (m *Machine) cancelDone() <-chan struct{} {
 
 // runRef is the reference engine: one full machine evaluation per
 // simulated cycle, up to the absolute cycle limit.  It is the
-// semantic definition the fast engine is differentially tested
+// semantic definition the translated engine is differentially tested
 // against.  Returns done=true only on clean completion; a false/nil
 // return means the slice limit was reached with the run still live.
 func (m *Machine) runRef(limit int64) (bool, error) {
@@ -554,7 +551,7 @@ func (m *Machine) progress() {
 }
 
 // progressSCU marks forward progress made by a stream transfer.  The
-// fast engine batches cycles whose only progress is of this kind.
+// translated engine batches cycles whose only progress is of this kind.
 func (m *Machine) progressSCU() {
 	m.lastProgress = m.now
 	m.scuProgress = true

@@ -9,16 +9,21 @@ import (
 // TestPoolBitIdentity runs the same program on a fresh machine, a
 // pooled machine, and a machine recycled through Release/Acquire, and
 // requires identical statistics, output and memory from all three.
+// The "fast" case runs the translated engine on a long-latency machine.
 func TestPoolBitIdentity(t *testing.T) {
 	img := checkpointImage(t)
 	for _, e := range []struct {
-		name string
-		eng  Engine
-	}{{"translated", EngineTranslated}, {"fast", EngineFast}, {"ref", EngineReference}} {
+		name   string
+		eng    Engine
+		adjust func(*Config)
+	}{{"translated", EngineTranslated, nil}, {"fast", EngineTranslated, longLatency}, {"ref", EngineReference, nil}} {
 		e := e
 		t.Run(e.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Engine = e.eng
+			if e.adjust != nil {
+				e.adjust(&cfg)
+			}
 			wantStats, wantOut, wantMem := runUninterrupted(t, img, cfg)
 			wantMem = append([]byte(nil), wantMem...)
 

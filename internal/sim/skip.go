@@ -7,8 +7,9 @@ import (
 	"wmstream/internal/telemetry"
 )
 
-// The fast engine.  It runs the same step() as the reference engine but
-// recognizes two provable situations and fast-forwards through them:
+// Idle skipping and SCU batching, the translated engine's two
+// fast-forwards.  After each evaluated cycle, runTranslated recognizes
+// two provable situations:
 //
 //   - A cycle with no forward progress at all.  The only state such a
 //     cycle changes is the clock, the per-unit attribution, and the
@@ -29,70 +30,10 @@ import (
 //     faults stay exact), and the three stalled units are bulk-charged.
 //
 // Everything else — any cycle where a unit issues, the IFU dispatches,
-// or memory is served — runs through the untouched per-cycle code, so
-// the fast engine cannot drift from the reference on the hard parts.
+// or memory is served — is evaluated cycle by cycle, so the skips
+// cannot drift from the reference engine on the hard parts.
 
 const unboundedCycles = int64(1) << 62
-
-// runFast advances the fast engine up to the absolute cycle limit.
-// Slicing cannot change what the engine computes: a skip or batch
-// window chopped at the limit resumes with a re-observed template
-// cycle that — being a replay of the same stalled cycle — charges the
-// same causes and stat deltas the unchopped window would have, so the
-// bulk accounting stays linear across the cut.
-func (m *Machine) runFast(limit int64) (bool, error) {
-	slack := m.watchdogSlack()
-	done := m.cancelDone()
-	lastCheck := m.now
-	for !m.done() {
-		if m.now >= limit {
-			return false, nil
-		}
-		m.now++
-		if m.now > m.cfg.MaxCycles {
-			return false, m.maxCyclesTrap()
-		}
-		// Poll cancellation on the same cycle grid as the reference
-		// engine; the clock can jump, so track the last checked cycle
-		// instead of masking.
-		if done != nil && m.now-lastCheck >= cancelCheckInterval {
-			lastCheck = m.now
-			select {
-			case <-done:
-				return false, m.cfg.Ctx.Err()
-			default:
-			}
-		}
-		loadStalls := m.stats.LoadStalls
-		branchStalls := m.stats.BranchStalls
-		ifuFull := m.stats.IFUStallFull
-		m.scuProgress = false
-		m.otherProgress = false
-		m.step()
-		if m.err != nil {
-			return false, m.err
-		}
-		if m.now-m.lastProgress > int64(m.cfg.MemLatency)+slack {
-			return false, &DeadlockError{Snapshot: m.snapshot()}
-		}
-		if m.otherProgress {
-			continue
-		}
-		// The cycle just evaluated is the template for what follows.
-		dLoad := m.stats.LoadStalls - loadStalls
-		dBranch := m.stats.BranchStalls - branchStalls
-		dIFU := m.stats.IFUStallFull - ifuFull
-		if m.scuProgress {
-			if err := m.batchSCU(dLoad, dBranch, dIFU, limit); err != nil {
-				return false, err
-			}
-		} else {
-			m.idleSkip(dLoad, dBranch, dIFU, slack, limit)
-		}
-	}
-	m.stats.Cycles = m.now
-	return true, nil
-}
 
 // idleSkip fast-forwards over a stretch of fully stalled cycles.  The
 // machine state is static except for the clock, so cycles now+1 ..

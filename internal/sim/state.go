@@ -24,12 +24,12 @@ import (
 //
 // Deliberately not serialized, because a slice boundary (the only
 // place SaveState is legal) makes them dead: portsLeft (reset at the
-// top of every step), scuProgress/otherProgress (reset every fast-
-// engine cycle before use), cycleCause (rewritten for every unit by
-// every cycle's accounting before the fast engine reads it), and the
-// evalProg scratch stack.  Queued dispatched entries are serialized
-// by code index; their instruction and decode-cache pointers are
-// reconstructed from the restoring machine's image.
+// top of every step), scuProgress/otherProgress (reset every
+// translated-engine cycle before use), cycleCause (rewritten for every
+// unit by every cycle's accounting before the translated engine reads
+// it), and the evalProg scratch stack.  Queued dispatched entries are
+// serialized by code index; their instruction and decode-cache
+// pointers are reconstructed from the restoring machine's image.
 
 // stateMagic identifies and versions the checkpoint encoding.
 const stateMagic = "wmsim-state-1"

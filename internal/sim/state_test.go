@@ -62,26 +62,42 @@ func runUninterrupted(t *testing.T, img *Image, cfg Config) (Stats, string, []by
 	return stats, out.String(), m.Mem()
 }
 
+// longLatency stretches memory and long-latency operations so that
+// the translated engine's fast-forwards cover long stretches of cycles.
+func longLatency(c *Config) {
+	c.MemLatency = 24
+	c.DivLatency = 40
+	c.MathLatency = 48
+}
+
 // TestStateRoundTripMidRun checkpoints a run mid-flight, restores it
 // into a freshly built machine, finishes there, and requires the
 // result to be bit-identical to the uninterrupted run — statistics
-// (including telemetry sums), output, and final memory.
+// (including telemetry sums), output, and final memory.  The "fast"
+// case runs the translated engine on a long-latency machine and
+// checkpoints at a cycle inside an idle skip, which the slice limit
+// must cut short.
 func TestStateRoundTripMidRun(t *testing.T) {
 	img := checkpointImage(t)
 	for _, e := range []struct {
-		name string
-		eng  Engine
-	}{{"ref", EngineReference}, {"fast", EngineFast}, {"translated", EngineTranslated}} {
+		name   string
+		eng    Engine
+		adjust func(*Config)
+		at     int64
+	}{{"ref", EngineReference, nil, 137}, {"fast", EngineTranslated, longLatency, 145}, {"translated", EngineTranslated, nil, 137}} {
 		e := e
 		t.Run(e.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Engine = e.eng
+			if e.adjust != nil {
+				e.adjust(&cfg)
+			}
 			wantStats, wantOut, wantMem := runUninterrupted(t, img, cfg)
 
 			var out bytes.Buffer
 			cfg.Output = &out
 			m := New(img, cfg)
-			done, err := m.RunSlice(137)
+			done, err := m.RunSlice(e.at)
 			if err != nil || done {
 				t.Fatalf("run ended before the checkpoint (done=%v err=%v)", done, err)
 			}
@@ -93,8 +109,8 @@ func TestStateRoundTripMidRun(t *testing.T) {
 			if err := m2.RestoreState(blob); err != nil {
 				t.Fatalf("RestoreState: %v", err)
 			}
-			if got := m2.Progress().Cycles; got != 137 {
-				t.Errorf("restored machine at cycle %d, want 137", got)
+			if got := m2.Progress().Cycles; got != e.at {
+				t.Errorf("restored machine at cycle %d, want %d", got, e.at)
 			}
 			stats, err := m2.Run()
 			if err != nil {
@@ -114,7 +130,7 @@ func TestStateRoundTripMidRun(t *testing.T) {
 }
 
 // TestStateCrossEngineResume saves under the reference engine and
-// resumes under the fast engine: the encoding is engine-independent,
+// resumes under the translated engine: the encoding is engine-independent,
 // so the spliced run must match the uninterrupted reference run.
 func TestStateCrossEngineResume(t *testing.T) {
 	img := checkpointImage(t)
@@ -132,10 +148,9 @@ func TestStateCrossEngineResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SaveState: %v", err)
 	}
-	fastCfg := DefaultConfig()
-	fastCfg.Engine = EngineFast
-	fastCfg.Output = &out
-	m2 := New(img, fastCfg)
+	trCfg := DefaultConfig()
+	trCfg.Output = &out
+	m2 := New(img, trCfg)
 	if err := m2.RestoreState(blob); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
@@ -154,11 +169,12 @@ func TestStateCrossEngineResume(t *testing.T) {
 	}
 }
 
-// TestStateCrossEngineChain splices one run across all three engines —
-// a slice under the translated engine, a slice under the fast engine,
-// the rest under the reference — through checkpoints at each seam.  The
-// encoding is engine-independent and every engine is bit-identical, so
-// the spliced run must match the uninterrupted reference run exactly.
+// TestStateCrossEngineChain splices one run across both engines in
+// both directions — a slice under the translated engine, a slice under
+// the reference, the rest under the translated engine — through
+// checkpoints at each seam.  The encoding is engine-independent and
+// both engines are bit-identical, so the spliced run must match the
+// uninterrupted reference run exactly.
 func TestStateCrossEngineChain(t *testing.T) {
 	img := checkpointImage(t)
 	refCfg := DefaultConfig()
@@ -194,8 +210,8 @@ func TestStateCrossEngineChain(t *testing.T) {
 
 	var out bytes.Buffer
 	blob, _ := hop(nil, EngineTranslated, &out, 101)
-	blob, _ = hop(blob, EngineFast, &out, 97)
-	_, last := hop(blob, EngineReference, &out, -1)
+	blob, _ = hop(blob, EngineReference, &out, 97)
+	_, last := hop(blob, EngineTranslated, &out, -1)
 
 	if stats := last.Stats(); !reflect.DeepEqual(stats, wantStats) {
 		t.Errorf("stats mismatch:\nreference: %+v\nspliced:   %+v", wantStats, stats)

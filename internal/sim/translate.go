@@ -12,12 +12,13 @@ import (
 // The translated engine.  An assembled image is lowered once — per
 // (image fingerprint, latency parameters) — into flat tables of Go
 // closures (see block.go), shared process-wide across every Machine
-// running that image.  The run loop is the fast engine's (the same
-// idle-skip and SCU-batch windows apply; they are properties of the
-// machine state, not of how a cycle is evaluated), but each cycle walks
-// the closure tables instead of decoding and interpreting: no kind
-// switches, no expression interpretation, no hazard-kind dispatch, no
-// fmt, no map lookups.
+// running that image.  Each cycle walks the closure tables instead of
+// decoding and interpreting: no kind switches, no expression
+// interpretation, no hazard-kind dispatch, no fmt, no map lookups.
+// Between cycles the run loop fast-forwards through provably stalled
+// stretches (idle skips and SCU batches, see skip.go); those windows
+// are properties of the machine state, not of how a cycle is
+// evaluated.
 //
 // The engine is bit-identical to the reference interpreter — same
 // Stats, same output bytes, same memory image, same telemetry cycle
@@ -175,8 +176,13 @@ func SetTranslationCacheCap(n int) {
 // --- the run loop --------------------------------------------------------
 
 // runTranslated advances the translated engine up to the absolute cycle
-// limit.  Structurally runFast with stepT in place of step; see fast.go
-// for why slicing, skipping and batching preserve bit-identity.
+// limit: one stepT per cycle, then an idle skip or an SCU batch when
+// the cycle proves one safe (see skip.go).  Slicing cannot change what
+// the engine computes: a skip or batch window chopped at the limit
+// resumes with a re-observed template cycle that — being a replay of
+// the same stalled cycle — charges the same causes and stat deltas the
+// unchopped window would have, so the bulk accounting stays linear
+// across the cut.
 func (m *Machine) runTranslated(limit int64) (bool, error) {
 	if m.tr == nil {
 		m.tr = translationFor(m.img, m.cfg)
@@ -207,6 +213,8 @@ func (m *Machine) runTranslated(limit int64) (bool, error) {
 		if m.now > m.cfg.MaxCycles {
 			return false, m.maxCyclesTrap()
 		}
+		// The clock can jump, so track the last checked cycle instead
+		// of masking like the reference engine.
 		if done != nil && m.now-lastCheck >= cancelCheckInterval {
 			lastCheck = m.now
 			select {

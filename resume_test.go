@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -41,8 +42,8 @@ func TestCheckpointResumeIdentity(t *testing.T) {
 		first, second string // Engine knob for the interrupted and resumed halves
 	}{
 		{"auto", "auto", "auto"},
-		{"fast-to-reference", "fast", "reference"},
-		{"reference-to-fast", "reference", "fast"},
+		{"translated-to-reference", "translated", "reference"},
+		{"reference-to-translated", "reference", "translated"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := DefaultMachine()
@@ -179,14 +180,15 @@ func TestResumeStateCorrupt(t *testing.T) {
 }
 
 // TestEngineKnob: the Machine.Engine string selects real engines and
-// both produce identical results.
+// both produce identical results; a name no engine answers to fails
+// every run entry point instead of quietly running the default.
 func TestEngineKnob(t *testing.T) {
 	prog, err := Compile(resumeSrc, O3)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	var outs []Result
-	for _, eng := range []string{"auto", "fast", "reference", ""} {
+	for _, eng := range []string{"auto", "translated", "reference", ""} {
 		m := DefaultMachine()
 		m.Engine = eng
 		res, err := Run(prog, m)
@@ -203,5 +205,19 @@ func TestEngineKnob(t *testing.T) {
 	if !bytes.Contains([]byte(outs[0].Output), []byte("192000")) {
 		// 400 rounds over 256 elements of (i&15)*0.25 sum to 192000.
 		t.Errorf("unexpected output %q", outs[0].Output)
+	}
+
+	for _, eng := range []string{"refrence", "fast"} {
+		m := DefaultMachine()
+		m.Engine = eng
+		_, errRun := Run(prog, m)
+		_, errCtx := RunContext(context.Background(), prog, m)
+		_, errTel := RunWithTelemetry(prog, m, SimOptions{})
+		for _, err := range []error{errRun, errCtx, errTel} {
+			if err == nil || !strings.Contains(err.Error(), "unknown engine") ||
+				!strings.Contains(err.Error(), "want auto, translated, or reference") {
+				t.Errorf("engine %q: error = %v, want an unknown-engine error naming the valid engines", eng, err)
+			}
+		}
 	}
 }

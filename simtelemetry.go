@@ -210,7 +210,10 @@ func RunWithTelemetryContext(ctx context.Context, p *Program, m Machine, o SimOp
 	if err != nil {
 		return SimResult{}, err
 	}
-	cfg := simConfig(m)
+	cfg, err := simConfig(m)
+	if err != nil {
+		return SimResult{}, err
+	}
 	cfg.Ctx = ctx
 	var out bytes.Buffer
 	cfg.Output = &out

@@ -2,6 +2,7 @@ package wmstream
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ int main(void) {
 // stall attribution, Chrome trace, compile spans, and the source
 // profile.
 func TestRunWithTelemetry(t *testing.T) {
-	res, err := CompileWithConfig(telemetrySrc, CompileConfig{Options: LevelOptions(3)})
+	res, err := CompileContext(context.Background(), telemetrySrc, CompileConfig{Options: LevelOptions(3)})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

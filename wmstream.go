@@ -175,7 +175,7 @@ func (d Diagnostic) String() string {
 	}.String()
 }
 
-// CompileConfig bundles everything CompileWithConfig needs beyond the
+// CompileConfig bundles everything CompileContext needs beyond the
 // source text.
 type CompileConfig struct {
 	// Options selects the optimizations (see LevelOptions).
@@ -183,8 +183,9 @@ type CompileConfig struct {
 	// Strict promotes Degraded diagnostics — optimization passes the
 	// fault-containment layer rolled back — to compilation errors.
 	Strict bool
-	// Debug, when non-nil, receives vpo-style RTL dumps and enables the
-	// per-pass invariant checker (as CompileWithStats).
+	// Debug, when non-nil, receives vpo-style RTL dumps (each
+	// function's listing before optimization and after every pass that
+	// changed it) and runs the RTL invariant checker after every pass.
 	Debug io.Writer
 	// PassBudget overrides the sandbox's per-pass wall-clock budget
 	// (zero uses the default).
@@ -204,43 +205,20 @@ type CompileResult struct {
 
 // Compile translates Mini-C source to an optimized WM program.
 func Compile(src string, level int) (*Program, error) {
-	return CompileOptions(src, LevelOptions(level))
-}
-
-// CompileOptions is Compile with explicit optimizer options.
-func CompileOptions(src string, o Options) (*Program, error) {
-	res, err := CompileWithConfig(src, CompileConfig{Options: o})
+	res, err := CompileContext(context.Background(), src, CompileConfig{Options: LevelOptions(level)})
 	if err != nil {
 		return nil, err
 	}
 	return res.Program, nil
 }
 
-// CompileWithStats is CompileOptions with per-pass instrumentation.
-// When debug is non-nil it receives vpo-style RTL dumps (each
-// function's listing before optimization and after every pass that
-// changed it) and the RTL invariant checker runs after every pass.
-func CompileWithStats(src string, o Options, debug io.Writer) (*Program, *CompileStats, error) {
-	res, err := CompileWithConfig(src, CompileConfig{Options: o, Debug: debug})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Program, res.Stats, nil
-}
-
-// CompileWithConfig compiles with full control and reporting: the
-// result carries the structured diagnostics of every stage, and under
-// Strict a contained-but-degraded optimization fails the compilation
-// instead of being reported and tolerated.
-func CompileWithConfig(src string, cfg CompileConfig) (*CompileResult, error) {
-	return CompileContext(context.Background(), src, cfg)
-}
-
-// CompileContext is CompileWithConfig with cooperative cancellation:
-// the optimizer checks ctx between passes (and between fixpoint
-// rounds), so a canceled or expired context aborts the compilation
-// promptly with ctx's error.  This is the entry point the serving
-// layer uses to enforce per-request deadlines.
+// CompileContext compiles with full control and reporting: the result
+// carries the per-pass statistics and the structured diagnostics of
+// every stage, and under Strict a contained-but-degraded optimization
+// fails the compilation instead of being reported and tolerated.  The
+// optimizer checks ctx between passes (and between fixpoint rounds),
+// so a canceled or expired context aborts the compilation promptly
+// with ctx's error.
 func CompileContext(ctx context.Context, src string, cfg CompileConfig) (*CompileResult, error) {
 	res := &CompileResult{}
 	if err := ctx.Err(); err != nil {
@@ -349,13 +327,14 @@ type Machine struct {
 	NumSCU        int   // stream control units
 	WatchdogSlack int   // no-progress cycles beyond MemLatency before a deadlock is declared
 	MaxCycles     int64 // simulated-cycle bound before a runaway run traps (0 = default)
-	// Engine selects the simulation loop: "" or "auto" picks the
-	// translated engine whenever tracing permits, "translated" requests
-	// it explicitly, "fast" the event-stepped interpreter, "reference"
-	// the plain cycle-by-cycle interpreter.  All engines produce
-	// identical results; the knob exists so cross-engine identity
-	// (including checkpoint/resume across engines) can be asserted
-	// from the outside, and so benchmarks can pin a loop.
+	// Engine selects the simulation loop: "", "auto" and "translated"
+	// name the translated engine (used whenever tracing permits),
+	// "reference" the plain cycle-by-cycle interpreter.  Both engines
+	// produce identical results; the knob exists so cross-engine
+	// identity (including checkpoint/resume across engines) can be
+	// asserted from the outside, and so benchmarks can pin a loop.
+	// Runs fail with an error naming the valid engines for any other
+	// name.
 	Engine string
 }
 
@@ -409,17 +388,6 @@ type TransCacheStats = sim.TransCacheStats
 // exporters and debug pages.
 func TranslationCacheStats() TransCacheStats { return sim.TranslationCacheStats() }
 
-// ResolveEngine names the engine a Machine.Engine value actually runs:
-// "" and "auto" resolve to "translated"; other values name themselves.
-func ResolveEngine(engine string) string {
-	switch engine {
-	case "", "auto":
-		return "translated"
-	default:
-		return engine
-	}
-}
-
 // Result reports a simulation run.
 type Result struct {
 	Cycles       int64
@@ -430,8 +398,9 @@ type Result struct {
 	Output       string
 }
 
-// simConfig maps the public Machine knobs onto a simulator Config.
-func simConfig(m Machine) sim.Config {
+// simConfig maps the public Machine knobs onto a simulator Config; an
+// unknown engine name is an error.
+func simConfig(m Machine) (sim.Config, error) {
 	cfg := sim.DefaultConfig()
 	if m.MemLatency > 0 {
 		cfg.MemLatency = m.MemLatency
@@ -454,17 +423,9 @@ func simConfig(m Machine) sim.Config {
 	if m.MaxCycles > 0 {
 		cfg.MaxCycles = m.MaxCycles
 	}
-	switch m.Engine {
-	case "fast":
-		cfg.Engine = sim.EngineFast
-	case "reference":
-		cfg.Engine = sim.EngineReference
-	case "translated":
-		cfg.Engine = sim.EngineTranslated
-	default:
-		cfg.Engine = sim.EngineAuto
-	}
-	return cfg
+	var err error
+	cfg.Engine, err = sim.ParseEngine(m.Engine)
+	return cfg, err
 }
 
 // Run executes the program to completion on the simulated WM machine.
@@ -482,7 +443,10 @@ func RunContext(ctx context.Context, p *Program, m Machine) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := simConfig(m)
+	cfg, err := simConfig(m)
+	if err != nil {
+		return Result{}, err
+	}
 	cfg.Ctx = ctx
 	var out bytes.Buffer
 	cfg.Output = &out

@@ -1,6 +1,7 @@
 package wmstream
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -191,10 +192,11 @@ int main(void) {
 	outputs := map[int64]string{}
 	for _, deg := range []int64{1, 4} {
 		o.MaxRecurrenceDegree = deg
-		p, err := CompileOptions(src, o)
+		cres, err := CompileContext(context.Background(), src, CompileConfig{Options: o})
 		if err != nil {
 			t.Fatalf("degree %d: %v", deg, err)
 		}
+		p := cres.Program
 		res, err := Run(p, DefaultMachine())
 		if err != nil {
 			t.Fatalf("degree %d run: %v", deg, err)
@@ -211,9 +213,10 @@ int main(void) {
 	}
 }
 
-// TestCompileWithStats exercises the instrumented entry point: the
-// per-pass table must cover the pipeline, and a debug writer must
-// receive vpo-style dumps while the invariant checker stays quiet.
+// TestCompileWithStats exercises the instrumented compile: the
+// per-pass table must cover the pipeline, and a CompileConfig.Debug
+// writer must receive vpo-style dumps while the invariant checker
+// stays quiet.
 func TestCompileWithStats(t *testing.T) {
 	src := `
 double x[100];
@@ -225,10 +228,12 @@ int main(void) {
     return 0;
 }`
 	var debug strings.Builder
-	p, stats, err := CompileWithStats(src, LevelOptions(O3), &debug)
+	cres, err := CompileContext(context.Background(), src,
+		CompileConfig{Options: LevelOptions(O3), Debug: &debug})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, stats := cres.Program, cres.Stats
 	if stats == nil || stats.Funcs == 0 {
 		t.Fatalf("no stats collected: %+v", stats)
 	}
