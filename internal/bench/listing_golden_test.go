@@ -20,7 +20,7 @@ var updateListings = flag.Bool("update", false, "regenerate testdata/listings.go
 
 const listingsGolden = "testdata/listings.golden"
 
-// goldenRandomSeeds is how many randomProgram seeds the listing golden
+// goldenRandomSeeds is how many RandomProgram seeds the listing golden
 // covers beside the suite.
 const goldenRandomSeeds = 100
 
@@ -29,7 +29,7 @@ const goldenRandomSeeds = 100
 func goldenPrograms() []Program {
 	progs := append(Programs(), Livermore5(2000))
 	for seed := 0; seed < goldenRandomSeeds; seed++ {
-		src := randomProgram(rand.New(rand.NewSource(int64(seed))))
+		src := RandomProgram(rand.New(rand.NewSource(int64(seed))))
 		progs = append(progs, Program{Name: fmt.Sprintf("fuzz%d", seed), Source: src})
 	}
 	return progs

@@ -1,9 +1,12 @@
 // Package cfg provides control-flow analysis over RTL functions: basic
 // blocks, the flow graph, dominators, natural-loop detection and
 // register liveness.  The optimizer (package opt) runs every
-// transformation against these structures, rebuilding them after each
-// phase — mirroring the paper's vpo design where analysis is cheap to
-// recompute so phases can be reinvoked in any order.
+// transformation against these structures, mirroring the paper's vpo
+// design where analysis is cheap to recompute so phases can be
+// reinvoked in any order.  Passes rebuild them after changing the code,
+// except where a rewrite provably leaves them intact: Combine and
+// SinkCopies keep one graph and its liveness for a whole call and only
+// move block bounds (Graph.NoteRemoval).
 package cfg
 
 import (
@@ -118,14 +121,29 @@ func (g *Graph) addEdge(from, to *Block) {
 	to.Preds = append(to.Preds, from)
 }
 
-// BlockOf returns the block containing instruction index n.
+// BlockOf returns the block containing instruction index n, or nil
+// when n is outside the code.  Blocks are contiguous and sorted by
+// Start, so this is a binary search.
 func (g *Graph) BlockOf(n int) *Block {
-	for _, b := range g.Blocks {
-		if n >= b.Start && n < b.End {
-			return b
-		}
+	k := sort.Search(len(g.Blocks), func(k int) bool { return g.Blocks[k].End > n })
+	if k == len(g.Blocks) || n < g.Blocks[k].Start {
+		return nil
 	}
-	return nil
+	return g.Blocks[k]
+}
+
+// NoteRemoval records that one instruction of block b, neither a label
+// nor a branch, has been removed from the code: b ends one earlier and
+// every later block moves down by one.  Edges and liveness are kept as
+// they are, so a pass calls this only for a removal that provably
+// leaves them unchanged (DESIGN.md, "Keeping an analysis across
+// rewrites").
+func (g *Graph) NoteRemoval(b *Block) {
+	b.End--
+	for _, c := range g.Blocks[b.Index+1:] {
+		c.Start--
+		c.End--
+	}
 }
 
 // LabelBlock returns the block starting with the named label, or nil.

@@ -272,8 +272,8 @@ func TestRegSetOps(t *testing.T) {
 	if s.AddAll(u) {
 		t.Error("second AddAll should not grow")
 	}
-	if len(s) != 3 {
-		t.Errorf("len = %d", len(s))
+	if s.Len() != 3 {
+		t.Errorf("len = %d", s.Len())
 	}
 	c := s.Clone()
 	c.Remove(rtl.R(1))
@@ -300,6 +300,52 @@ ret`)
 	}
 	if g.BlockOf(99) != nil {
 		t.Error("BlockOf out of range should be nil")
+	}
+}
+
+// TestBlockOfBounds checks the binary search at its edges, against a
+// linear scan over every index of a many-block function.
+func TestBlockOfBounds(t *testing.T) {
+	f := mustParse(t, `
+r2 := 1
+r31 := (r2 < 3)
+jumpTr L2
+L1:
+r3 := 2
+r31 := (r3 < 4)
+jumpTr L1
+L2:
+L3:
+r4 := 3
+ret`)
+	g := mustBuild(t, f)
+	n := len(f.Code)
+	if g.BlockOf(0) != g.Entry {
+		t.Errorf("BlockOf(0) = %v, want the entry block", g.BlockOf(0))
+	}
+	if g.BlockOf(n-1) != g.Blocks[len(g.Blocks)-1] {
+		t.Errorf("BlockOf(last) = %v, want the last block", g.BlockOf(n-1))
+	}
+	if g.BlockOf(-1) != nil || g.BlockOf(n) != nil {
+		t.Error("BlockOf outside the code should be nil")
+	}
+	for k := 0; k < n; k++ {
+		var want *Block
+		for _, b := range g.Blocks {
+			if k >= b.Start && k < b.End {
+				want = b
+			}
+		}
+		if got := g.BlockOf(k); got != want {
+			t.Errorf("BlockOf(%d) = B%d, want B%d", k, got.Index, want.Index)
+		}
+	}
+
+	empty := mustBuild(t, rtl.NewFunc("empty"))
+	for _, k := range []int{-1, 0, 1} {
+		if b := empty.BlockOf(k); b != nil {
+			t.Errorf("empty function: BlockOf(%d) = B%d, want nil", k, b.Index)
+		}
 	}
 }
 

@@ -28,11 +28,13 @@ func InstrUses(i *rtl.Instr, fn func(rtl.Reg)) {
 		fn(rtl.RegLR)
 		fn(rtl.RegSP)
 	default:
-		for _, r := range i.Uses(nil) {
-			if trackable(r) {
-				fn(r)
-			}
-		}
+		i.EachUseExpr(func(e rtl.Expr) {
+			rtl.ExprRegs(e, func(r rtl.Reg) {
+				if trackable(r) {
+					fn(r)
+				}
+			})
+		})
 	}
 }
 
@@ -54,14 +56,21 @@ func InstrDefs(i *rtl.Instr, fn func(rtl.Reg)) {
 }
 
 // Liveness computes LiveIn/LiveOut for every block with the standard
-// backward iterative data-flow algorithm.
+// backward iterative data-flow algorithm, on bit sets sized once for
+// the whole function.  Blocks unreachable from the entry keep empty
+// sets.
 func (g *Graph) Liveness() {
 	f := g.F
-	// Per-block use/def summaries.
-	use := make([]RegSet, len(g.Blocks))
-	def := make([]RegSet, len(g.Blocks))
+	// Every set gets the same number of words: enough for the
+	// function's virtual registers, or more if a block names a higher
+	// register than the counters record.
+	nw := (2*(rtl.VirtualBase+max(f.NumVirt(rtl.Int), f.NumVirt(rtl.Float))) + 63) >> 6
+	n := len(g.Blocks)
+	slab := make([]uint64, 2*n*nw)
+	use := make([]RegSet, n)
+	def := make([]RegSet, n)
 	for _, b := range g.Blocks {
-		u, d := NewRegSet(), NewRegSet()
+		u, d := carve(&slab, nw), carve(&slab, nw)
 		for _, i := range b.Instrs(f) {
 			InstrUses(i, func(r rtl.Reg) {
 				if !d.Has(r) {
@@ -71,28 +80,35 @@ func (g *Graph) Liveness() {
 			InstrDefs(i, func(r rtl.Reg) { d.Add(r) })
 		}
 		use[b.Index], def[b.Index] = u, d
-		b.LiveIn, b.LiveOut = NewRegSet(), NewRegSet()
+		nw = max(nw, len(u.w), len(d.w))
 	}
-	changed := true
-	for changed {
+	slab = make([]uint64, (2*n+1)*nw)
+	for _, b := range g.Blocks {
+		b.LiveIn, b.LiveOut = carve(&slab, nw), carve(&slab, nw)
+		use[b.Index].grow(nw)
+		def[b.Index].grow(nw)
+	}
+	out := carve(&slab, nw).w
+	// Backward over reverse postorder is fastest; correctness does not
+	// depend on order.
+	order := g.ReversePostorder()
+	for changed := true; changed; {
 		changed = false
-		// Backward over reverse postorder is fastest; correctness does
-		// not depend on order.
-		order := g.ReversePostorder()
 		for k := len(order) - 1; k >= 0; k-- {
 			b := order[k]
-			out := NewRegSet()
+			clear(out)
 			for _, s := range b.Succs {
-				out.AddAll(s.LiveIn)
+				for j, x := range s.LiveIn.w {
+					out[j] |= x
+				}
 			}
-			in := out.Clone()
-			for r := range def[b.Index] {
-				in.Remove(r)
-			}
-			in.AddAll(use[b.Index])
-			if !in.Equal(b.LiveIn) || !out.Equal(b.LiveOut) {
-				b.LiveIn, b.LiveOut = in, out
-				changed = true
+			u, d := use[b.Index].w, def[b.Index].w
+			in, oldOut := b.LiveIn.w, b.LiveOut.w
+			for j, x := range out {
+				if y := u[j] | x&^d[j]; y != in[j] || x != oldOut[j] {
+					in[j], oldOut[j] = y, x
+					changed = true
+				}
 			}
 		}
 	}

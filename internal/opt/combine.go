@@ -5,6 +5,12 @@ import (
 	"wmstream/internal/rtl"
 )
 
+// analysisCheck is a test hook: when non-nil, Combine and SinkCopies
+// call it after every rewrite with the flow graph and liveness they
+// keep across rewrites, so a test can compare them with a fresh
+// analysis.  Production builds leave it nil.
+var analysisCheck func(pass string, f *rtl.Func, g *cfg.Graph)
+
 // Combine performs instruction combining for WM's dual-operation
 // instruction format, merging a single-use producer into its consumer:
 //
@@ -23,40 +29,36 @@ import (
 // producer's operands, the producer's destination dead afterwards, and
 // — for FIFO forwarding — no intervening read of the same FIFO (queue
 // order must be preserved).
+//
+// The flow graph and liveness are computed once per call: a merge
+// removes one non-branch instruction and changes no block's live-in or
+// live-out set, so only the block bounds move (cfg.Graph.NoteRemoval).
+// After a merge the scan resumes at the same block, because the blocks
+// before it are unchanged and hold no candidate.
 func Combine(f *rtl.Func) (bool, error) {
-	changed := false
-	for round := 0; round < 5000; round++ {
-		more, err := combineOnce(f)
-		if err != nil {
-			return changed, err
-		}
-		if !more {
-			return changed, nil
-		}
-		changed = true
-	}
-	return changed, nil
-}
-
-func combineOnce(f *rtl.Func) (bool, error) {
 	g, err := cfg.Build(f)
 	if err != nil {
 		return false, err
 	}
 	g.Liveness()
+	merges := 0
 	for _, b := range g.Blocks {
-		if combineBlock(f, g, b) {
-			return true, nil
+		for merges < 5000 && combineBlock(f, g, b) {
+			merges++
+			g.NoteRemoval(b)
+			if analysisCheck != nil {
+				analysisCheck("Combine", f, g)
+			}
 		}
 	}
-	return false, nil
+	return merges > 0, nil
 }
 
 func combineBlock(f *rtl.Func, g *cfg.Graph, b *cfg.Block) bool {
-	// liveAfter[n] = registers live after instruction n.
-	liveAfter := make(map[int]cfg.RegSet, b.End-b.Start)
+	// liveAfter[n-b.Start] = registers live after instruction n.
+	liveAfter := make([]cfg.RegSet, b.End-b.Start)
 	g.LiveAtEach(b, func(idx int, i *rtl.Instr, after cfg.RegSet) {
-		liveAfter[idx] = after.Clone()
+		liveAfter[idx-b.Start] = after.Clone()
 	})
 	// Scan backwards: merging the latest producer first lets runs of
 	// consecutive dequeues fold into one consumer in queue order.
@@ -96,7 +98,7 @@ func combineBlock(f *rtl.Func, g *cfg.Graph, b *cfg.Block) bool {
 		if consumerIdx == -1 || uses != 1 {
 			continue
 		}
-		if liveAfter[consumerIdx].Has(d) {
+		if liveAfter[consumerIdx-b.Start].Has(d) {
 			continue // value needed later (another block or after redef)
 		}
 		cons := f.Code[consumerIdx]

@@ -93,6 +93,7 @@ func hoistLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) (bool, error) {
 
 	var hoisted []*rtl.Instr
 	preInsert := preheaderInsertPos(f, pre)
+	live := false // liveness computed; nothing below changes f until a hoist returns
 	for _, b := range l.BlockList() {
 		if !dominatesAllLatches(g, l, b) {
 			continue
@@ -120,7 +121,10 @@ func hoistLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) (bool, error) {
 			}
 			// The destination must not be live on entry to the loop
 			// (its pre-loop value would be clobbered by hoisting).
-			g.Liveness()
+			if !live {
+				g.Liveness()
+				live = true
+			}
 			if l.Header.LiveIn.Has(d) && usedBeforeDefInLoop(f, g, l, d, n) {
 				continue
 			}

@@ -241,6 +241,32 @@ halt`)
 	t.Errorf("variant expression hoisted:\n%s", listing(f))
 }
 
+// TestLICMKeepsDefOfLiveInValue: an invariant assignment whose
+// destination is live into the loop and read before the assignment
+// must stay, or the first iteration would read the hoisted value
+// instead of the pre-loop one.  This is the check LICM needs liveness
+// for.
+func TestLICMKeepsDefOfLiveInValue(t *testing.T) {
+	f := parseFunc(t, `
+rv0 := 0
+rv3 := 5
+L1:
+rv4 := (rv3 + 1)
+rv3 := 7
+rv0 := (rv0 + rv4)
+r31 := (rv0 < 100)
+jumpTr L1
+halt`)
+	chk(LICM(f))
+	hdr := f.FindLabel("L1")
+	for n := hdr + 1; n < len(f.Code); n++ {
+		if i := f.Code[n]; i.Kind == rtl.KAssign && i.Src.String() == "7" {
+			return // still in loop: good
+		}
+	}
+	t.Errorf("definition of a live-in register hoisted:\n%s", listing(f))
+}
+
 func TestLICMSkipsDivision(t *testing.T) {
 	f := parseFunc(t, `
 rv0 := 0

@@ -23,38 +23,69 @@ import (
 //     either t or r (the definition's own operands may read r);
 //   - every other use of t sits after the copy in the same block,
 //     before any redefinition of r, and t is dead at the block's end.
+//
+// The flow graph and liveness are computed once per call, for the same
+// reason as in Combine: a rewrite removes one copy and changes no
+// block's live-in or live-out set.  The definition and use counts are
+// kept up to date across rewrites instead of being recounted.
 func SinkCopies(f *rtl.Func) (bool, error) {
-	changed := false
-	for round := 0; round < 256; round++ {
-		more, err := sinkOnce(f)
-		if err != nil {
-			return changed, err
-		}
-		if !more {
-			return changed, nil
-		}
-		changed = true
-	}
-	return changed, nil
-}
-
-func sinkOnce(f *rtl.Func) (bool, error) {
-	defCount := map[rtl.Reg]int{}
-	useIdx := map[rtl.Reg][]int{}
-	for n, i := range f.Code {
-		if d, ok := i.Def(); ok {
-			defCount[d]++
-		}
-		for _, u := range i.Uses(nil) {
-			useIdx[u] = append(useIdx[u], n)
-		}
+	s := sinker{f: f, defCount: map[rtl.Reg]int{}, useCount: map[rtl.Reg]int{}}
+	for _, i := range f.Code {
+		s.count(i, 1)
 	}
 	g, err := cfg.Build(f)
 	if err != nil {
 		return false, err
 	}
 	g.Liveness()
-	for c := 0; c < len(f.Code); c++ {
+	rewrites := 0
+	for _, b := range g.Blocks {
+		for rewrites < 256 && s.sinkBlock(b) {
+			rewrites++
+			g.NoteRemoval(b)
+			if analysisCheck != nil {
+				analysisCheck("SinkCopies", f, g)
+			}
+		}
+	}
+	return rewrites > 0, nil
+}
+
+// sinker holds SinkCopies' function-wide counts: how many instructions
+// define each register, and how many register operands read it.
+type sinker struct {
+	f                  *rtl.Func
+	defCount, useCount map[rtl.Reg]int
+	uses               []rtl.Reg // scratch for Instr.Uses
+}
+
+// count adds delta times i's definition and uses to the counts.
+func (s *sinker) count(i *rtl.Instr, delta int) {
+	if d, ok := i.Def(); ok {
+		s.defCount[d] += delta
+	}
+	s.uses = i.Uses(s.uses[:0])
+	for _, u := range s.uses {
+		s.useCount[u] += delta
+	}
+}
+
+// usesOf returns how many of i's register operands read r.
+func (s *sinker) usesOf(i *rtl.Instr, r rtl.Reg) int {
+	n := 0
+	s.uses = i.Uses(s.uses[:0])
+	for _, u := range s.uses {
+		if u == r {
+			n++
+		}
+	}
+	return n
+}
+
+// sinkBlock applies the first legal rewrite whose copy lies in b.
+func (s *sinker) sinkBlock(b *cfg.Block) bool {
+	f := s.f
+	for c := b.Start; c < b.End; c++ {
 		copyI := f.Code[c]
 		if copyI.Kind != rtl.KAssign {
 			continue
@@ -64,14 +95,10 @@ func sinkOnce(f *rtl.Func) (bool, error) {
 			continue
 		}
 		t, r := tx.Reg, copyI.Dst
-		if !t.IsVirtual() || defCount[t] != 1 || t == r {
+		if !t.IsVirtual() || s.defCount[t] != 1 || t == r {
 			continue
 		}
 		if r.IsZero() || r.IsFIFO() || t.IsFIFO() {
-			continue
-		}
-		b := g.BlockOf(c)
-		if b == nil {
 			continue
 		}
 		// Find t's definition within the block, before the copy.
@@ -96,7 +123,8 @@ func sinkOnce(f *rtl.Func) (bool, error) {
 				clean = false
 				break
 			}
-			for _, u := range mid.Uses(nil) {
+			s.uses = mid.Uses(s.uses[:0])
+			for _, u := range s.uses {
 				if u == t || u == r {
 					clean = false
 				}
@@ -109,25 +137,22 @@ func sinkOnce(f *rtl.Func) (bool, error) {
 			continue
 		}
 		// All other uses of t must be in (c, b.End), with r stable.
-		ok := true
 		var rewrites []int
-		for _, u := range useIdx[t] {
-			if u == c {
-				continue
+		reads := s.usesOf(copyI, t)
+		for n := c + 1; n < b.End; n++ {
+			if k := s.usesOf(f.Code[n], t); k > 0 {
+				rewrites = append(rewrites, n)
+				reads += k
 			}
-			if u <= c || u >= b.End {
-				ok = false
-				break
-			}
-			rewrites = append(rewrites, u)
 		}
-		if !ok {
+		if reads != s.useCount[t] {
 			continue
 		}
 		// t dead at block end; r not redefined before the last use of t.
 		if b.LiveOut.Has(t) {
 			continue
 		}
+		ok := true
 		last := c
 		for _, u := range rewrites {
 			if u > last {
@@ -156,14 +181,23 @@ func sinkOnce(f *rtl.Func) (bool, error) {
 			continue
 		}
 		// Apply: compute into r, drop the copy, rename trailing uses.
+		s.count(f.Code[d], -1)
+		s.count(copyI, -1)
+		for _, u := range rewrites {
+			s.count(f.Code[u], -1)
+		}
 		f.Code[d].Dst = r
 		for _, u := range rewrites {
 			f.Code[u].MapExprs(func(e rtl.Expr) rtl.Expr {
 				return rtl.SubstReg(e, t, rtl.RX(r))
 			})
 		}
+		s.count(f.Code[d], 1)
+		for _, u := range rewrites {
+			s.count(f.Code[u], 1)
+		}
 		f.Remove(c)
-		return true, nil
+		return true
 	}
-	return false, nil
+	return false
 }
