@@ -8,27 +8,16 @@ package rtl
 // on.  Clone is the snapshot primitive of the optimizer's pass sandbox:
 // the pipeline clones a function before each pass so a faulty
 // transformation can be rolled back.  The copies live in one slab of
-// instructions (and one of call arguments), so a snapshot is a few
-// allocations rather than one per instruction.
+// instructions, so a snapshot allocates once for the code rather than
+// once per instruction.
 func (f *Func) Clone() *Func {
 	c := *f
 	c.Code = make([]*Instr, len(f.Code))
-	// One slab holds every instruction and one more every call's
-	// argument list, so a snapshot costs a few allocations whatever
-	// the function's size.
 	slab := make([]Instr, len(f.Code))
-	nargs := 0
-	for _, i := range f.Code {
-		nargs += len(i.Args)
-	}
-	args := make([]Reg, 0, nargs)
 	for n, i := range f.Code {
 		slab[n] = *i
-		slab[n].Args = nil
-		if len(i.Args) > 0 {
-			k := len(args)
-			args = append(args, i.Args...)
-			slab[n].Args = args[k:len(args):len(args)]
+		if i.Args != nil {
+			slab[n].Args = append([]Reg(nil), i.Args...)
 		}
 		c.Code[n] = &slab[n]
 	}
