@@ -16,7 +16,7 @@ import (
 	"wmstream/internal/rtl"
 )
 
-var updateListings = flag.Bool("update", false, "regenerate testdata/listings.golden")
+var updateGoldens = flag.Bool("update", false, "regenerate the digest goldens in testdata")
 
 const listingsGolden = "testdata/listings.golden"
 
@@ -74,8 +74,15 @@ func listingDigests(t *testing.T) map[string]string {
 // file untouched; one that changes code on purpose regenerates it with
 // -update and explains the diff.
 func TestListingGolden(t *testing.T) {
-	got := listingDigests(t)
-	if *updateListings {
+	checkGolden(t, listingsGolden, listingDigests(t))
+}
+
+// checkGolden compares digests keyed by name with the golden file at
+// path, one "key digest" line per entry, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, path string, got map[string]string) {
+	t.Helper()
+	if *updateGoldens {
 		keys := make([]string, 0, len(got))
 		for k := range got {
 			keys = append(keys, k)
@@ -85,12 +92,12 @@ func TestListingGolden(t *testing.T) {
 		for _, k := range keys {
 			fmt.Fprintf(&b, "%s %s\n", k, got[k])
 		}
-		if err := os.WriteFile(listingsGolden, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	fh, err := os.Open(listingsGolden)
+	fh, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +115,11 @@ func TestListingGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(want) != len(got) {
-		t.Errorf("golden has %d listings, compiled %d", len(want), len(got))
+		t.Errorf("%s has %d entries, computed %d", path, len(want), len(got))
 	}
 	for k, v := range got {
 		if want[k] != v {
-			t.Errorf("%s: listing digest %s, golden %s", k, v, want[k])
+			t.Errorf("%s: digest %s, golden %s", k, v, want[k])
 		}
 	}
 }
