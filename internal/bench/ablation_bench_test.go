@@ -221,3 +221,39 @@ func BenchmarkSimulatorEngines(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSimulatorSuite measures simulator throughput over the ten
+// suite programs (Table II plus Livermore 5) at O0 and O3 on the default
+// machine, each run on a pooled machine as a server would: the
+// simulator-bound mix of scalar, memory-bound and streaming code.
+func BenchmarkSimulatorSuite(b *testing.B) {
+	var imgs []*sim.Image
+	for _, p := range append(Programs(), Livermore5(2000)) {
+		for _, level := range []int{0, 3} {
+			rp, err := Compile(p, level)
+			if err != nil {
+				b.Fatal(err)
+			}
+			img, err := sim.Link(rp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			imgs = append(imgs, img)
+		}
+	}
+	cfg := sim.DefaultConfig()
+	b.ResetTimer()
+	var instrs int64
+	for n := 0; n < b.N; n++ {
+		for _, img := range imgs {
+			m := sim.Acquire(img, cfg)
+			stats, err := m.Run()
+			sim.Release(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			instrs += stats.Instructions
+		}
+	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim_instrs/s")
+}

@@ -357,23 +357,24 @@ func b2u(b bool) uint64 {
 }
 
 // issueFn is the translated unit-side step for one instruction: called
-// with the instruction at the head of its unit queue, it either returns
-// the stall cause holding it back, or pops, executes, and returns
-// CauseIssued — replicating issueHazard + stepUnit's issue path +
-// execute, with the hazard→cause mapping resolved at translation time.
-type issueFn func(m *Machine, d *dispatched) telemetry.Cause
+// with the sequence number of the instruction at the head of its unit
+// queue, it either returns the stall cause holding it back, or pops,
+// executes, and returns CauseIssued — replicating issueHazard +
+// stepUnit's issue path + execute, with the hazard→cause mapping
+// resolved at translation time.
+type issueFn func(m *Machine, seq int64) telemetry.Cause
 
-// opCheck is a pre-extracted scalar operand hazard check.
+// opCheck is a pre-extracted scalar operand forwarding check.
 type opCheck struct {
 	cls   rtl.Class
 	n     int
 	outer bool
 }
 
-// makeIssue lowers one dispatched-kind instruction.  The hot scalar
-// shape — no FIFO reads, no space checks, at most two operands — gets
-// dedicated closures with the operand checks captured directly; every
-// other shape takes the general closure.  Both share the issue body.
+// makeIssue lowers one dispatched-kind instruction.  The hot shapes —
+// scalar instructions, loads, single-FIFO-read instructions — get
+// closures that test only the hazards they can hit; every other shape
+// takes the general closure.  All share the issue body.
 func makeIssue(idx int, i *rtl.Instr, dec *decoded) issueFn {
 	unit := int(dec.unit)
 	ops := make([]opCheck, len(dec.ops))
@@ -381,7 +382,7 @@ func makeIssue(idx int, i *rtl.Instr, dec *decoded) issueFn {
 		ops[k] = opCheck{op.reg.Class, op.reg.N, op.outer}
 	}
 	readList := append([]fifoNeed(nil), dec.readList...)
-	hasDef, defCls, defN := dec.hasDef, dec.def.Class, dec.def.N
+	readMask, defMask := dec.readMask, dec.defMask
 	isCompare, fifoWrite := dec.isCompare, dec.fifoWrite
 	dstCls, dstN := i.Dst.Class, i.Dst.N
 	isLoad := i.Kind == rtl.KLoad
@@ -395,31 +396,11 @@ func makeIssue(idx int, i *rtl.Instr, dec *decoded) issueFn {
 	instr := i
 	exec := makeExec(i, dec)
 
-	// The registers whose pend lists carry this instruction's accesses
-	// (addPend's set: every operand occurrence plus the definition).
-	pends := append([]opCheck(nil), ops...)
-	if hasDef {
-		pends = append(pends, opCheck{defCls, defN, false})
-	}
-
 	// issue is the hazard-free path: pop before executing, execute,
 	// then progress — even when the execution faults (matching
-	// stepUnit).  Pend removal is inlined over the captured registers
-	// (removePend's loop, without the per-register closure calls).
+	// stepUnit).
 	issue := func(m *Machine) telemetry.Cause {
-		dv := m.queues[unit].pop()
-		seq := dv.seq
-		for k := range pends {
-			p := &pends[k]
-			list := m.pend[p.cls][p.n]
-			out := list[:0]
-			for _, pa := range list {
-				if pa.seq != seq {
-					out = append(out, pa)
-				}
-			}
-			m.pend[p.cls][p.n] = out
-		}
+		m.queues[unit].pop()
 		m.profTick(idx)
 		m.stats.Instructions++
 		m.lastRetired = idx
@@ -437,48 +418,35 @@ func makeIssue(idx int, i *rtl.Instr, dec *decoded) issueFn {
 		return telemetry.CauseIssued
 	}
 
-	// defClear replicates the destination hazard (WAW and WAR against
-	// earlier accesses); opClear one scalar operand's pending-write and
-	// forwarding-distance checks.  Shared by the specialized shapes.
-	defClear := func(m *Machine, seq int64) bool {
-		for _, p := range m.pend[defCls][defN] {
-			if p.seq < seq {
+	// scalars replicates the register hazards: no older queued entry
+	// writes an operand or accesses the destination, and every operand
+	// has traveled its forwarding distance (outer operands forward one
+	// cycle earlier).  Each maps to CauseResultLatency and none has a
+	// side effect, so they are tested together.
+	scalars := func(m *Machine, seq int64) bool {
+		if w, a := m.queuedBefore(seq); w&readMask|a&defMask != 0 {
+			return false
+		}
+		now := m.now
+		for k := range ops {
+			op := &ops[k]
+			limit := now
+			if op.outer {
+				limit++
+			}
+			if m.readyAt[op.cls][op.n] > limit {
 				return false
 			}
 		}
 		return true
-	}
-	opClear := func(m *Machine, op *opCheck, seq int64) bool {
-		for _, p := range m.pend[op.cls][op.n] {
-			if p.write && p.seq < seq {
-				return false
-			}
-		}
-		limit := m.now
-		if op.outer {
-			limit++
-		}
-		return m.readyAt[op.cls][op.n] <= limit
-	}
-
-	// scalars bundles the operand and destination hazard checks for the
-	// shapes below (same order as the general closure: operands, then
-	// destination).
-	scalars := func(m *Machine, seq int64) bool {
-		for k := range ops {
-			if !opClear(m, &ops[k], seq) {
-				return false
-			}
-		}
-		return !hasDef || defClear(m, seq)
 	}
 
 	if !isCompare && !fifoWrite {
 		// Loads: scalar address operands, then input-FIFO space, then
 		// the stream-unit conflict.
 		if isLoad && len(readList) == 0 {
-			return func(m *Machine, d *dispatched) telemetry.Cause {
-				if !scalars(m, d.seq) {
+			return func(m *Machine, seq int64) telemetry.Cause {
+				if !scalars(m, seq) {
 					return telemetry.CauseResultLatency
 				}
 				if m.inFIFO[loadCls][loadN].n >= m.cfg.FIFODepth {
@@ -494,8 +462,8 @@ func makeIssue(idx int, i *rtl.Instr, dec *decoded) issueFn {
 		// assignments consuming a single FIFO operand).
 		if !isLoad && len(readList) == 1 && readList[0].need == 1 {
 			rc, rn := readList[0].cls, readList[0].n
-			return func(m *Machine, d *dispatched) telemetry.Cause {
-				if !scalars(m, d.seq) {
+			return func(m *Machine, seq int64) telemetry.Cause {
+				if !scalars(m, seq) {
 					return telemetry.CauseResultLatency
 				}
 				q := &m.inFIFO[rc][rn]
@@ -511,55 +479,22 @@ func makeIssue(idx int, i *rtl.Instr, dec *decoded) issueFn {
 	}
 
 	if len(readList) == 0 && !isCompare && !fifoWrite && !isLoad {
-		switch len(ops) {
-		case 0:
-			if !hasDef {
-				return func(m *Machine, d *dispatched) telemetry.Cause {
-					return issue(m)
-				}
+		if readMask|defMask == 0 {
+			return func(m *Machine, seq int64) telemetry.Cause { return issue(m) }
+		}
+		return func(m *Machine, seq int64) telemetry.Cause {
+			if !scalars(m, seq) {
+				return telemetry.CauseResultLatency
 			}
-			return func(m *Machine, d *dispatched) telemetry.Cause {
-				if !defClear(m, d.seq) {
-					return telemetry.CauseResultLatency
-				}
-				return issue(m)
-			}
-		case 1:
-			op0 := ops[0]
-			return func(m *Machine, d *dispatched) telemetry.Cause {
-				if !opClear(m, &op0, d.seq) {
-					return telemetry.CauseResultLatency
-				}
-				if hasDef && !defClear(m, d.seq) {
-					return telemetry.CauseResultLatency
-				}
-				return issue(m)
-			}
-		case 2:
-			op0, op1 := ops[0], ops[1]
-			return func(m *Machine, d *dispatched) telemetry.Cause {
-				if !opClear(m, &op0, d.seq) || !opClear(m, &op1, d.seq) {
-					return telemetry.CauseResultLatency
-				}
-				if hasDef && !defClear(m, d.seq) {
-					return telemetry.CauseResultLatency
-				}
-				return issue(m)
-			}
+			return issue(m)
 		}
 	}
 
-	return func(m *Machine, d *dispatched) telemetry.Cause {
+	return func(m *Machine, seq int64) telemetry.Cause {
 		now := m.now
-		// Scalar operands: cross-unit pending writes and forwarding
-		// distances (outer operands forward one cycle earlier).
-		for k := range ops {
-			if !opClear(m, &ops[k], d.seq) {
-				return telemetry.CauseResultLatency
-			}
-		}
-		// Destination hazards (WAW and WAR against earlier accesses).
-		if hasDef && !defClear(m, d.seq) {
+		// Scalar operands and destination: in-flight accesses and
+		// forwarding distances.
+		if !scalars(m, seq) {
 			return telemetry.CauseResultLatency
 		}
 		// FIFO reads: enough arrived data at the head of each FIFO.
@@ -678,10 +613,8 @@ const (
 	ifuStall
 )
 
-// makeIFU lowers one instruction's IFU behavior.  fn is the compiled
-// issue function for this index (nil for IFU-resident kinds), cached in
-// the dispatched entry so the unit step skips the table indirection.
-func makeIFU(idx int, i *rtl.Instr, target int, dec *decoded, codeLen int, fn issueFn) ifuFn {
+// makeIFU lowers one instruction's IFU behavior.
+func makeIFU(idx int, i *rtl.Instr, target int, dec *decoded, codeLen int) ifuFn {
 	switch i.Kind {
 	case rtl.KJump:
 		return func(m *Machine) (telemetry.Cause, uint8) {
@@ -733,7 +666,7 @@ func makeIFU(idx int, i *rtl.Instr, target int, dec *decoded, codeLen int, fn is
 
 	case rtl.KCall:
 		return func(m *Machine) (telemetry.Cause, uint8) {
-			if len(m.pend[rtl.Int][rtl.LR]) > 0 {
+			if m.lrInFlight() {
 				return telemetry.CauseResultLatency, ifuStall
 			}
 			m.profTick(idx)
@@ -746,7 +679,7 @@ func makeIFU(idx int, i *rtl.Instr, target int, dec *decoded, codeLen int, fn is
 
 	case rtl.KRet:
 		return func(m *Machine) (telemetry.Cause, uint8) {
-			if len(m.pend[rtl.Int][rtl.LR]) > 0 || m.readyAt[rtl.Int][rtl.LR] > m.now {
+			if m.lrInFlight() || m.readyAt[rtl.Int][rtl.LR] > m.now {
 				return telemetry.CauseResultLatency, ifuStall
 			}
 			ret := int(m.regs[rtl.Int][rtl.LR])
@@ -804,32 +737,17 @@ func makeIFU(idx int, i *rtl.Instr, target int, dec *decoded, codeLen int, fn is
 		}
 
 	default:
-		// Dispatch into a unit queue.  The pend-list appends are
-		// addPend's, inlined over registers captured at translation
-		// time (one entry per operand occurrence, then the definition).
-		instr, d := i, dec
+		// Dispatch into a unit queue.
 		unit := int(dec.unit)
 		wait := dec.words - 1
-		pendOps := make([]opCheck, len(dec.ops))
-		for k, op := range dec.ops {
-			pendOps[k] = opCheck{op.reg.Class, op.reg.N, false}
-		}
-		hasDef, defCls, defN := dec.hasDef, dec.def.Class, dec.def.N
+		wmask, amask := dec.defMask, dec.readMask|dec.defMask
 		return func(m *Machine) (telemetry.Cause, uint8) {
 			if m.queues[unit].n >= m.cfg.QueueDepth {
 				m.stats.IFUStallFull++
 				return telemetry.CauseQueueFull, ifuStall
 			}
 			m.seq++
-			seq := m.seq
-			m.queues[unit].push(dispatched{idx: idx, i: instr, dec: d, seq: seq, fn: fn})
-			for k := range pendOps {
-				p := &pendOps[k]
-				m.pend[p.cls][p.n] = append(m.pend[p.cls][p.n], pendAccess{seq, false})
-			}
-			if hasDef {
-				m.pend[defCls][defN] = append(m.pend[defCls][defN], pendAccess{seq, true})
-			}
+			m.queues[unit].push(dispatched{idx: idx, seq: m.seq, wmask: wmask, amask: amask})
 			m.pc = idx + 1
 			m.stats.Dispatched++
 			m.ifuWait = wait

@@ -63,8 +63,12 @@ type decoded struct {
 
 	isCompare bool
 	fifoWrite bool
-	def       rtl.Reg // pend-tracked destination
+	def       rtl.Reg // destination tracked for hazards
 	hasDef    bool    // def exists and is neither zero nor a FIFO
+
+	// readMask and defMask are ops and def as register masks (regBit):
+	// the accesses a queue entry of this instruction holds in flight.
+	readMask, defMask uint64
 
 	// busyFIFO[c][n] reports that the instruction references FIFO (c,n)
 	// as a load/store channel, an operand, or a destination — the facts
@@ -92,6 +96,7 @@ func decodeImage(img *Image, cfg Config) []decoded {
 				continue
 			}
 			d.ops = append(d.ops, op)
+			d.readMask |= regBit(op.reg)
 		}
 		d.reads = fifoReads(i)
 		for c := 0; c < 2; c++ {
@@ -108,6 +113,7 @@ func decodeImage(img *Image, cfg Config) []decoded {
 		d.fifoWrite = i.HasFIFOWrite()
 		if def, ok := i.Def(); ok && !def.IsZero() && !def.IsFIFO() {
 			d.def, d.hasDef = def, true
+			d.defMask = regBit(def)
 		}
 		switch i.Kind {
 		case rtl.KLoad, rtl.KStore:
@@ -136,6 +142,25 @@ func decodeImage(img *Image, cfg Config) []decoded {
 		d.strideRegs = quietList(i.Stride)
 	}
 	return dec
+}
+
+// regBit is the register's bit in a hazard mask: Class*32 + N, so both
+// register files fit one uint64.
+func regBit(r rtl.Reg) uint64 { return 1 << (uint(r.Class)*rtl.NumArchRegs + uint(r.N)) }
+
+// The masks need 2*rtl.NumArchRegs <= 64.
+var _ [64 - 2*rtl.NumArchRegs]struct{}
+
+// ifuResident reports whether the IFU executes the kind itself; every
+// other kind is dispatched into a unit queue.
+func ifuResident(k rtl.Kind) bool {
+	switch k {
+	case rtl.KJump, rtl.KCondJump, rtl.KJumpNotDone, rtl.KCall,
+		rtl.KRet, rtl.KHalt, rtl.KPut,
+		rtl.KStreamIn, rtl.KStreamOut, rtl.KStreamStop:
+		return true
+	}
+	return false
 }
 
 // quietList lists the registers the IFU must see quiet before touching

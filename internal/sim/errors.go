@@ -143,7 +143,7 @@ func (m *Machine) snapshot() Snapshot {
 		}
 		if m.queues[c].n > 0 {
 			d := m.queues[c].at(0)
-			u.HeadInstr = d.i.String()
+			u.HeadInstr = m.img.Code[d.idx].String()
 			u.HeadPC = d.idx
 			if h := m.issueHazard(d); h.blocked() {
 				u.BlockedOn = h.reason()
@@ -183,7 +183,7 @@ func (m *Machine) ifuBlockReason() string {
 			return fmt.Sprintf("CC FIFO %s (head not ready)", i.CCClass)
 		}
 	case rtl.KCall, rtl.KRet:
-		if len(m.pend[rtl.Int][rtl.LR]) > 0 || m.readyAt[rtl.Int][rtl.LR] > m.now {
+		if m.lrInFlight() || m.readyAt[rtl.Int][rtl.LR] > m.now {
 			return "link register (in-flight access)"
 		}
 	case rtl.KPut:

@@ -98,13 +98,14 @@ func (h hazard) reason() string {
 // the first hazard holding the instruction back (hzNone when it can
 // issue).  It is pure: stat side effects belong to the caller.
 func (m *Machine) issueHazard(d *dispatched) hazard {
-	i := d.i
-	dec := d.dec
+	i := m.img.Code[d.idx]
+	dec := &m.dec[d.idx]
+	w, a := m.queuedBefore(d.seq)
 	// Register operands: cross-unit pending writes and forwarding
 	// distances (outer operands forward one cycle earlier).
 	for _, op := range dec.ops {
 		r := op.reg
-		if m.pendingWriterBefore(r, d.seq) {
+		if w&regBit(r) != 0 {
 			return hazard{kind: hzPendingWriter, reg: r}
 		}
 		limit := m.now
@@ -116,7 +117,7 @@ func (m *Machine) issueHazard(d *dispatched) hazard {
 		}
 	}
 	// Destination hazards (WAW and WAR against earlier accesses).
-	if dec.hasDef && m.pendingAccessBefore(dec.def, d.seq) {
+	if a&dec.defMask != 0 {
 		return hazard{kind: hzDestPending, reg: dec.def}
 	}
 	// FIFO reads: enough arrived data at the head of each input FIFO.

@@ -94,7 +94,7 @@ func (m *Machine) ifuCycle() telemetry.Cause {
 		case rtl.KCall:
 			// The IFU writes the link register; wait out any in-flight
 			// access to it.
-			if len(m.pend[rtl.Int][rtl.LR]) > 0 {
+			if m.lrInFlight() {
 				return stall(telemetry.CauseResultLatency)
 			}
 			m.profTick(m.pc)
@@ -106,7 +106,7 @@ func (m *Machine) ifuCycle() telemetry.Cause {
 			continue
 
 		case rtl.KRet:
-			if len(m.pend[rtl.Int][rtl.LR]) > 0 || m.readyAt[rtl.Int][rtl.LR] > m.now {
+			if m.lrInFlight() || m.readyAt[rtl.Int][rtl.LR] > m.now {
 				return stall(telemetry.CauseResultLatency)
 			}
 			ret := int(m.regs[rtl.Int][rtl.LR])
@@ -163,9 +163,7 @@ func (m *Machine) ifuCycle() telemetry.Cause {
 				return stall(telemetry.CauseQueueFull)
 			}
 			m.seq++
-			d := dispatched{idx: m.pc, i: i, dec: dec, seq: m.seq}
-			m.queues[c].push(d)
-			m.addPend(&d)
+			m.queues[c].push(m.entry(m.pc, m.seq))
 			m.pc++
 			m.stats.Dispatched++
 			m.ifuWait = dec.words - 1
@@ -180,6 +178,7 @@ func (m *Machine) ifuCycle() telemetry.Cause {
 // in-flight accesses and ready (the IFU synchronizes on its operands).
 // The lists come from the decode cache with zero registers filtered.
 func (m *Machine) regsQuietList(regs []rtl.Reg) bool {
+	busy := m.inFlight()
 	for _, r := range regs {
 		if r.IsFIFO() {
 			q := &m.inFIFO[r.Class][r.N]
@@ -188,12 +187,16 @@ func (m *Machine) regsQuietList(regs []rtl.Reg) bool {
 			}
 			continue
 		}
-		if len(m.pend[r.Class][r.N]) > 0 || m.readyAt[r.Class][r.N] > m.now {
+		if busy&regBit(r) != 0 || m.readyAt[r.Class][r.N] > m.now {
 			return false
 		}
 	}
 	return true
 }
+
+// lrInFlight reports whether a queued entry accesses the link
+// register, which a call must wait out before writing it.
+func (m *Machine) lrInFlight() bool { return m.inFlight()&regBit(rtl.RegLR) != 0 }
 
 // startStream activates an SCU for a stream instruction (or stops one).
 // Returns false when the IFU must stall (operands not ready or no SCU
@@ -283,7 +286,7 @@ func (m *Machine) fifoBusy(c rtl.Class, n int) bool {
 	for u := 0; u < 2; u++ {
 		q := &m.queues[u]
 		for k := 0; k < q.n; k++ {
-			if q.at(k).dec.busyFIFO[c][n] {
+			if m.dec[q.at(k).idx].busyFIFO[c][n] {
 				return true
 			}
 		}

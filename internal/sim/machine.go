@@ -18,24 +18,18 @@ const (
 	unitSCU0
 )
 
-// pendAccess records an in-flight (dispatched, not yet executed)
-// register access, used for cross-unit hazard checks.
-type pendAccess struct {
-	seq   int64
-	write bool
-}
-
-// dispatched is an instruction sitting in an execution unit's queue.
+// dispatched is an instruction sitting in an execution unit's queue:
+// its code index (which names the instruction, its decode entry and its
+// translated issue function), its dispatch sequence number, and the
+// registers it holds in flight — wmask those it writes, amask those it
+// reads or writes.  The two queues are the machine's only record of
+// in-flight register accesses; every register hazard is derived from
+// them (queuedBefore).  The entry holds no pointers, so filling a queue
+// slot needs no GC write barrier.
 type dispatched struct {
-	idx int
-	i   *rtl.Instr
-	dec *decoded
-	seq int64
-	// fn caches the translated issue function for idx.  Set when the
-	// translated IFU dispatches; nil when another engine dispatched or
-	// after a checkpoint restore — runTranslated's prologue refills it
-	// (the interpreting engines ignore it).
-	fn issueFn
+	idx          int
+	seq          int64
+	wmask, amask uint64
 }
 
 // fifoEntry is one datum in (or on its way to) an input FIFO.
@@ -96,8 +90,7 @@ type Machine struct {
 
 	regs    [2][rtl.NumArchRegs]uint64
 	readyAt [2][rtl.NumArchRegs]int64
-	pend    [2][rtl.NumArchRegs][]pendAccess
-	seq     int64
+	seq     int64 // sequence number of the last dispatch
 
 	queues  [2]ring[dispatched]
 	inFIFO  [2][2]ring[fifoEntry]
@@ -272,7 +265,7 @@ func (m *Machine) account(u int, c telemetry.Cause, d *dispatched) {
 	if m.rec != nil {
 		var name string
 		if d != nil {
-			name = d.i.String()
+			name = m.img.Code[d.idx].String()
 		}
 		m.rec.record(u, c, name, m.now)
 	}

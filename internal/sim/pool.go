@@ -15,8 +15,8 @@ import (
 // returns it.  A rearmed machine is bit-identical to a fresh one (the
 // pool tests assert it): rearm resets every mutable field New
 // initializes and rewrites the memory image, keeping only the
-// allocations (memory buffer, ring buffers, pend lists, telemetry
-// arrays) and the shared decode/translation tables.
+// allocations (memory buffer, ring buffers, telemetry arrays) and the
+// shared decode/translation tables.
 //
 // Runs that attach per-cycle observers (Config.TraceSink, Config.Trace)
 // or the profiler bypass the pool: their machines carry run-specific
@@ -126,11 +126,6 @@ func (m *Machine) rearm(cfg Config) {
 
 	m.regs = [2][rtl.NumArchRegs]uint64{}
 	m.readyAt = [2][rtl.NumArchRegs]int64{}
-	for c := 0; c < 2; c++ {
-		for n := range m.pend[c] {
-			m.pend[c][n] = m.pend[c][n][:0]
-		}
-	}
 	m.seq = 0
 	m.regs[rtl.Int][rtl.SP] = uint64(cfg.StackTop)
 

@@ -8,10 +8,9 @@ package sim
 // consumer pair reallocate and memmove continuously; the ring pops in
 // O(1) and stops allocating once it has grown to the working depth.
 //
-// The zero value is an empty ring; push grows it on demand.  pop does
-// not zero the vacated slot: queued entries reference only
-// machine-lifetime data (the code image and the decode cache), so a
-// stale slot keeps nothing alive that the Machine does not.
+// The zero value is an empty ring; push grows it on demand.  Every
+// element type the machine queues is pointer-free, so the buffers are
+// never scanned by the GC and a stale slot keeps nothing alive.
 type ring[T any] struct {
 	buf  []T
 	head int
@@ -27,8 +26,9 @@ func (r *ring[T]) push(v T) {
 	r.n++
 }
 
-// pop removes and returns the head entry.  Like indexing an empty
-// slice, popping an empty ring is a caller bug; callers guard on n.
+// pop removes and returns the head entry, leaving the vacated slot as
+// it was.  Like indexing an empty slice, popping an empty ring is a
+// caller bug; callers guard on n.
 func (r *ring[T]) pop() T {
 	v := r.buf[r.head]
 	r.head = (r.head + 1) & (len(r.buf) - 1)
@@ -57,7 +57,9 @@ func (r *ring[T]) reset() {
 }
 
 // grow reallocates to the smallest power of two >= max(c, 8), moving
-// the live entries to the front.
+// the live entries to the front.  Kept out of line so push inlines.
+//
+//go:noinline
 func (r *ring[T]) grow(c int) {
 	size := 8
 	for size < c {

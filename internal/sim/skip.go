@@ -250,7 +250,7 @@ func (m *Machine) scuHorizon() int64 {
 		case hzFIFOInFlight:
 			// Holds until the youngest of the entries the head consumes
 			// turns ready.
-			need := d.dec.reads[h.reg.Class][h.reg.N]
+			need := m.dec[d.idx].reads[h.reg.Class][h.reg.N]
 			in := &m.inFIFO[h.reg.Class][h.reg.N]
 			var maxReady int64
 			for e := 0; e < need; e++ {
@@ -289,7 +289,7 @@ func (m *Machine) scuHorizon() int64 {
 		case rtl.KCall:
 			// Waiting on a pending LR access: static.
 		case rtl.KRet:
-			if len(m.pend[rtl.Int][rtl.LR]) == 0 {
+			if !m.lrInFlight() {
 				k = minI64(k, m.readyAt[rtl.Int][rtl.LR]-1-m.now)
 			}
 		case rtl.KPut:
@@ -319,6 +319,7 @@ func (m *Machine) scuHorizon() int64 {
 // either.
 func (m *Machine) quietBound(regs []rtl.Reg) int64 {
 	b := unboundedCycles
+	busy := m.inFlight()
 	for _, r := range regs {
 		if r.IsFIFO() {
 			q := &m.inFIFO[r.Class][r.N]
@@ -335,7 +336,7 @@ func (m *Machine) quietBound(regs []rtl.Reg) int64 {
 			}
 			continue
 		}
-		if len(m.pend[r.Class][r.N]) > 0 {
+		if busy&regBit(r) != 0 {
 			continue // in-flight access: stays un-quiet while units stall
 		}
 		if t := m.readyAt[r.Class][r.N]; t > m.now {

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"wmstream/internal/rtl"
 )
@@ -28,8 +30,8 @@ import (
 // translated-engine cycle before use), cycleCause (rewritten for every
 // unit by every cycle's accounting before the translated engine reads
 // it), and the evalProg scratch stack.  Queued dispatched entries are
-// serialized by code index; their instruction and decode-cache
-// pointers are reconstructed from the restoring machine's image.
+// serialized by code index and sequence number; their register masks
+// are rebuilt from the restoring machine's decode cache.
 
 // stateMagic identifies and versions the checkpoint encoding.
 const stateMagic = "wmsim-state-1"
@@ -64,18 +66,7 @@ func (m *Machine) SaveState() ([]byte, error) {
 	e.int(m.lastRetired)
 	e.str(m.lastUnit)
 
-	for c := 0; c < 2; c++ {
-		for n := 0; n < rtl.NumArchRegs; n++ {
-			e.u64(m.regs[c][n])
-			e.i64(m.readyAt[c][n])
-			pend := m.pend[c][n]
-			e.int(len(pend))
-			for _, p := range pend {
-				e.i64(p.seq)
-				e.bool(p.write)
-			}
-		}
-	}
+	m.encodeRegs(e)
 
 	for c := 0; c < 2; c++ {
 		q := &m.queues[c]
@@ -207,32 +198,37 @@ func (m *Machine) RestoreState(data []byte) error {
 	m.lastRetired = d.int()
 	m.lastUnit = d.str()
 
+	// The per-register access lists repeat what the queues hold: skip
+	// them, and check them against the queues once those are loaded.
+	regsAt := d.off
 	for c := 0; c < 2; c++ {
 		for n := 0; n < rtl.NumArchRegs; n++ {
 			m.regs[c][n] = d.u64()
 			m.readyAt[c][n] = d.i64()
-			cnt := d.count()
-			pend := m.pend[c][n][:0]
-			for k := 0; k < cnt && d.err == nil; k++ {
-				pend = append(pend, pendAccess{seq: d.i64(), write: d.bool()})
+			for k := d.count(); k > 0 && d.err == nil; k-- {
+				d.i64()
+				d.bool()
 			}
-			m.pend[c][n] = pend
 		}
 	}
+	regs := d.buf[regsAt:d.off]
 
+	resetRing(&m.queues[0])
+	resetRing(&m.queues[1])
 	for c := 0; c < 2; c++ {
 		q := &m.queues[c]
-		resetRing(q)
 		cnt := d.count()
-		for k := 0; k < cnt; k++ {
-			idx := d.int()
-			seq := d.i64()
-			if d.err == nil && (idx < 0 || idx >= len(m.img.Code)) {
-				return fmt.Errorf("sim: checkpoint queue entry has code index %d out of range", idx)
+		for k := 0; k < cnt && d.err == nil; k++ {
+			idx, seq := d.int(), d.i64()
+			if m.checkQueued(d, rtl.Class(c), idx, seq) {
+				q.push(m.entry(idx, seq))
 			}
-			if d.err == nil {
-				q.push(dispatched{idx: idx, i: m.img.Code[idx], dec: &m.dec[idx], seq: seq})
-			}
+		}
+	}
+	if d.err == nil {
+		e := &stateEnc{}
+		if m.encodeRegs(e); !bytes.Equal(e.buf, regs) {
+			d.fail("register access lists disagree with the unit queues")
 		}
 	}
 	for c := 0; c < 2; c++ {
@@ -372,6 +368,76 @@ func (m *Machine) RestoreState(data []byte) error {
 	m.unitIdleDeferred = [2]int64{}
 	m.unitCauseIdle = [2]bool{}
 	return nil
+}
+
+// encodeRegs writes the register file.  Each register carries the list
+// of its in-flight accesses — a record the machine no longer keeps,
+// since the unit queues hold the same facts — rebuilt here from the
+// queued entries in dispatch order: a read per operand occurrence, then
+// the write.
+func (m *Machine) encodeRegs(e *stateEnc) {
+	queued := make([]dispatched, 0, m.queues[0].n+m.queues[1].n)
+	for c := range m.queues {
+		for k := 0; k < m.queues[c].n; k++ {
+			queued = append(queued, *m.queues[c].at(k))
+		}
+	}
+	sort.Slice(queued, func(a, b int) bool { return queued[a].seq < queued[b].seq })
+	for c := 0; c < 2; c++ {
+		for n := 0; n < rtl.NumArchRegs; n++ {
+			e.u64(m.regs[c][n])
+			e.i64(m.readyAt[c][n])
+			r := rtl.Reg{Class: rtl.Class(c), N: n}
+			bit := regBit(r)
+			at, cnt := len(e.buf), 0
+			e.int(0)
+			for _, q := range queued {
+				if q.amask&bit == 0 {
+					continue
+				}
+				for _, op := range m.dec[q.idx].ops {
+					if op.reg == r {
+						e.i64(q.seq)
+						e.bool(false)
+						cnt++
+					}
+				}
+				if q.wmask&bit != 0 {
+					e.i64(q.seq)
+					e.bool(true)
+					cnt++
+				}
+			}
+			binary.LittleEndian.PutUint64(e.buf[at:], uint64(cnt))
+		}
+	}
+}
+
+// checkQueued validates an entry read for unit c's queue against the
+// entries read before it — the instruction must be one unit c
+// executes; sequence numbers must ascend within the queue, differ
+// across the two queues, and not pass the last dispatch — and reports
+// whether the decoder is still error-free.
+func (m *Machine) checkQueued(d *stateDec, c rtl.Class, idx int, seq int64) bool {
+	q, other := &m.queues[c], &m.queues[1-c]
+	switch {
+	case d.err != nil:
+	case idx < 0 || idx >= len(m.img.Code):
+		d.fail("queue entry has code index %d out of range", idx)
+	case ifuResident(m.img.Code[idx].Kind) || m.dec[idx].unit != c:
+		d.fail("%s queue holds %s (code index %d)", c, m.img.Code[idx], idx)
+	case seq > m.seq:
+		d.fail("queue entry seq %d after the last dispatch %d", seq, m.seq)
+	case q.n > 0 && q.at(q.n-1).seq >= seq:
+		d.fail("%s queue seq %d does not ascend", c, seq)
+	default:
+		for k := 0; k < other.n; k++ {
+			if other.at(k).seq == seq {
+				d.fail("seq %d queued on both units", seq)
+			}
+		}
+	}
+	return d.err == nil
 }
 
 // encodeHeader writes the machine parameters a checkpoint is only

@@ -264,8 +264,9 @@ func TestRestoreStateHeaderMismatch(t *testing.T) {
 	}
 }
 
-// TestRestoreStateCorrupt: truncation, a foreign blob, and trailing
-// garbage are all rejected rather than half-applied.
+// TestRestoreStateCorrupt: truncation, a foreign blob, trailing
+// garbage, and queue entries no run can produce are all rejected
+// rather than half-applied.
 func TestRestoreStateCorrupt(t *testing.T) {
 	img := checkpointImage(t)
 	m := New(img, DefaultConfig())
@@ -295,6 +296,128 @@ func TestRestoreStateCorrupt(t *testing.T) {
 	if err := New(img, DefaultConfig()).RestoreState(blob); err != nil {
 		t.Errorf("RestoreState on pristine blob after corruption tests: %v", err)
 	}
+
+	// Queue entries that no run can produce.  Each case edits a live
+	// machine whose two unit queues both hold entries, then checkpoints
+	// it; SaveState derives the register access lists from the edited
+	// queues, so only the queue check itself can reject the blob.
+	qimg := crossUnitImage(t)
+	var haltIdx int
+	for k, i := range qimg.Code {
+		if i.Kind == rtl.KHalt {
+			haltIdx = k
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		edit       func(m *Machine)
+	}{
+		{"ifu-instruction", "queue holds halt", func(m *Machine) {
+			m.queues[rtl.Int].at(0).idx = haltIdx
+		}},
+		{"wrong-unit", "int queue holds", func(m *Machine) {
+			m.queues[rtl.Int].at(0).idx = m.queues[rtl.Float].at(0).idx
+		}},
+		{"seq-not-ascending", "does not ascend", func(m *Machine) {
+			q := &m.queues[rtl.Float]
+			q.at(1).seq = q.at(0).seq
+		}},
+		{"seq-on-both-units", "queued on both units", func(m *Machine) {
+			m.queues[rtl.Float].at(0).seq = m.queues[rtl.Int].at(0).seq
+		}},
+		{"seq-after-last-dispatch", "after the last dispatch", func(m *Machine) {
+			q := &m.queues[rtl.Float]
+			q.at(q.n - 1).seq = m.seq + 1
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := crossUnitMachine(t, qimg)
+			tc.edit(m)
+			blob, err := m.SaveState()
+			if err != nil {
+				t.Fatalf("SaveState: %v", err)
+			}
+			if err := New(qimg, DefaultConfig()).RestoreState(blob); err == nil ||
+				!strings.Contains(err.Error(), tc.want) {
+				t.Errorf("RestoreState: err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+
+	// Serialized register access lists that disagree with the queues:
+	// flip the read/write flag of the first listed access.
+	t.Run("access-lists", func(t *testing.T) {
+		m := crossUnitMachine(t, qimg)
+		blob, err := m.SaveState()
+		if err != nil {
+			t.Fatalf("SaveState: %v", err)
+		}
+		e := &stateEnc{}
+		m.encodeRegs(e)
+		off := bytes.Index(blob, e.buf)
+		if off < 0 {
+			t.Fatal("register section not found in the checkpoint")
+		}
+		for p := off; ; {
+			cnt := binary.LittleEndian.Uint64(blob[p+16:])
+			p += 24
+			if cnt > 0 {
+				blob[p+8] ^= 1 // the first access's write flag
+				break
+			}
+		}
+		if err := New(qimg, DefaultConfig()).RestoreState(blob); err == nil ||
+			!strings.Contains(err.Error(), "disagree with the unit queues") {
+			t.Errorf("RestoreState: err = %v, want access-list refusal", err)
+		}
+	})
+}
+
+// crossUnitImage builds a loop whose IEU instructions wait on FEU
+// divides, so both unit queues fill with entries that hold registers
+// in flight across units.
+func crossUnitImage(t *testing.T) *Image {
+	t.Helper()
+	p, err := rtl.Parse(`
+.entry main
+.func main
+r2 := 0
+r3 := 1
+f2 := 1.5f
+f3 := 2.5f
+L1:
+f4 := (f2 / f3)
+r4 := cvtr(f4)
+f2 := (f4 + f3)
+r2 := (r2 + r4)
+f3 := (f3 + 1.0f)
+r3 := (r3 + 1)
+r31 := (r3 <= 200)
+jumpTr L1
+halt
+.end
+`)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	img, err := Link(p)
+	if err != nil {
+		t.Fatalf("link: %v", err)
+	}
+	return img
+}
+
+// crossUnitMachine runs the image to the first cycle boundary at which
+// each unit queue holds at least two entries.
+func crossUnitMachine(t *testing.T, img *Image) *Machine {
+	t.Helper()
+	m := New(img, DefaultConfig())
+	for m.queues[rtl.Int].n < 2 || m.queues[rtl.Float].n < 2 {
+		if done, err := m.RunSlice(1); done || err != nil {
+			t.Fatalf("run ended before both queues filled (done=%v err=%v)", done, err)
+		}
+	}
+	return m
 }
 
 // TestRestoreStateOnDiskCorruption round-trips a checkpoint through a

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"sync"
 
-	"wmstream/internal/rtl"
 	"wmstream/internal/telemetry"
 )
 
@@ -50,17 +49,10 @@ func translate(img *Image, cfg Config) *translation {
 		for k := b.start; k < b.end; k++ {
 			i := img.Code[k]
 			d := &dec[k]
-			switch i.Kind {
-			case rtl.KJump, rtl.KCondJump, rtl.KJumpNotDone, rtl.KCall,
-				rtl.KRet, rtl.KHalt, rtl.KPut,
-				rtl.KStreamIn, rtl.KStreamOut, rtl.KStreamStop:
-				// IFU-resident: never enters a unit queue.
-			default:
+			if !ifuResident(i.Kind) {
 				tr.issue[k] = makeIssue(k, i, d)
 			}
-			// After makeIssue so the dispatch closure can capture the
-			// issue function for its own index.
-			tr.ifu[k] = makeIFU(k, i, img.Target[k], d, len(img.Code), tr.issue[k])
+			tr.ifu[k] = makeIFU(k, i, img.Target[k], d, len(img.Code))
 		}
 	}
 	return tr
@@ -192,16 +184,6 @@ func (m *Machine) runTranslated(limit int64) (bool, error) {
 	// first idle cycle of each covered slot re-establish its cause.
 	m.scuCauseIdle = false
 	m.unitCauseIdle = [2]bool{}
-	// Entries dispatched by another engine (or restored from a
-	// checkpoint) carry no cached issue function; refill them.
-	for c := range m.queues {
-		q := &m.queues[c]
-		for k := 0; k < q.n; k++ {
-			if d := q.at(k); d.fn == nil {
-				d.fn = m.tr.issue[d.idx]
-			}
-		}
-	}
 	slack := m.watchdogSlack()
 	done := m.cancelDone()
 	lastCheck := m.now
@@ -317,7 +299,7 @@ func (m *Machine) stepUnitT(c int) {
 	}
 	u := unitIEU + c
 	d := q.at(0)
-	cause := d.fn(m, d)
+	cause := m.tr.issue[d.idx](m, d.seq)
 	if cause == telemetry.CauseFIFOEmpty {
 		m.stats.LoadStalls++
 	}

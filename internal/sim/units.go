@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"wmstream/internal/rtl"
 	"wmstream/internal/telemetry"
 )
@@ -110,7 +112,6 @@ func (m *Machine) stepUnit(c rtl.Class) {
 	// ring only via the IFU (it cannot), but at(0)'s pointer must not
 	// outlive the pop in any case.
 	dv := q.pop()
-	m.removePend(&dv)
 	m.account(u, telemetry.CauseIssued, &dv)
 	m.execute(&dv, c)
 	m.progress()
@@ -128,60 +129,45 @@ func (m *Machine) inputStreamIssuing(c rtl.Class, n int) bool {
 	return false
 }
 
-func (m *Machine) pendingWriterBefore(r rtl.Reg, seq int64) bool {
-	for _, p := range m.pend[r.Class][r.N] {
-		if p.write && p.seq < seq {
-			return true
-		}
-	}
-	return false
+// entry builds the queue entry for dispatching code index idx as seq.
+func (m *Machine) entry(idx int, seq int64) dispatched {
+	dec := &m.dec[idx]
+	return dispatched{idx: idx, seq: seq, wmask: dec.defMask, amask: dec.readMask | dec.defMask}
 }
 
-func (m *Machine) pendingAccessBefore(r rtl.Reg, seq int64) bool {
-	for _, p := range m.pend[r.Class][r.N] {
-		if p.seq < seq {
-			return true
-		}
-	}
-	return false
-}
-
-func (m *Machine) addPend(d *dispatched) {
-	dec := d.dec
-	for _, op := range dec.ops {
-		r := op.reg
-		m.pend[r.Class][r.N] = append(m.pend[r.Class][r.N], pendAccess{d.seq, false})
-	}
-	if dec.hasDef {
-		r := dec.def
-		m.pend[r.Class][r.N] = append(m.pend[r.Class][r.N], pendAccess{d.seq, true})
-	}
-}
-
-func (m *Machine) removePend(d *dispatched) {
-	remove := func(r rtl.Reg) {
-		list := m.pend[r.Class][r.N]
-		out := list[:0]
-		for _, p := range list {
-			if p.seq != d.seq {
-				out = append(out, p)
+// queuedBefore returns the registers written (w) and accessed (a) by
+// the queued entries dispatched before seq.  Each queue is in seq
+// order, so each scan stops at its first entry not older than seq.  For
+// a unit's head that is the head itself: since each unit issues in
+// order, everything older than the head sits in the other unit's queue.
+// A head reading a register in w has an in-flight writer; a head
+// defining a register in a has an in-flight access to its destination.
+// queuedBefore(math.MaxInt64) covers every queued entry.
+func (m *Machine) queuedBefore(seq int64) (w, a uint64) {
+	for c := range m.queues {
+		q := &m.queues[c]
+		for k := 0; k < q.n; k++ {
+			e := q.at(k)
+			if e.seq >= seq {
+				break
 			}
+			w |= e.wmask
+			a |= e.amask
 		}
-		m.pend[r.Class][r.N] = out
 	}
-	dec := d.dec
-	for _, op := range dec.ops {
-		remove(op.reg)
-	}
-	if dec.hasDef {
-		remove(dec.def)
-	}
+	return w, a
+}
+
+// inFlight returns the registers some queued entry reads or writes.
+func (m *Machine) inFlight() uint64 {
+	_, a := m.queuedBefore(math.MaxInt64)
+	return a
 }
 
 // execute performs the instruction's effect at issue time.
 func (m *Machine) execute(d *dispatched, c rtl.Class) {
-	i := d.i
-	dec := d.dec
+	i := m.img.Code[d.idx]
+	dec := &m.dec[d.idx]
 	m.profTick(d.idx)
 	m.stats.Instructions++
 	m.lastRetired = d.idx
