@@ -119,7 +119,7 @@ func checkGolden(t *testing.T, path string, got map[string]string) {
 	}
 	for k, v := range got {
 		if want[k] != v {
-			t.Errorf("%s: digest %s, golden %s", k, v, want[k])
+			t.Errorf("%s: got %s, golden %s", k, v, want[k])
 		}
 	}
 }
