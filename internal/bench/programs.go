@@ -169,9 +169,12 @@ int main(void) {
 `,
 }
 
-// Bubblesort sorts integers; the swap loop's read/write pattern defeats
-// both recurrence removal and streaming (adjacent-element exchange),
-// but the fill and checksum loops stream.
+// Bubblesort sorts integers.  The swap loop's conditional exchange of
+// adjacent elements defeats streaming, but not recurrence removal: the
+// swap path reuses the values the compare loaded, and a[j+1]'s last
+// value, loaded or swapped in, is carried in a register to the next
+// iteration's a[j], so each iteration loads one element.  The fill and
+// checksum loops stream.
 var Bubblesort = Program{
 	Name: "bubblesort",
 	Source: `
@@ -435,9 +438,10 @@ int main(void) {
 `,
 }
 
-// Sieve of Eratosthenes: the flag-initialization loop streams; the
-// marking loop's stride is a runtime value (the prime), which this
-// compiler does not stream.
+// Sieve of Eratosthenes: the flag-initialization loop streams, and so
+// does the marking loop, with the prime as a register stride.  The
+// bound n stays in a register across the prime loop: the marking
+// loop's stores go to flags, another region.
 var Sieve = Program{
 	Name: "sieve",
 	Source: `

@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -45,6 +44,7 @@ type loopCtx struct {
 	ivs      map[rtl.Reg]ivInfo
 	defCount map[rtl.Reg]int
 	defIdx   map[rtl.Reg][]int
+	funcDefs map[rtl.Reg][]int // every definition in the function, built on demand by regionOf
 	hasCall  bool
 	hasIO    bool
 	stream   bool // loop already contains stream instructions
@@ -321,6 +321,159 @@ func scaleLin(a linform, k int64) linform {
 	return linform{iv: a.iv, cee: a.cee * k, off: a.off * k, ok: true, expanded: a.expanded}
 }
 
+// --- memory regions ---------------------------------------------------------
+
+// regionOf applies the region rule to the address e of a reference
+// whose linear form is lin.  It returns the named region ("_sym") every
+// byte the reference touches lies in, or "" when the reference may
+// touch any region.  References to different named regions never
+// overlap: each global is its own region, and an access through a
+// symbol plus an integer index stays inside that symbol's object.
+//
+// The rule: an address is in region _s when it adds exactly one symbol,
+// _s, and never subtracts one.  When the address linearizes, its other
+// terms are the induction variable and invariant registers, and one
+// symbolic base suffices.  When it does not, every register in it must
+// trace, through all of its definitions in the function, to integer
+// arithmetic with no symbol, FIFO, physical or parameter register in it
+// (parameters arrive in physical registers): an index built from a
+// loaded value, a call result or a pointer leaves the region unknown.
+func (ctx *loopCtx) regionOf(e rtl.Expr, lin linform) string {
+	if lin.ok {
+		region, syms := "", 0
+		for _, b := range lin.base {
+			if b[0] == '_' {
+				region = b
+				syms++
+			}
+		}
+		if syms == 1 {
+			return region
+		}
+	}
+	// The trace rejects a FIFO or physical register wherever it meets
+	// one; rejecting those in the address itself first spares stack and
+	// parameter references the function-wide definition index.
+	direct := true
+	rtl.ExprRegs(e, func(r rtl.Reg) { direct = direct && !r.IsFIFO() && (r.IsVirtual() || r.IsZero()) })
+	if !direct {
+		return ""
+	}
+	if ctx.funcDefs == nil {
+		ctx.funcDefs = map[rtl.Reg][]int{}
+		for n, i := range ctx.f.Code {
+			if d, ok := i.Def(); ok {
+				ctx.funcDefs[d] = append(ctx.funcDefs[d], n)
+			}
+		}
+	}
+	t := regionTracer{ctx: ctx, state: map[rtl.Reg]*traceState{}}
+	s := t.expr(e, false)
+	if !s.ok || s.syms != 1 {
+		return ""
+	}
+	return "_" + s.sym
+}
+
+// symTerms is the symbol content of a traced value: how many symbols
+// it adds (0 or 1 for a usable address) and which one.
+type symTerms struct {
+	sym  string
+	syms int
+	ok   bool
+}
+
+type traceState struct {
+	active  bool // its definitions are being traced
+	assumed bool // a cycle through its definitions assumed it holds no symbol
+	done    bool
+	terms   symTerms
+}
+
+// regionTracer evaluates the region rule over one address.  A register
+// met again while its own definitions are being traced (an induction
+// variable) is provisionally assumed symbol-free; the assumption is
+// checked once all its definitions are known.
+type regionTracer struct {
+	ctx   *loopCtx
+	state map[rtl.Reg]*traceState
+}
+
+// expr traces e; noSym demands that it contain no symbol at all (it is
+// subtracted, scaled or otherwise not a plain added term).
+func (t *regionTracer) expr(e rtl.Expr, noSym bool) symTerms {
+	var s symTerms
+	switch x := e.(type) {
+	case rtl.Imm:
+		s = symTerms{ok: true}
+	case rtl.Sym:
+		s = symTerms{sym: x.Name, syms: 1, ok: true}
+	case rtl.RegX:
+		s = t.reg(x.Reg)
+	case rtl.Un:
+		if x.Op != rtl.Neg && x.Op != rtl.Not {
+			return symTerms{}
+		}
+		s = t.expr(x.X, true)
+	case rtl.Bin:
+		l := t.expr(x.L, noSym || (x.Op != rtl.Add && x.Op != rtl.Sub))
+		r := t.expr(x.R, noSym || x.Op != rtl.Add)
+		if !l.ok || !r.ok {
+			return symTerms{}
+		}
+		s = symTerms{sym: l.sym + r.sym, syms: l.syms + r.syms, ok: true}
+	default:
+		return symTerms{}
+	}
+	if !s.ok || s.syms > 1 || (noSym && s.syms > 0) {
+		return symTerms{}
+	}
+	return s
+}
+
+// reg traces every definition of r; they must all agree.
+func (t *regionTracer) reg(r rtl.Reg) symTerms {
+	if r.IsZero() {
+		return symTerms{ok: true}
+	}
+	if r.IsFIFO() || !r.IsVirtual() {
+		return symTerms{}
+	}
+	st := t.state[r]
+	if st == nil {
+		st = &traceState{}
+		t.state[r] = st
+	}
+	switch {
+	case st.done:
+		return st.terms
+	case st.active:
+		st.assumed = true
+		return symTerms{ok: true}
+	}
+	st.active = true
+	defs := t.ctx.funcDefs[r]
+	out := symTerms{}
+	for k, n := range defs {
+		i := t.ctx.f.Code[n]
+		if i.Kind != rtl.KAssign || i.HasSideEffects() {
+			out = symTerms{}
+			break
+		}
+		s := t.expr(i.Src, false)
+		if !s.ok || (k > 0 && s != out) {
+			out = symTerms{}
+			break
+		}
+		out = s
+	}
+	if st.assumed && out.syms != 0 {
+		out = symTerms{}
+	}
+	st.active, st.done, st.terms = false, true, out
+	return out
+}
+
 // --- memory references and partitions -------------------------------------
 
 // memRef is one load or store in the loop together with its linear
@@ -332,8 +485,9 @@ type memRef struct {
 	lin     linform
 	size    int
 	class   rtl.Class
-	every   bool // executes on every iteration (block dominates latches)
-	unknown bool // address not analyzable: aliases everything
+	every   bool   // executes on every iteration (block dominates latches)
+	unknown bool   // address does not linearize
+	region  string // named region by the region rule; "" may touch any
 }
 
 // partition groups references that touch one memory region, mirroring
@@ -362,6 +516,7 @@ func (ctx *loopCtx) collectRefs() (refs []*memRef, ok bool) {
 				}
 				r.lin = ctx.linearize(i.Addr, n, 0)
 				r.unknown = !r.lin.ok
+				r.region = ctx.regionOf(i.Addr, r.lin)
 				r.every = dominatesAllLatches(ctx.g, ctx.loop, b)
 				refs = append(refs, r)
 			case rtl.KStore:
@@ -372,6 +527,7 @@ func (ctx *loopCtx) collectRefs() (refs []*memRef, ok bool) {
 				}
 				r.lin = ctx.linearize(i.Addr, n, 0)
 				r.unknown = !r.lin.ok
+				r.region = ctx.regionOf(i.Addr, r.lin)
 				r.every = dominatesAllLatches(ctx.g, ctx.loop, b)
 				refs = append(refs, r)
 			}
@@ -422,30 +578,31 @@ func (ctx *loopCtx) findEnqueue(b *cfg.Block, storeIdx int, store *rtl.Instr) in
 	return -1
 }
 
-// buildPartitions implements the paper's step 1-3: group references by
-// region, attach unknown references everywhere, and apply the safety
-// tests (same induction variable, same cee, offsets on the same
-// lattice).
+// buildPartitions implements the paper's steps 1-3.  Step 1 groups the
+// references by the region the region rule (regionOf) names.  A
+// reference whose region is unknown — through a pointer, or indexed by
+// a loaded value — "joins every partition" in the paper's words and
+// poisons them all.  A reference whose address does not linearize but
+// whose region is named poisons only its own partition.  Step 3 applies
+// the safety tests: the same induction variable, cee and base, and
+// offsets on the same lattice.
 func buildPartitions(refs []*memRef) []*partition {
 	byKey := map[string]*partition{}
 	var order []string
 	var unknowns []*memRef
 	for _, r := range refs {
-		if r.unknown {
+		if r.region == "" {
 			unknowns = append(unknowns, r)
 			continue
 		}
-		key := r.lin.baseKey()
-		p := byKey[key]
+		p := byKey[r.region]
 		if p == nil {
-			p = &partition{key: key}
-			byKey[key] = p
-			order = append(order, key)
+			p = &partition{key: r.region}
+			byKey[r.region] = p
+			order = append(order, r.region)
 		}
 		p.refs = append(p.refs, r)
 	}
-	// References whose region is unknown join every partition (paper
-	// step 1) and poison them.
 	parts := make([]*partition, 0, len(order))
 	sort.Strings(order)
 	for _, key := range order {
@@ -454,25 +611,7 @@ func buildPartitions(refs []*memRef) []*partition {
 			p.refs = append(p.refs, unknowns...)
 			p.unsafe = true
 		}
-		// Distinct register-based regions may alias each other and any
-		// symbol: only symbol-named regions are provably disjoint.
 		parts = append(parts, p)
-	}
-	// "For memory references made via pointers, it is often the case
-	// that it is impossible to tell what regions of memory may be
-	// accessed" (paper step 1): a reference whose base is a register
-	// rather than a named symbol may overlap anything, so its presence
-	// poisons every partition.
-	regBased := 0
-	for _, p := range parts {
-		if !strings.HasPrefix(p.key, "_") {
-			regBased++
-		}
-	}
-	if regBased > 0 {
-		for _, p := range parts {
-			p.unsafe = true
-		}
 	}
 	// Step 3 safety tests.
 	for _, p := range parts {
@@ -485,7 +624,7 @@ func buildPartitions(refs []*memRef) []*partition {
 				p.unsafe = true
 				break
 			}
-			if mod(r.lin.off-first.lin.off, r.lin.cee) != 0 {
+			if r.lin.baseKey() != first.lin.baseKey() || mod(r.lin.off-first.lin.off, r.lin.cee) != 0 {
 				p.unsafe = true
 				break
 			}
@@ -520,5 +659,3 @@ func (ctx *loopCtx) loopLabel() string {
 	}
 	return ""
 }
-
-var _ = fmt.Sprintf

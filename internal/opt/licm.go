@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"sort"
+
 	"wmstream/internal/cfg"
 	"wmstream/internal/rtl"
 )
@@ -45,53 +47,31 @@ func licmOnce(f *rtl.Func) (bool, error) {
 	return false, nil
 }
 
+// hoistLoop reports a change when it inserted a preheader, too: the
+// caller's graph no longer matches the code.
 func hoistLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) (bool, error) {
+	inserted := l.Preheader == nil
 	pre := EnsurePreheader(f, g, l)
 	if pre < 0 {
 		return false, nil
 	}
-	// Re-analyze after potential preheader insertion.
-	g, err := cfg.Build(f)
-	if err != nil {
-		return false, err
-	}
-	g.Dominators()
-	l = findLoopByHeaderLabel(g, headerLabel(f, pre))
-	if l == nil {
-		return false, nil
+	if inserted {
+		// Re-analyze after the preheader insertion.
+		var err error
+		if g, err = cfg.Build(f); err != nil {
+			return true, err
+		}
+		g.Dominators()
+		if l = findLoopByHeaderLabel(g, headerLabel(f, pre)); l == nil {
+			return true, nil
+		}
 	}
 
-	// Registers defined in the loop, and how many times.
-	defs := map[rtl.Reg]int{}
-	hasCall := false
-	for _, b := range l.BlockList() {
-		for _, i := range b.Instrs(f) {
-			if d, ok := i.Def(); ok {
-				defs[d]++
-			}
-			if i.Kind == rtl.KCall {
-				hasCall = true
-			}
-		}
-	}
-	invariantReg := func(r rtl.Reg) bool {
-		if r.IsZero() {
-			return true
-		}
-		if r.IsFIFO() {
-			return false
-		}
-		if hasCall && !r.IsVirtual() {
-			return false // calls clobber physical registers
-		}
-		return defs[r] == 0
-	}
-
-	if hoistInvariantLoads(f, g, l) {
+	ctx := analyzeLoop(f, g, l)
+	if hoistInvariantLoads(ctx) || reuseLoads(ctx) {
 		return true, nil
 	}
 
-	var hoisted []*rtl.Instr
 	preInsert := preheaderInsertPos(f, pre)
 	live := false // liveness computed; nothing below changes f until a hoist returns
 	for _, b := range l.BlockList() {
@@ -104,7 +84,7 @@ func hoistLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) (bool, error) {
 				continue
 			}
 			d := i.Dst
-			if d.IsZero() || d.IsFIFO() || defs[d] != 1 {
+			if d.IsZero() || d.IsFIFO() || ctx.defCount[d] != 1 {
 				continue
 			}
 			if !safeToSpeculate(i.Src) {
@@ -112,7 +92,7 @@ func hoistLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) (bool, error) {
 			}
 			inv := true
 			rtl.ExprRegs(i.Src, func(r rtl.Reg) {
-				if !invariantReg(r) {
+				if !ctx.invariant(r) {
 					inv = false
 				}
 			})
@@ -128,7 +108,6 @@ func hoistLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) (bool, error) {
 			if l.Header.LiveIn.Has(d) && usedBeforeDefInLoop(f, g, l, d, n) {
 				continue
 			}
-			hoisted = append(hoisted, i)
 			f.Remove(n)
 			if n < preInsert {
 				preInsert--
@@ -137,8 +116,7 @@ func hoistLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) (bool, error) {
 			return true, nil // structural change: restart analysis
 		}
 	}
-	_ = hoisted
-	return false, nil
+	return inserted, nil
 }
 
 // hoistInvariantLoads moves a load/dequeue pair of an invariant
@@ -146,33 +124,23 @@ func hoistLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) (bool, error) {
 // address.  This is what keeps scalar globals such as loop bounds in
 // registers (the paper's Figure 4 has n in r23), which the trip-count
 // analysis of the streaming pass depends on.
-func hoistInvariantLoads(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) bool {
-	ctx := analyzeLoop(f, g, l)
+//
+// Aliasing follows the region rule (regionOf).  The load must name its
+// region: only an access inside a named object is safe to execute in
+// the preheader, where it may run although the loop body would not.
+// Every store and stream-out of the loop must name a region too: one
+// that may touch any region blocks all hoisting, as does a call.  A
+// store to another region, even one whose address does not linearize
+// (sieve's flags[k], indexed by an inner induction variable), does not
+// block; one to the same region blocks unless both addresses are fixed
+// and their bytes disjoint.
+func hoistInvariantLoads(ctx *loopCtx) bool {
+	f, g, l := ctx.f, ctx.g, ctx.loop
 	if ctx.hasCall {
 		return false
 	}
-	// Collect the base regions of every store in the loop; an unknown
-	// store blocks all load hoisting.
-	var storeBases []string
-	for _, b := range l.BlockList() {
-		for n := b.Start; n < b.End; n++ {
-			i := f.Code[n]
-			if i.Kind == rtl.KStore || i.Kind == rtl.KStreamOut {
-				if i.Kind == rtl.KStreamOut {
-					return false
-				}
-				lin := ctx.linearize(i.Addr, n, 0)
-				if !lin.ok {
-					return false
-				}
-				key := lin.baseKey()
-				if key[0] != '_' {
-					return false // pointer store could alias anything
-				}
-				storeBases = append(storeBases, key)
-			}
-		}
-	}
+	var stores []*memRef
+	scanned := false // stores are collected at the first candidate load
 	for _, b := range l.BlockList() {
 		if !dominatesAllLatches(g, l, b) {
 			continue
@@ -204,22 +172,20 @@ func hoistInvariantLoads(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) bool {
 			if !inv {
 				continue
 			}
-			// Alias-free against every store?
-			lin := ctx.linearize(ld.Addr, n, 0)
-			if !lin.ok {
+			ref := ctx.loadRef(n)
+			if ref.region == "" {
 				continue
 			}
-			key := lin.baseKey()
-			if key[0] != '_' {
-				continue // pointer load: region unknown
-			}
-			aliased := false
-			for _, sb := range storeBases {
-				if sb == key {
-					aliased = true
+			if !scanned {
+				scanned = true
+				stores = ctx.storeRefs()
+				for _, st := range stores {
+					if st.region == "" {
+						return false
+					}
 				}
 			}
-			if aliased {
+			if anyMayAlias(stores, ref) {
 				continue
 			}
 			// Move the pair to the end of the preheader.
@@ -234,6 +200,270 @@ func hoistInvariantLoads(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) bool {
 		}
 	}
 	return false
+}
+
+// reuseLoads deletes one load whose value a register already holds and
+// makes its dequeue read that register.  The register comes from a
+// load or store of the same address in a block that dominates the
+// load's in the same iteration, or from a load hoisted to the end of
+// the preheader.  No store that may touch the address may run in
+// between, and neither the register nor the address may change.  It
+// reports whether it changed the code.
+//
+// Only a load behind a branch is replaced.  Within a block the access
+// unit issues loads ahead of the execute units, so a reload costs them
+// nothing, while reusing a register would keep the first value out of
+// the FIFO in a copy the execute unit must run (whetstone's module 2
+// measured 4% slower).  Behind a branch the load cannot issue before
+// the compare resolves, and its latency lands on the execute unit:
+// bubblesort's swap path and sieve's conditional reloads of n.
+func reuseLoads(ctx *loopCtx) bool {
+	if ctx.hasCall || ctx.stream {
+		return false
+	}
+	refs, ok := ctx.collectRefs()
+	if !ok {
+		return false
+	}
+	sort.Slice(refs, func(i, j int) bool { return refs[i].accIdx < refs[j].accIdx })
+	for _, ld := range refs {
+		if ld.write || !ld.lin.ok {
+			continue
+		}
+		y, ok := ctx.preheaderValue(ld, refs)
+		for k := len(refs) - 1; k >= 0 && !ok; k-- {
+			y, ok = ctx.iterationValue(refs[k], ld, refs)
+		}
+		if !ok {
+			continue
+		}
+		fifo := rtl.Reg{Class: ld.class, N: ctx.f.Code[ld.accIdx].FIFO.N}
+		deq := ctx.f.Code[ld.dataIdx]
+		deq.MapExprs(func(x rtl.Expr) rtl.Expr { return rtl.SubstReg(x, fifo, rtl.RX(y)) })
+		ctx.f.Remove(ld.accIdx)
+		return true
+	}
+	return false
+}
+
+// iterationValue returns the register holding the value the load ld
+// reads when the reference p, earlier in the same iteration, accessed
+// the same address.
+func (ctx *loopCtx) iterationValue(p, ld *memRef, refs []*memRef) (rtl.Reg, bool) {
+	var y rtl.Reg
+	pb, lb := ctx.g.BlockOf(p.accIdx), ctx.g.BlockOf(ld.accIdx)
+	if p == ld || pb == lb || !sameAddress(p, ld) || !ctx.g.Dominates(pb, lb) {
+		return y, false
+	}
+	data := ctx.f.Code[p.dataIdx]
+	if p.write {
+		// A stored value stands for the reloaded one only when the
+		// store keeps every bit: not through a char.
+		rx, isReg := data.Src.(rtl.RegX)
+		if !isReg || rx.Reg.IsFIFO() || rx.Reg.IsZero() || !fullWidth(p) {
+			return y, false
+		}
+		y = rx.Reg
+	} else {
+		rx, isReg := data.Src.(rtl.RegX)
+		if data.Kind != rtl.KAssign || !isReg || !rx.Reg.IsFIFO() || data.Dst.IsFIFO() || data.Dst.IsZero() {
+			return y, false
+		}
+		y = data.Dst
+	}
+	if y.Class != ld.class {
+		return y, false
+	}
+	from := min(p.accIdx, p.dataIdx)
+	noStore := ctx.between(from, ld.accIdx, func(n int) bool {
+		return ctx.f.Code[n].Kind != rtl.KStore || !mayAlias(refAt(refs, n), ld)
+	})
+	unchanged := ctx.between(from, ld.dataIdx, func(n int) bool {
+		d, ok := ctx.f.Code[n].Def()
+		return !ok || (d != y || n == p.dataIdx) && (!ld.lin.hasIV() || d != ld.lin.iv)
+	})
+	return y, noStore && unchanged
+}
+
+// preheaderValue returns the register a load of the same fixed address
+// left at the end of the preheader, when no store in the loop may
+// touch that address.
+func (ctx *loopCtx) preheaderValue(ld *memRef, refs []*memRef) (rtl.Reg, bool) {
+	pre := ctx.loop.Preheader
+	if pre == nil || ld.lin.hasIV() {
+		return rtl.Reg{}, false
+	}
+	for _, r := range refs {
+		if r.write && mayAlias(r, ld) {
+			return rtl.Reg{}, false
+		}
+	}
+	defsAfter := map[rtl.Reg]int{}
+	for n := pre.End - 1; n >= pre.Start; n-- {
+		i := ctx.f.Code[n]
+		switch i.Kind {
+		case rtl.KStore, rtl.KStreamOut, rtl.KCall:
+			return rtl.Reg{}, false
+		case rtl.KLoad:
+			if n+1 >= pre.End || i.MemSize != ld.size || i.MemClass != ld.class {
+				break
+			}
+			deq := ctx.f.Code[n+1]
+			rx, isReg := deq.Src.(rtl.RegX)
+			y := deq.Dst
+			if deq.Kind != rtl.KAssign || !isReg || rx.Reg != (rtl.Reg{Class: i.MemClass, N: i.FIFO.N}) ||
+				y.IsFIFO() || y.IsZero() || y.Class != ld.class || ctx.defCount[y] != 0 || defsAfter[y] != 1 {
+				break
+			}
+			moved := false
+			rtl.ExprRegs(i.Addr, func(r rtl.Reg) { moved = moved || defsAfter[r] > 0 })
+			if !moved && sameLin(ctx.linearize(i.Addr, n, 0), ld.lin) {
+				return y, true
+			}
+		}
+		if d, ok := i.Def(); ok {
+			defsAfter[d]++
+		}
+	}
+	return rtl.Reg{}, false
+}
+
+// between calls visit for every instruction that can run after index
+// from and before index to in one iteration, where from's block
+// dominates to's (or both share a block, from first).  It stops and
+// returns false as soon as visit does.
+func (ctx *loopCtx) between(from, to int, visit func(n int) bool) bool {
+	g, l := ctx.g, ctx.loop
+	fb, tb := g.BlockOf(from), g.BlockOf(to)
+	if fb == tb {
+		for n := from + 1; n < to; n++ {
+			if !visit(n) {
+				return false
+			}
+		}
+		return true
+	}
+	for n := from + 1; n < fb.End; n++ {
+		if !visit(n) {
+			return false
+		}
+	}
+	for n := tb.Start; n < to; n++ {
+		if !visit(n) {
+			return false
+		}
+	}
+	// Whole blocks on a path from fb to tb.  Re-entering fb would run
+	// the earlier access again, and the header starts a new iteration.
+	reach := func(start []*cfg.Block, next func(*cfg.Block) []*cfg.Block) map[*cfg.Block]bool {
+		seen := map[*cfg.Block]bool{}
+		stack := append([]*cfg.Block(nil), start...)
+		for len(stack) > 0 {
+			b := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if seen[b] || b == fb || b == l.Header || !l.Blocks[b] {
+				continue
+			}
+			seen[b] = true
+			stack = append(stack, next(b)...)
+		}
+		return seen
+	}
+	fwd := reach(fb.Succs, func(b *cfg.Block) []*cfg.Block { return b.Succs })
+	bwd := reach(tb.Preds, func(b *cfg.Block) []*cfg.Block { return b.Preds })
+	for _, b := range l.BlockList() {
+		if !fwd[b] || !bwd[b] {
+			continue
+		}
+		for n := b.Start; n < b.End; n++ {
+			if !visit(n) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// storeRefs returns the loop's stores and stream-outs with their
+// regions; a stream-out's address is its base, and it has no linear
+// form since it covers a range.
+func (ctx *loopCtx) storeRefs() []*memRef {
+	var out []*memRef
+	for _, b := range ctx.loop.BlockList() {
+		for n := b.Start; n < b.End; n++ {
+			i := ctx.f.Code[n]
+			switch i.Kind {
+			case rtl.KStore:
+				lin := ctx.linearize(i.Addr, n, 0)
+				out = append(out, &memRef{accIdx: n, write: true, lin: lin, size: i.MemSize, class: i.MemClass,
+					region: ctx.regionOf(i.Addr, lin)})
+			case rtl.KStreamOut:
+				out = append(out, &memRef{accIdx: n, write: true, size: i.MemSize, class: i.MemClass,
+					region: ctx.regionOf(i.Base, ctx.linearize(i.Base, n, 0))})
+			}
+		}
+	}
+	return out
+}
+
+// loadRef describes the load at index n for alias queries.
+func (ctx *loopCtx) loadRef(n int) *memRef {
+	i := ctx.f.Code[n]
+	lin := ctx.linearize(i.Addr, n, 0)
+	return &memRef{accIdx: n, lin: lin, size: i.MemSize, class: i.MemClass, region: ctx.regionOf(i.Addr, lin)}
+}
+
+// mayAlias reports whether two references may touch a common byte.
+// References to different named regions never do.  Two references
+// with the same induction term and base differ by their constant
+// offsets, so their bytes overlap only if the offset ranges do; the
+// caller guarantees that the induction variable has the same value at
+// both (no induction variable, or none of its increments in between).
+func mayAlias(a, b *memRef) bool {
+	if a.region != "" && b.region != "" && a.region != b.region {
+		return false
+	}
+	if a.lin.ok && b.lin.ok && a.lin.iv == b.lin.iv && a.lin.cee == b.lin.cee && a.lin.baseKey() == b.lin.baseKey() {
+		return a.lin.off < b.lin.off+int64(b.size) && b.lin.off < a.lin.off+int64(a.size)
+	}
+	return true
+}
+
+func anyMayAlias(stores []*memRef, r *memRef) bool {
+	for _, st := range stores {
+		if mayAlias(st, r) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameAddress reports whether two references read or write exactly the
+// same bytes, at the same values of the induction variable.
+func sameAddress(a, b *memRef) bool {
+	return sameLin(a.lin, b.lin) && a.size == b.size && a.class == b.class
+}
+
+func sameLin(a, b linform) bool {
+	return a.ok && b.ok && a.iv == b.iv && a.cee == b.cee && a.off == b.off && a.baseKey() == b.baseKey()
+}
+
+// fullWidth reports whether a store keeps every bit of the register it
+// writes: 8 bytes, or a 4-byte int (C leaves int overflow undefined,
+// which the recurrence pass relies on as well).
+func fullWidth(r *memRef) bool {
+	return r.size == 8 || (r.class == rtl.Int && r.size == 4)
+}
+
+// refAt returns the reference whose access instruction is at index n;
+// an uncollected one has no region and may alias anything.
+func refAt(refs []*memRef, n int) *memRef {
+	for _, r := range refs {
+		if r.accIdx == n {
+			return r
+		}
+	}
+	return &memRef{}
 }
 
 // usedBeforeDefInLoop reports whether d could be read in the loop

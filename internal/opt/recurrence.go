@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"sort"
 
 	"wmstream/internal/cfg"
@@ -72,142 +73,290 @@ type recPair struct {
 	dist int64
 }
 
+// recPlan is a recurrence found in one partition.  The carried
+// location L is the one the anchor touches: anchor is a reference to L
+// that runs on every iteration, and tracked are the stores to L that
+// may run after it in the same iteration.  Carried register 0 holds
+// the last value of L on every path to the latch: the anchor's value,
+// replaced by each tracked store that runs.  Register k holds the value
+// of L from k iterations ago and feeds the reads at distance k.
+type recPlan struct {
+	anchor     *memRef
+	tracked    []*memRef
+	pairs      []recPair
+	degree     int64
+	iv         rtl.Reg
+	strideIter int64
+}
+
 // transformRecurrence applies step 4 to one partition.  Returns whether
 // the function was modified.
 func transformRecurrence(ctx *loopCtx, p *partition, maxDegree int64) bool {
 	if p.unsafe {
 		return false
 	}
-	var write *memRef
-	var reads []*memRef
+	var offs []int64
 	for _, r := range p.refs {
-		if r.write {
-			if write != nil {
-				return false // multiple writes: too hard, leave alone
-			}
-			write = r
-		} else {
-			reads = append(reads, r)
+		if r.write && !slices.Contains(offs, r.lin.off) {
+			offs = append(offs, r.lin.off)
 		}
 	}
-	if write == nil || len(reads) == 0 || !write.every {
-		return false
+	slices.Sort(offs)
+	for _, off := range offs {
+		if plan := planRecurrence(ctx, p, off, maxDegree); plan != nil {
+			return applyRecurrence(ctx, plan)
+		}
 	}
-	iv := write.lin.iv
+	return false
+}
+
+// planRecurrence looks for a recurrence carried through the location
+// at offset off.  Every read must run on every iteration and every
+// reference must precede the induction variable's increment, so that
+// all linear forms are read at one value of the induction variable.
+//
+// A store to another location of the partition may touch a carried
+// location too: a store dw iterations behind L writes the location the
+// reads at distance dw fetch.  With dw below a read's distance it would
+// overwrite a carried value before that read; at the read's distance
+// it must run after the read.
+func planRecurrence(ctx *loopCtx, p *partition, off, maxDegree int64) *recPlan {
+	// The anchor: the last reference to L that runs on every iteration,
+	// a store if there is one.
+	var anchor *memRef
+	for _, r := range p.refs {
+		if r.lin.off != off || !r.every {
+			continue
+		}
+		if anchor == nil || (r.write && !anchor.write) ||
+			(r.write == anchor.write && precedes(ctx, anchor.accIdx, r.accIdx)) {
+			anchor = r
+		}
+	}
+	if anchor == nil {
+		return nil
+	}
+	iv := anchor.lin.iv
 	ivi, ok := ctx.ivs[iv]
 	if !ok || ivi.regStep {
-		return false // register steps: iteration distance is not static
+		return nil // register steps: iteration distance is not static
 	}
-	strideIter := write.lin.cee * ivi.step
-	if strideIter == 0 {
-		return false
+	plan := &recPlan{anchor: anchor, iv: iv, strideIter: anchor.lin.cee * ivi.step}
+	if plan.strideIter == 0 {
+		return nil
 	}
 	// Addresses read after the induction variable's increment would
 	// shift the linear form by one step; require program order
 	// ref-then-increment (the expander's rotated loops guarantee it).
-	if !precedes(ctx, write.accIdx, ivi.defIdx) {
-		return false
+	// In an innermost loop a block the increment does not dominate is
+	// never reached after it within an iteration, so the conditional
+	// stores of an if-arm qualify too.
+	innermost := isInnermost(ctx)
+	for _, r := range p.refs {
+		before := precedes(ctx, r.accIdx, ivi.defIdx) || (innermost && !precedes(ctx, ivi.defIdx, r.accIdx))
+		if !before || (!r.write && !r.every) {
+			return nil
+		}
 	}
-
-	var pairs []recPair
-	degree := int64(0)
-	for _, r := range reads {
-		if !r.every {
-			return false // conservatively require uniform execution
-		}
-		if !precedes(ctx, r.accIdx, ivi.defIdx) {
-			return false
-		}
-		delta := write.lin.off - r.lin.off
-		if delta == 0 || delta%strideIter != 0 {
+	for _, r := range p.refs {
+		if r.write {
 			continue
 		}
-		d := delta / strideIter
+		delta := off - r.lin.off
+		if delta == 0 || delta%plan.strideIter != 0 {
+			continue
+		}
+		d := delta / plan.strideIter
 		if d < 1 {
 			continue // reads ahead of the write: not a recurrence
 		}
 		if d > maxDegree {
-			return false // not enough registers (paper step 4a remark)
+			return nil // not enough registers (paper step 4a remark)
 		}
-		if r.size != write.size || r.class != write.class {
-			return false
+		if r.size != anchor.size || r.class != anchor.class {
+			return nil
 		}
-		pairs = append(pairs, recPair{r, d})
-		if d > degree {
-			degree = d
+		plan.pairs = append(plan.pairs, recPair{r, d})
+		plan.degree = max(plan.degree, d)
+	}
+	if len(plan.pairs) == 0 {
+		return nil
+	}
+	for _, w := range p.refs {
+		if !w.write || w == anchor {
+			continue
+		}
+		delta := off - w.lin.off
+		if delta%plan.strideIter != 0 {
+			continue // never touches a carried location
+		}
+		dw := delta / plan.strideIter
+		if dw == 0 {
+			switch {
+			case precedes(ctx, max(anchor.accIdx, anchor.dataIdx), w.dataIdx):
+				plan.tracked = append(plan.tracked, w)
+			case precedes(ctx, w.accIdx, anchor.accIdx), innermost:
+				// Before the anchor, which then reloads or overwrites
+				// L.  In an innermost loop every block the anchor does
+				// not dominate is reached only before it.  A store in
+				// the anchor's own block runs every iteration, so the
+				// anchor, the last such store, follows it.
+			default:
+				return nil
+			}
+			continue
+		}
+		for _, pr := range plan.pairs {
+			if dw > 0 && (dw < pr.dist || dw == pr.dist && !precedes(ctx, pr.read.accIdx, w.accIdx)) {
+				return nil
+			}
 		}
 	}
-	if len(pairs) == 0 {
-		return false
+	// The carried register stands for memory only if the stores into it
+	// keep every bit.
+	for _, w := range append([]*memRef{anchor}, plan.tracked...) {
+		if w.write && !fullWidth(w) {
+			return nil
+		}
 	}
+	return plan
+}
 
+// isInnermost reports whether the loop contains no other loop.
+func isInnermost(ctx *loopCtx) bool {
+	for b := range ctx.loop.Blocks {
+		for _, s := range b.Succs {
+			if s != ctx.loop.Header && ctx.loop.Blocks[s] && ctx.g.Dominates(s, b) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// anchorCarrier returns the register an anchor load's plain dequeue
+// "y := fifo" fills, when y can carry L itself: the dequeue is its only
+// definition in the loop, and y is dead on entry to the loop and after
+// each tracked store, which will set it.  This saves the copy a fresh
+// register would need when y is also read after a tracked store's
+// value site could be reached (bubblesort's swap path stores a[j+1]'s
+// loaded value into a[j] before storing into a[j+1]).
+func anchorCarrier(ctx *loopCtx, plan *recPlan) (rtl.Reg, bool) {
+	anchor := plan.anchor
+	if anchor.write {
+		return rtl.Reg{}, false
+	}
+	deq := ctx.f.Code[anchor.dataIdx]
+	rx, isReg := deq.Src.(rtl.RegX)
+	y := deq.Dst
+	fifo := rtl.Reg{Class: anchor.class, N: ctx.f.Code[anchor.accIdx].FIFO.N}
+	if deq.Kind != rtl.KAssign || !isReg || rx.Reg != fifo || y.IsFIFO() || y.IsZero() ||
+		y.Class != anchor.class || ctx.defCount[y] != 1 {
+		return rtl.Reg{}, false
+	}
+	ctx.g.Liveness()
+	if ctx.loop.Header.LiveIn.Has(y) {
+		return rtl.Reg{}, false
+	}
+	for _, w := range plan.tracked {
+		dead := true
+		ctx.g.LiveAtEach(ctx.g.BlockOf(w.dataIdx), func(n int, _ *rtl.Instr, liveAfter cfg.RegSet) {
+			if n == w.dataIdx && liveAfter.Has(y) {
+				dead = false
+			}
+		})
+		if !dead {
+			return rtl.Reg{}, false
+		}
+	}
+	return y, true
+}
+
+// applyRecurrence rewrites the loop for plan (paper steps 4b-4d).
+func applyRecurrence(ctx *loopCtx, plan *recPlan) bool {
 	f := ctx.f
-	class := write.class
+	anchor := plan.anchor
+	class := anchor.class
+	label := ctx.loopLabel()
 
-	// Step 4b: retain the written value in a register.  The enqueue
-	// instruction "fifo := expr" becomes "v := expr; fifo := v" unless
-	// its source is already a plain register.
-	enq := f.Code[write.dataIdx]
-	recRegs := make([]rtl.Reg, degree+1)
-	enqIdx := write.dataIdx
-	inserted := 0
-	if rx, isReg := enq.Src.(rtl.RegX); isReg && !rx.Reg.IsFIFO() && !rx.Reg.IsZero() {
+	// Step 4b: retain the value of L in a register.  A lone store keeps
+	// its source register when that is a plain register, and an anchor
+	// load its destination register when anchorCarrier allows.
+	// Otherwise every value site of L sets a fresh register v: the
+	// enqueue "fifo := expr" of a store becomes "v := expr; fifo := v",
+	// and the dequeue of an anchor load reads the FIFO through v.
+	recRegs := make([]rtl.Reg, plan.degree+1)
+	type insertion struct {
+		at  int
+		ins *rtl.Instr
+	}
+	var inserts []insertion
+	sites := append([]*memRef{anchor}, plan.tracked...)
+	enq := f.Code[anchor.dataIdx]
+	if rx, isReg := enq.Src.(rtl.RegX); anchor.write && len(plan.tracked) == 0 && isReg && !rx.Reg.IsFIFO() && !rx.Reg.IsZero() {
 		recRegs[0] = rx.Reg
+		sites = nil
+	} else if y, ok := anchorCarrier(ctx, plan); ok {
+		recRegs[0] = y
+		sites = plan.tracked
 	} else {
-		v := f.NewVirt(class)
-		val := rtl.NewAssign(v, enq.Src)
-		val.Note = "recurrence value"
-		enq.Src = rtl.RX(v)
-		f.Insert(enqIdx, val)
-		inserted = 1
-		recRegs[0] = v
+		recRegs[0] = f.NewVirt(class)
 	}
-	adj := func(idx int) int {
-		if idx >= enqIdx {
-			return idx + inserted
+	v := recRegs[0]
+	for _, w := range sites {
+		data := f.Code[w.dataIdx]
+		var val *rtl.Instr
+		if w.write {
+			val = rtl.NewAssign(v, data.Src)
+			data.Src = rtl.RX(v)
+		} else {
+			fifo := rtl.Reg{Class: class, N: f.Code[w.accIdx].FIFO.N}
+			val = rtl.NewAssign(v, rtl.RX(fifo))
+			data.MapExprs(func(x rtl.Expr) rtl.Expr { return rtl.SubstReg(x, fifo, rtl.RX(v)) })
 		}
-		return idx
+		val.Note = "recurrence value"
+		inserts = append(inserts, insertion{w.dataIdx, val})
 	}
-	for k := int64(1); k <= degree; k++ {
+	for k := int64(1); k <= plan.degree; k++ {
 		recRegs[k] = f.NewVirt(class)
 	}
 
 	// Step 4b continued: replace each recurrence read with a register
-	// reference and delete its load.  Apply edits from the highest
-	// index downward so positions stay valid.
-	type edit struct {
-		loadIdx, dataIdx int
-		dist             int64
-	}
-	var edits []edit
-	for _, pr := range pairs {
-		edits = append(edits, edit{adj(pr.read.accIdx), adj(pr.read.dataIdx), pr.dist})
-	}
-	// Rewrite the dequeues first (no index shifts), then delete loads
-	// from the highest index down.
-	fifo := rtl.Reg{Class: class, N: rtl.FIFO0}
-	for _, e := range edits {
-		deq := f.Code[e.dataIdx]
+	// reference and delete its load.
+	var deletes []int
+	for _, pr := range plan.pairs {
+		fifo := rtl.Reg{Class: class, N: f.Code[pr.read.accIdx].FIFO.N}
+		deq := f.Code[pr.read.dataIdx]
 		deq.MapExprs(func(x rtl.Expr) rtl.Expr {
-			return rtl.SubstReg(x, fifo, rtl.RX(recRegs[e.dist]))
+			return rtl.SubstReg(x, fifo, rtl.RX(recRegs[pr.dist]))
 		})
 		if deq.Note == "" {
 			deq.Note = "recurrence register"
 		}
+		deletes = append(deletes, pr.read.accIdx)
 	}
-	sort.Slice(edits, func(i, j int) bool { return edits[i].loadIdx > edits[j].loadIdx })
-	for _, e := range edits {
-		f.Remove(e.loadIdx)
+	// Insert and delete from the highest index down so positions stay
+	// valid.
+	sort.Slice(inserts, func(i, j int) bool { return inserts[i].at > inserts[j].at })
+	sort.Sort(sort.Reverse(sort.IntSlice(deletes)))
+	for len(inserts) > 0 || len(deletes) > 0 {
+		if len(deletes) == 0 || len(inserts) > 0 && inserts[0].at > deletes[0] {
+			f.Insert(inserts[0].at, inserts[0].ins)
+			inserts = inserts[1:]
+		} else {
+			f.Remove(deletes[0])
+			deletes = deletes[1:]
+		}
 	}
 
 	// Step 4c: shifting copies at the top of the loop, highest degree
 	// first so nothing is overwritten prematurely.
-	hdr := headerLabelIndexByName(f, ctx.loopLabel())
+	hdr := headerLabelIndexByName(f, label)
 	if hdr < 0 {
 		return false
 	}
 	pos := hdr + 1
-	for k := degree; k >= 1; k-- {
+	for k := plan.degree; k >= 1; k-- {
 		cp := rtl.NewAssign(recRegs[k], rtl.RX(recRegs[k-1]))
 		cp.Note = "carry recurrence value"
 		f.Insert(pos, cp)
@@ -217,18 +366,18 @@ func transformRecurrence(ctx *loopCtx, p *partition, maxDegree int64) bool {
 	// Step 4d: initial loads in the preheader: recRegs[k-1] holds the
 	// value the first iteration reads at distance k.  Inserting before
 	// the header label places the code at the end of the preheader.
-	insertAt := hdr
+	fifo := rtl.Reg{Class: class, N: rtl.FIFO0}
 	var seq []*rtl.Instr
-	for k := int64(1); k <= degree; k++ {
-		addr := buildLinExpr(f, &seq, write.lin, iv, write.lin.off-k*strideIter, class)
-		ld := rtl.NewLoad(fifo, addr, write.size)
+	for k := int64(1); k <= plan.degree; k++ {
+		addr := buildLinExpr(f, &seq, anchor.lin, plan.iv, anchor.lin.off-k*plan.strideIter, class)
+		ld := rtl.NewLoad(fifo, addr, anchor.size)
 		ld.Note = "preload recurrence value"
 		seq = append(seq, ld)
 		mv := rtl.NewAssign(recRegs[k-1], rtl.RX(fifo))
 		mv.Note = "initial recurrence value"
 		seq = append(seq, mv)
 	}
-	f.Insert(insertAt, seq...)
+	f.Insert(hdr, seq...)
 	return true
 }
 
