@@ -181,3 +181,163 @@ func RandomLoadProgram(r *rand.Rand) (src, want string) {
 	fmt.Fprintf(&b, "    puti(s);\n    return 0;\n}\n")
 	return b.String(), fmt.Sprint(s)
 }
+
+// RandomCallProgram emits a random well-defined Mini-C program whose
+// main keeps more values live across calls, inside loops, than the
+// register pools hold, and returns it with the output it must print,
+// computed here in Go.  The callee clobber keeps more int and double
+// accumulators live than either pool holds, so every pool register is
+// overwritten by each call.  Between two calls main redefines some of
+// its values, in straight-line code and in call-free inner loops, and
+// leaves others untouched until the end.  Values stay far inside the
+// int range and every double holds a small integer, so each operation
+// is exact and the program means the same in C and in Go.
+func RandomCallProgram(r *rand.Rand) (src, want string) {
+	const nA, nD = 20, 22
+	var b strings.Builder
+	list := func(prefix string, n int) string {
+		names := make([]string, n)
+		for k := range names {
+			names[k] = fmt.Sprintf("%s%d", prefix, k)
+		}
+		return strings.Join(names, ", ")
+	}
+	sum := func(prefix string, n int) string { return strings.ReplaceAll(list(prefix, n), ", ", " + ") }
+
+	// The callee.
+	var ac, am [nA]int64
+	var dc [nD]int64
+	fmt.Fprintf(&b, "int clobber(int x, double y) {\n    int k, s, t, %s;\n    double u, %s;\n", list("a", nA), list("d", nD))
+	for k := 0; k < nA; k++ {
+		ac[k], am[k] = int64(r.Intn(100)), int64(1+r.Intn(9))
+		fmt.Fprintf(&b, "    a%d = x + %d;\n", k, ac[k])
+	}
+	for k := 0; k < nD; k++ {
+		dc[k] = int64(r.Intn(20))
+		fmt.Fprintf(&b, "    d%d = y + %d;\n", k, dc[k])
+	}
+	fmt.Fprintf(&b, "    for (k = 0; k < (x & 3) + 1; k++) {\n")
+	for k := 0; k < nA; k++ {
+		fmt.Fprintf(&b, "        a%d = (a%d * %d + a%d) %% 1009;\n", k, k, am[k], (k+1)%nA)
+	}
+	for k := 0; k < nD; k++ {
+		fmt.Fprintf(&b, "        d%d = d%d + d%d;\n", k, k, (k+1)%nD)
+	}
+	fmt.Fprintf(&b, "    }\n    s = %s;\n    u = %s;\n    t = u;\n    return (s + t) %% 100003;\n}\n", sum("a", nA), sum("d", nD))
+	clobber := func(x int64, y float64) int64 {
+		var a [nA]int64
+		var d [nD]float64
+		for k := range a {
+			a[k] = x + ac[k]
+		}
+		for k := range d {
+			d[k] = y + float64(dc[k])
+		}
+		for k := int64(0); k < x&3+1; k++ {
+			for j := range a {
+				a[j] = (a[j]*am[j] + a[(j+1)%nA]) % 1009
+			}
+			for j := range d {
+				d[j] += d[(j+1)%nD]
+			}
+		}
+		var s int64
+		for _, v := range a {
+			s += v
+		}
+		var u float64
+		for _, v := range d {
+			u += v
+		}
+		return (s + int64(u)) % 100003
+	}
+
+	// The caller starts from a global, so that no value folds to a
+	// constant.
+	nV, nW := 19+r.Intn(6), 2+r.Intn(3)
+	v, w := make([]int64, nV), make([]float64, nW)
+	seed := int64(r.Intn(1000))
+	fmt.Fprintf(&b, "int seed = %d;\nint main(void) {\n    int i, j, s, t, %s;\n    double %s;\n", seed, list("v", nV), list("w", nW))
+	for k := range v {
+		m, c := int64(1+r.Intn(50)), int64(r.Intn(1009))
+		v[k] = (seed*m + c) % 1009
+		fmt.Fprintf(&b, "    v%d = (seed * %d + %d) %% 1009;\n", k, m, c)
+	}
+	for k := range w {
+		c := int64(r.Intn(50))
+		w[k] = float64(seed%50 + c)
+		fmt.Fprintf(&b, "    w%d = seed %% 50 + %d;\n", k, c)
+	}
+	trips := 2 + r.Intn(4)
+	// An update redefines v[a] (kind 0: in a call-free inner loop of j
+	// trips that also reads v[reads...] and bumps w[c]; kind 1: in
+	// straight-line code) or w[c] (kind 2).
+	type update struct {
+		kind, a, c, j int
+		reads         []int
+	}
+	type call struct {
+		before []update
+		p, q   int
+	}
+	calls := make([]call, 2+r.Intn(2))
+	fmt.Fprintf(&b, "    s = 0;\n    for (i = 0; i < %d; i++) {\n", trips)
+	for n := range calls {
+		c := &calls[n]
+		for k := 1 + r.Intn(4); k > 0; k-- {
+			u := update{kind: r.Intn(3), a: r.Intn(nV), c: r.Intn(nW), j: 2 + r.Intn(3)}
+			for k := 1 + r.Intn(8); k > 0; k-- {
+				u.reads = append(u.reads, r.Intn(nV))
+			}
+			c.before = append(c.before, u)
+		}
+		c.p, c.q = r.Intn(nV), r.Intn(nW)
+		for _, u := range c.before {
+			switch u.kind {
+			case 0:
+				fmt.Fprintf(&b, "        for (j = 0; j < %d; j++) {\n            v%d = (v%d + j", u.j, u.a, u.a)
+				for _, x := range u.reads {
+					fmt.Fprintf(&b, " + v%d", x)
+				}
+				fmt.Fprintf(&b, ") %% 1009;\n            w%d = w%d + v%d %% 5;\n        }\n", u.c, u.c, u.a)
+			case 1:
+				fmt.Fprintf(&b, "        v%d = (v%d * 3 + i) %% 1009;\n", u.a, u.a)
+			case 2:
+				fmt.Fprintf(&b, "        w%d = w%d + i %% 3;\n", u.c, u.c)
+			}
+		}
+		fmt.Fprintf(&b, "        s = (s + clobber(v%d + i, w%d)) %% 100003;\n", c.p, c.q)
+	}
+	fmt.Fprintf(&b, "    }\n    s = s + %s;\n    t = %s;\n    puti(s);\n    putchar(32);\n    puti(t);\n    return 0;\n}\n", sum("v", nV), sum("w", nW))
+	var s int64
+	for i := int64(0); i < int64(trips); i++ {
+		for _, c := range calls {
+			for _, u := range c.before {
+				switch u.kind {
+				case 0:
+					for j := int64(0); j < int64(u.j); j++ {
+						x := v[u.a] + j
+						for _, k := range u.reads {
+							x += v[k]
+						}
+						v[u.a] = x % 1009
+						w[u.c] += float64(v[u.a] % 5)
+					}
+				case 1:
+					v[u.a] = (v[u.a]*3 + i) % 1009
+				case 2:
+					w[u.c] += float64(i % 3)
+				}
+			}
+			s = (s + clobber(v[c.p]+i, w[c.q])) % 100003
+		}
+	}
+	for _, x := range v {
+		s += x
+	}
+	var t float64
+	for _, x := range w {
+		t += x
+	}
+	return b.String(), fmt.Sprintf("%d %d", s, int64(t))
+}

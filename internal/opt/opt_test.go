@@ -551,21 +551,108 @@ ret`)
 	if err := RegAlloc(f); err != nil {
 		t.Fatal(err)
 	}
-	// rv0 must have been spilled: expect a store before the call and a
-	// load after.
-	if countKind(f, rtl.KStore) == 0 || countKind(f, rtl.KLoad) == 0 {
-		t.Errorf("no spill generated:\n%s", listing(f))
-	}
 	if f.Frame < 8 {
 		t.Errorf("frame not grown: %d", f.Frame)
 	}
-	// And the spill FIFO is the secondary one.
-	for _, i := range f.Code {
-		if i.Kind == rtl.KStore || i.Kind == rtl.KLoad {
-			if i.FIFO.N != rtl.FIFO1 {
-				t.Errorf("spill uses %s, want FIFO1", i.FIFO)
-			}
+	// The store comes right before the call and the load right after
+	// it, both on the secondary FIFO.
+	for n, i := range f.Code {
+		if i.Kind != rtl.KCall {
+			continue
 		}
+		if n == 0 || n+1 >= len(f.Code) {
+			t.Fatalf("call at the edge of the code:\n%s", listing(f))
+		}
+		before, after := f.Code[n-1], f.Code[n+1]
+		if before.Kind != rtl.KStore || before.FIFO.N != rtl.FIFO1 {
+			t.Errorf("before the call: %s, want a store on FIFO1\n%s", before, listing(f))
+		}
+		if after.Kind != rtl.KLoad || after.FIFO.N != rtl.FIFO1 {
+			t.Errorf("after the call: %s, want a load on FIFO1\n%s", after, listing(f))
+		}
+	}
+}
+
+// TestRegAllocSavesAroundCall: a value live across a call and used in
+// a later call-free loop stays in a register there (qsort2's scan
+// loops): it is saved before the call and reloaded after it, and the
+// loop loads nothing from the stack.
+func TestRegAllocSavesAroundCall(t *testing.T) {
+	f := parseFunc(t, `
+rv0 := r2
+rv1 := r3
+call foo
+L1:
+l32r r0, ((rv1 << 2) + rv0)
+rv1 := (rv1 + 1)
+r31 := (r0 < 5)
+jumpTr L1
+r2 := rv1
+ret`)
+	if err := RegAlloc(f); err != nil {
+		t.Fatal(err)
+	}
+	inLoop := false
+	for _, i := range f.Code {
+		switch {
+		case i.Kind == rtl.KLabel && i.Name == "L1":
+			inLoop = true
+		case i.Kind == rtl.KCondJump:
+			inLoop = false
+		case inLoop && i.Kind == rtl.KLoad && i.FIFO.N == rtl.FIFO1:
+			t.Errorf("stack load inside the call-free loop: %s\n%s", i, listing(f))
+		}
+	}
+	saves, reloads := 0, 0
+	for _, i := range f.Code {
+		switch i.Note {
+		case "save across call":
+			saves++
+		case "reload after call":
+			reloads++
+		}
+	}
+	if saves != 2 || reloads != 2 {
+		t.Errorf("%d saves and %d reloads, want 2 each:\n%s", saves, reloads, listing(f))
+	}
+}
+
+// TestRegAllocSpillsRarelyUsedValue: a value that crosses many calls
+// but is used once keeps the spill-everywhere form (dhrystone): one
+// store after its def and one load before its use beat a store and a
+// load around each call.
+func TestRegAllocSpillsRarelyUsedValue(t *testing.T) {
+	f := parseFunc(t, `
+rv0 := r2
+call foo
+call foo
+call foo
+r2 := rv0
+ret`)
+	if err := RegAlloc(f); err != nil {
+		t.Fatal(err)
+	}
+	if st, ld := countKind(f, rtl.KStore), countKind(f, rtl.KLoad); st != 1 || ld != 1 {
+		t.Errorf("%d stores and %d loads, want 1 each:\n%s", st, ld, listing(f))
+	}
+	if strings.Contains(listing(f), "save across call") {
+		t.Errorf("value saved around calls:\n%s", listing(f))
+	}
+}
+
+// TestRegAllocRejectsFrameWithoutPrologue: a function that claims a
+// frame but has no r29 := (r29 - frame) to grow fails allocation
+// rather than getting a slot beyond its allocated frame.
+func TestRegAllocRejectsFrameWithoutPrologue(t *testing.T) {
+	f := parseFunc(t, `
+rv0 := 42
+call foo
+r2 := rv0
+ret`)
+	f.Frame = 16
+	err := RegAlloc(f)
+	if err == nil || !strings.Contains(err.Error(), "prologue") {
+		t.Errorf("RegAlloc = %v, want a missing-prologue error\n%s", err, listing(f))
 	}
 }
 

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"wmstream/internal/cfg"
@@ -25,22 +26,41 @@ func poolRange(lo, hi int) []int {
 }
 
 // RegAlloc assigns every virtual register to a hardware register using
-// linear-scan allocation.  Virtual registers live across a call are
-// spilled to the stack frame (the ABI has no callee-saved registers),
-// as are registers that do not fit the pool.  Spill traffic uses the
-// secondary FIFO pair (r1/f1) so that it can never disturb the queue
-// order of ordinary loads and stores, which use r0/f0.
+// linear-scan allocation.  The ABI has no callee-saved registers, so a
+// virtual register live across a call needs the stack frame, in one of
+// two forms chosen per register by loop-weighted cost:
+//
+//   - saved around calls: the value stays in a pool register, is stored
+//     to its slot just before each call it is live across and reloaded
+//     just after it (two memory operations per crossed call);
+//   - spilled everywhere: every use loads the slot and every def stores
+//     it (one memory operation per use or def).
+//
+// A register is spilled everywhere only where that costs strictly
+// less.  Saving is sound because the reload after every call puts the
+// value back before anything reads the clobbered register.  Registers
+// that do not fit the pool are spilled everywhere.  Stack traffic uses
+// the secondary FIFO pair (r1/f1) so that it can never disturb the
+// queue order of ordinary loads and stores, which use r0/f0.
 func RegAlloc(f *rtl.Func) error {
 	spilled := map[rtl.Reg]bool{}
+	saved := map[rtl.Reg]bool{}
 	for iter := 0; iter < 100; iter++ {
 		iv, err := buildIntervals(f)
 		if err != nil {
 			return err
 		}
-		// Spill everything live across a call first.
+		// Settle every register live across a call first: spill it
+		// everywhere, or mark it to be saved around its calls once the
+		// assignment succeeds.
 		var toSpill []rtl.Reg
-		for r, in := range iv.acrossCall {
-			if in && !spilled[r] {
+		for r, c := range iv.crossing {
+			if spilled[r] || saved[r] {
+				continue
+			}
+			if c.saveCost <= c.spillCost {
+				saved[r] = true
+			} else {
 				toSpill = append(toSpill, r)
 			}
 		}
@@ -57,12 +77,16 @@ func RegAlloc(f *rtl.Func) error {
 		// Try to assign.
 		victim, assignment := linearScan(iv)
 		if victim == nil {
+			if err := saveAroundCalls(f, iv, saved); err != nil {
+				return err
+			}
 			applyAssignment(f, assignment)
 			return nil
 		}
 		if spilled[*victim] {
 			return fmt.Errorf("regalloc: %s respilled; pressure unresolvable", *victim)
 		}
+		delete(saved, *victim)
 		if err := spill(f, *victim); err != nil {
 			return err
 		}
@@ -77,9 +101,21 @@ type interval struct {
 }
 
 type intervalSet struct {
-	list       []interval
-	acrossCall map[rtl.Reg]bool
+	list     []interval
+	crossing map[rtl.Reg]*crossing
 }
+
+// crossing records a virtual register live across at least one call:
+// the calls it is live across and the loop-weighted cost of its two
+// stack forms.
+type crossing struct {
+	calls               []*rtl.Instr
+	saveCost, spillCost int
+}
+
+// maxWeightDepth caps the loop depth that weighs a block, so that the
+// costs cannot overflow.
+const maxWeightDepth = 6
 
 func buildIntervals(f *rtl.Func) (*intervalSet, error) {
 	g, err := cfg.Build(f)
@@ -100,7 +136,14 @@ func buildIntervals(f *rtl.Func) (*intervalSet, error) {
 			end[r] = pos
 		}
 	}
-	across := map[rtl.Reg]bool{}
+	// Costs matter only when the function makes a call.  A block inside
+	// d nested loops weighs 10^d; spillCost counts an instruction once
+	// for using a register and once for defining it, as spill rewrites
+	// it.
+	weight := blockWeights(g)
+	spillCost := map[rtl.Reg]int{}
+	var counted []rtl.Reg
+	crossings := map[rtl.Reg]*crossing{}
 	for _, b := range g.Blocks {
 		g.LiveAtEach(b, func(idx int, i *rtl.Instr, after cfg.RegSet) {
 			after.ForEach(func(r rtl.Reg) {
@@ -109,13 +152,32 @@ func buildIntervals(f *rtl.Func) (*intervalSet, error) {
 					touch(r, idx+1)
 				}
 			})
-			cfg.InstrUses(i, func(r rtl.Reg) { touch(r, idx) })
-			cfg.InstrDefs(i, func(r rtl.Reg) { touch(r, idx) })
+			counted = counted[:0]
+			cfg.InstrUses(i, func(r rtl.Reg) {
+				touch(r, idx)
+				if weight != nil && r.IsVirtual() && !slices.Contains(counted, r) {
+					counted = append(counted, r)
+					spillCost[r] += weight[b.Index]
+				}
+			})
+			cfg.InstrDefs(i, func(r rtl.Reg) {
+				touch(r, idx)
+				if weight != nil && r.IsVirtual() {
+					spillCost[r] += weight[b.Index]
+				}
+			})
 			if i.Kind == rtl.KCall {
 				after.ForEach(func(r rtl.Reg) {
-					if r.IsVirtual() {
-						across[r] = true
+					if !r.IsVirtual() {
+						return
 					}
+					c := crossings[r]
+					if c == nil {
+						c = &crossing{}
+						crossings[r] = c
+					}
+					c.calls = append(c.calls, i)
+					c.saveCost += 2 * weight[b.Index]
 				})
 			}
 		})
@@ -127,7 +189,10 @@ func buildIntervals(f *rtl.Func) (*intervalSet, error) {
 			}
 		})
 	}
-	set := &intervalSet{acrossCall: across}
+	for r, c := range crossings {
+		c.spillCost = spillCost[r]
+	}
+	set := &intervalSet{crossing: crossings}
 	for r, s := range start {
 		set.list = append(set.list, interval{r, s, end[r]})
 	}
@@ -138,6 +203,30 @@ func buildIntervals(f *rtl.Func) (*intervalSet, error) {
 		return set.list[i].reg.N < set.list[j].reg.N
 	})
 	return set, nil
+}
+
+// blockWeights returns 10^depth per block index, depth being the
+// block's loop nesting (capped at maxWeightDepth), or nil when the
+// function makes no call and so needs no costs.
+func blockWeights(g *cfg.Graph) []int {
+	if !slices.ContainsFunc(g.F.Code, func(i *rtl.Instr) bool { return i.Kind == rtl.KCall }) {
+		return nil
+	}
+	depth := make([]int, len(g.Blocks))
+	g.Dominators()
+	for _, l := range g.NaturalLoops() {
+		for b := range l.Blocks {
+			depth[b.Index] = max(depth[b.Index], min(l.Depth, maxWeightDepth))
+		}
+	}
+	weight := make([]int, len(depth))
+	for k, d := range depth {
+		weight[k] = 1
+		for ; d > 0; d-- {
+			weight[k] *= 10
+		}
+	}
+	return weight
 }
 
 // linearScan attempts a full assignment; on failure it returns the
@@ -204,29 +293,12 @@ func applyAssignment(f *rtl.Func, assignment map[rtl.Reg]rtl.Reg) {
 	}
 }
 
-// spill rewrites every access of r through a stack slot.  Spill
-// traffic normally travels through the secondary FIFO (r1/f1), which
-// ordinary code never touches; inside the textual extent of a loop
-// whose FIFO1 is bound to a stream it falls back to FIFO0, and when
-// both are stream-bound the compilation fails loudly rather than
-// corrupting queue order.
+// spill rewrites every access of r through a stack slot: a load before
+// each use, a store after each def.
 func spill(f *rtl.Func, r rtl.Reg) error {
 	regions := streamRegions(f, r.Class)
-	pickFIFO := func(at int) (rtl.Reg, error) {
-		if !regions[rtl.FIFO1].contains(at) {
-			return rtl.Reg{Class: r.Class, N: rtl.FIFO1}, nil
-		}
-		if !regions[rtl.FIFO0].contains(at) {
-			return rtl.Reg{Class: r.Class, N: rtl.FIFO0}, nil
-		}
-		return rtl.Reg{}, fmt.Errorf("regalloc: spill site %d inside loops streaming both %s FIFOs", at, r.Class)
-	}
 	oldFrame := f.Frame
-	slot := (f.Frame + 7) &^ 7
-	f.Frame = slot + 8
-	addr := func() rtl.Expr {
-		return rtl.B(rtl.Add, rtl.RX(rtl.RegSP), rtl.I(int64(slot)))
-	}
+	addr := newSlot(f)
 	for n := 0; n < len(f.Code); n++ {
 		i := f.Code[n]
 		usesR := false
@@ -243,7 +315,7 @@ func spill(f *rtl.Func, r rtl.Reg) error {
 			continue
 		}
 		if usesR {
-			fifo, err := pickFIFO(n)
+			fifo, err := regions.pick(r.Class, n)
 			if err != nil {
 				return err
 			}
@@ -258,11 +330,10 @@ func spill(f *rtl.Func, r rtl.Reg) error {
 					i.Args[k] = nv
 				}
 			}
-			regions[rtl.FIFO0].shift(n-2, 2)
-			regions[rtl.FIFO1].shift(n-2, 2)
+			regions.shift(n-2, 2)
 		}
 		if defsR {
-			fifo, err := pickFIFO(n)
+			fifo, err := regions.pick(r.Class, n)
 			if err != nil {
 				return err
 			}
@@ -272,12 +343,74 @@ func spill(f *rtl.Func, r rtl.Reg) error {
 				rtl.NewAssign(fifo, rtl.RX(nv)),
 				rtl.NewStore(fifo, addr(), 8))
 			n += 2
-			regions[rtl.FIFO0].shift(n-1, 2)
-			regions[rtl.FIFO1].shift(n-1, 2)
+			regions.shift(n-1, 2)
 		}
 	}
-	patchFrame(f, oldFrame, f.Frame)
-	return nil
+	return patchFrame(f, oldFrame, f.Frame)
+}
+
+// saveAroundCalls gives each saved register a stack slot, stores it
+// just before every call it is live across and reloads it just after.
+// Calls clobber every pool register, and the reload puts the value
+// back before anything can read it; between calls the value lives in
+// its register.  The reload sits directly after the call, ahead of any
+// label, so only the call's own path runs it.
+func saveAroundCalls(f *rtl.Func, iv *intervalSet, saved map[rtl.Reg]bool) error {
+	if len(saved) == 0 {
+		return nil
+	}
+	regs := make([]rtl.Reg, 0, len(saved))
+	for r := range saved {
+		regs = append(regs, r)
+	}
+	sortRegs(regs)
+	oldFrame := f.Frame
+	slot := map[rtl.Reg]func() rtl.Expr{}
+	at := map[*rtl.Instr][]rtl.Reg{}
+	for _, r := range regs {
+		slot[r] = newSlot(f)
+		for _, c := range iv.crossing[r].calls {
+			at[c] = append(at[c], r)
+		}
+	}
+	var regions [rtl.NumClasses]fifoRegions
+	for c := range regions {
+		regions[c] = streamRegions(f, rtl.Class(c))
+	}
+	code := make([]*rtl.Instr, 0, len(f.Code))
+	var reloads []*rtl.Instr
+	for n, i := range f.Code {
+		reloads = reloads[:0]
+		for _, r := range at[i] {
+			fifo, err := regions[r.Class].pick(r.Class, n)
+			if err != nil {
+				return err
+			}
+			save := rtl.NewAssign(fifo, rtl.RX(r))
+			save.Note = "save across call"
+			store := rtl.NewStore(fifo, slot[r](), 8)
+			load := rtl.NewLoad(fifo, slot[r](), 8)
+			reload := rtl.NewAssign(r, rtl.RX(fifo))
+			reload.Note = "reload after call"
+			save.Line, store.Line, load.Line, reload.Line = i.Line, i.Line, i.Line, i.Line
+			code = append(code, save, store)
+			reloads = append(reloads, load, reload)
+		}
+		code = append(code, i)
+		code = append(code, reloads...)
+	}
+	f.Code = code
+	return patchFrame(f, oldFrame, f.Frame)
+}
+
+// newSlot grows the frame by one 8-byte slot and returns a builder
+// for the slot's address.
+func newSlot(f *rtl.Func) func() rtl.Expr {
+	slot := (f.Frame + 7) &^ 7
+	f.Frame = slot + 8
+	return func() rtl.Expr {
+		return rtl.B(rtl.Add, rtl.RX(rtl.RegSP), rtl.I(int64(slot)))
+	}
 }
 
 // spanSet tracks the textual extents of loops whose FIFO is bound to a
@@ -306,11 +439,37 @@ func (ss spanSet) shift(from, by int) {
 	}
 }
 
+// fifoRegions holds, per FIFO number, the spans in which stack traffic
+// must avoid that FIFO.
+type fifoRegions map[int]spanSet
+
+// pick returns the FIFO of class c that stack traffic at instruction
+// index at uses: normally the secondary FIFO (r1/f1), which ordinary
+// code never touches; inside the textual extent of a loop whose FIFO1
+// is bound to a stream it falls back to FIFO0, and when both are
+// stream-bound the compilation fails loudly rather than corrupting
+// queue order.
+func (fr fifoRegions) pick(c rtl.Class, at int) (rtl.Reg, error) {
+	if !fr[rtl.FIFO1].contains(at) {
+		return rtl.Reg{Class: c, N: rtl.FIFO1}, nil
+	}
+	if !fr[rtl.FIFO0].contains(at) {
+		return rtl.Reg{Class: c, N: rtl.FIFO0}, nil
+	}
+	return rtl.Reg{}, fmt.Errorf("regalloc: stack access at %d inside loops streaming both %s FIFOs", at, c)
+}
+
+// shift moves every span boundary at or after from by by instructions.
+func (fr fifoRegions) shift(from, by int) {
+	fr[rtl.FIFO0].shift(from, by)
+	fr[rtl.FIFO1].shift(from, by)
+}
+
 // streamRegions returns, per FIFO number, the spans from each stream
 // instruction of the class to the matching jump-not-done (or function
-// end) — the region in which spill traffic must avoid that FIFO.
-func streamRegions(f *rtl.Func, c rtl.Class) map[int]spanSet {
-	out := map[int]spanSet{rtl.FIFO0: nil, rtl.FIFO1: nil}
+// end) — the region in which stack traffic must avoid that FIFO.
+func streamRegions(f *rtl.Func, c rtl.Class) fifoRegions {
+	out := fifoRegions{rtl.FIFO0: nil, rtl.FIFO1: nil}
 	for n, i := range f.Code {
 		if (i.Kind != rtl.KStreamIn && i.Kind != rtl.KStreamOut) || i.MemClass != c {
 			continue
@@ -329,10 +488,12 @@ func streamRegions(f *rtl.Func, c rtl.Class) map[int]spanSet {
 }
 
 // patchFrame updates (or inserts) the prologue/epilogue stack-pointer
-// adjustments after the frame grew.
-func patchFrame(f *rtl.Func, oldFrame, newFrame int) {
+// adjustments after the frame grew.  A function that claims a frame
+// but has no matching adjustment is an error: the new slot would lie
+// beyond the allocated frame.
+func patchFrame(f *rtl.Func, oldFrame, newFrame int) error {
 	if oldFrame == newFrame {
-		return
+		return nil
 	}
 	patched := false
 	for _, i := range f.Code {
@@ -353,7 +514,10 @@ func patchFrame(f *rtl.Func, oldFrame, newFrame int) {
 		i.Src = rtl.Bin{Op: b.Op, L: b.L, R: rtl.Imm{V: int64(newFrame)}}
 		patched = true
 	}
-	if !patched && oldFrame == 0 {
+	if !patched {
+		if oldFrame != 0 {
+			return fmt.Errorf("regalloc: frame of %d bytes has no r29 := (r29 - %d) prologue to grow", oldFrame, oldFrame)
+		}
 		// Leaf function without a frame: insert fresh prologue and
 		// epilogues.
 		f.Insert(0, rtl.NewAssign(rtl.RegSP,
@@ -366,6 +530,7 @@ func patchFrame(f *rtl.Func, oldFrame, newFrame int) {
 			}
 		}
 	}
+	return nil
 }
 
 func sortRegs(rs []rtl.Reg) {
