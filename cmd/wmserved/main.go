@@ -44,8 +44,7 @@ func run() int {
 		maxSourceKB = flag.Int("max-source-kb", 1024, "largest accepted source, in KiB")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 
-		jobWorkers = flag.Int("job-workers", 2, "asynchronous job worker pool size")
-		jobBatch   = flag.Int("batch", 1, "jobs one worker interleaves slice-by-slice on a shared gate (1 = dedicated execution)")
+		jobWorkers = flag.Int("job-workers", 2, "asynchronous jobs executing at once")
 		jobQueue   = flag.Int("job-queue", 32, "queued job cap across all tenants; overflow is shed with 429")
 		jobTenantQ = flag.Int("job-tenant-queue", 8, "queued job cap per tenant")
 		jobTimeout = flag.Duration("job-timeout", 5*time.Minute, "per-job wall-clock budget")
@@ -112,7 +111,6 @@ func run() int {
 		Logger:             logger,
 		Version:            buildinfo.String(),
 		JobWorkers:         *jobWorkers,
-		JobBatch:           *jobBatch,
 		JobQueueDepth:      *jobQueue,
 		JobTenantQueue:     *jobTenantQ,
 		JobTimeout:         *jobTimeout,

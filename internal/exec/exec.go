@@ -1,21 +1,20 @@
 // Package exec is the engine-agnostic execution core shared by every
 // consumer of the simulator: the wmsim CLI, the wmrepro benchmark
 // harness, and wmserved's synchronous and asynchronous tiers all
-// drive a sim.Machine through a Runner instead of hand-rolling a
+// drive a sim.Machine through Run instead of hand-rolling a
 // run-to-completion loop.
 //
-// A Runner advances the machine in bounded cycle slices.  Between
-// slices — and only between slices, so the simulation itself stays
+// Run advances the machine in bounded cycle slices.  Between slices —
+// and only between slices, so the simulation itself stays
 // bit-identical to an uninterrupted run — it can observe a wall-clock
 // budget, publish progress snapshots, write checkpoints
-// (sim.Machine.SaveState), honor cooperative pause/resume, and notice
-// context cancellation even for machines without Config.Ctx wired.
+// (sim.Machine.SaveState), and notice context cancellation even for
+// machines without Config.Ctx wired.
 package exec
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"wmstream/internal/obs"
@@ -49,7 +48,7 @@ type Progress struct {
 	Done bool
 }
 
-// Options configures a Runner.  The zero value runs to completion
+// Options configures Run.  The zero value runs to completion
 // with default slicing and no observers.
 type Options struct {
 	// Slice is the cycle budget of one slice (<= 0 uses DefaultSlice).
@@ -76,12 +75,6 @@ type Options struct {
 	// cycle zero.  Best effort: a failed final save never masks the
 	// cancellation error.
 	FinalCheckpoint bool
-	// Gate, when non-nil, is held around each simulation slice.  A
-	// group of runners sharing one gate (see NewBatchGate) interleaves
-	// slice-by-slice on a single admission token instead of competing
-	// for cores — the batch-mode seam.  Slicing already guarantees
-	// bit-identity, so gating changes scheduling, never results.
-	Gate Gate
 }
 
 // WallBudgetError reports a run stopped by Options.MaxWall.  The
@@ -97,83 +90,52 @@ func (e *WallBudgetError) Error() string {
 		e.Budget, e.Elapsed.Round(time.Millisecond), e.Cycles)
 }
 
-// Runner drives one machine.  Run is single-shot per goroutine;
-// Pause, Resume, and Progress may be called concurrently with it.
-type Runner struct {
-	m *sim.Machine
-	o Options
-
-	mu     sync.Mutex
-	paused bool
-	resume chan struct{}
-	latest Progress
-}
-
-// New builds a Runner over the machine.
-func New(m *sim.Machine, o Options) *Runner {
+// Run drives the machine until completion, failure, cancellation, or
+// wall-budget exhaustion, and returns the machine's statistics as of
+// the stop.  Abandoned runs (cancellation, budget) flush any trace
+// sink so the partial timeline survives; their machine remains
+// resumable unless it reached a terminal state itself.
+func Run(ctx context.Context, m *sim.Machine, o Options) (sim.Stats, error) {
 	if o.Slice <= 0 {
 		o.Slice = DefaultSlice
 	}
 	if o.ProgressEvery <= 0 {
 		o.ProgressEvery = DefaultProgressEvery
 	}
-	return &Runner{m: m, o: o}
-}
-
-// Run is shorthand for New(m, o).Run(ctx).
-func Run(ctx context.Context, m *sim.Machine, o Options) (sim.Stats, error) {
-	return New(m, o).Run(ctx)
-}
-
-// Run drives the machine until completion, failure, cancellation, or
-// wall-budget exhaustion, and returns the machine's statistics as of
-// the stop.  Abandoned runs (cancellation, budget) flush any trace
-// sink so the partial timeline survives; their machine remains
-// resumable unless it reached a terminal state itself.
-func (r *Runner) Run(ctx context.Context) (sim.Stats, error) {
 	start := time.Now()
 	lastEmit := start
-	lastCkpt := r.m.Progress().Cycles
+	lastCkpt := m.Progress().Cycles
+	emit := func(p Progress) {
+		if o.OnProgress != nil {
+			o.OnProgress(p)
+		}
+	}
 	// When the context carries a request trace (internal/obs), each
 	// slice and checkpoint becomes a child span; traceSpan is nil on
 	// untraced runs and every obs call below no-ops.
 	traceSpan := obs.FromContext(ctx)
 	for {
-		// Cooperative pause parks the loop between slices until Resume
-		// or cancellation.
-		if gate := r.pauseGate(); gate != nil {
-			select {
-			case <-gate:
-			case <-ctx.Done():
-			}
-		}
 		if err := ctx.Err(); err != nil {
-			if r.o.FinalCheckpoint && r.o.OnCheckpoint != nil {
+			if o.FinalCheckpoint && o.OnCheckpoint != nil {
 				// Snapshot before Finish: a finished machine refuses
 				// SaveState.
-				if state, serr := r.m.SaveState(); serr == nil {
-					r.o.OnCheckpoint(state, r.snapshot(false, time.Since(start)))
+				if state, serr := m.SaveState(); serr == nil {
+					o.OnCheckpoint(state, snapshot(m, false, time.Since(start)))
 				}
 			}
-			r.m.Finish()
-			r.emit(r.snapshot(true, time.Since(start)))
-			return r.m.Stats(), err
+			m.Finish()
+			emit(snapshot(m, true, time.Since(start)))
+			return m.Stats(), err
 		}
-		sliceStart := r.m.Progress().Cycles
+		sliceStart := m.Progress().Cycles
 		var sliceSpan *obs.Span
 		if traceSpan != nil {
 			sliceSpan = traceSpan.StartChild("sim.slice")
 			sliceSpan.SetKind(obs.KindSim)
 		}
-		if r.o.Gate != nil {
-			r.o.Gate.Acquire()
-		}
-		done, err := r.m.RunSlice(r.o.Slice)
-		if r.o.Gate != nil {
-			r.o.Gate.Release()
-		}
+		done, err := m.RunSlice(o.Slice)
 		now := time.Now()
-		p := r.snapshot(done || err != nil, now.Sub(start))
+		p := snapshot(m, done || err != nil, now.Sub(start))
 		if sliceSpan != nil {
 			sliceSpan.SetAttrInt("cycles", p.Cycles-sliceStart)
 			sliceSpan.SetAttrInt("cycle_start", sliceStart)
@@ -183,19 +145,19 @@ func (r *Runner) Run(ctx context.Context) (sim.Stats, error) {
 			sliceSpan.End()
 		}
 		if done || err != nil {
-			r.emit(p)
-			return r.m.Stats(), err
+			emit(p)
+			return m.Stats(), err
 		}
-		if r.o.OnProgress != nil && now.Sub(lastEmit) >= r.o.ProgressEvery {
+		if o.OnProgress != nil && now.Sub(lastEmit) >= o.ProgressEvery {
 			lastEmit = now
-			r.emit(p)
+			emit(p)
 		}
-		if r.o.CheckpointEvery > 0 && p.Cycles-lastCkpt >= r.o.CheckpointEvery {
+		if o.CheckpointEvery > 0 && p.Cycles-lastCkpt >= o.CheckpointEvery {
 			lastCkpt = p.Cycles
 			ckptSpan := traceSpan.StartChild("checkpoint")
-			state, serr := r.m.SaveState()
-			if serr == nil && r.o.OnCheckpoint != nil {
-				serr = r.o.OnCheckpoint(state, p)
+			state, serr := m.SaveState()
+			if serr == nil && o.OnCheckpoint != nil {
+				serr = o.OnCheckpoint(state, p)
 			}
 			ckptSpan.SetAttrInt("cycle", p.Cycles)
 			if serr != nil {
@@ -203,64 +165,24 @@ func (r *Runner) Run(ctx context.Context) (sim.Stats, error) {
 			}
 			ckptSpan.End()
 			if serr != nil {
-				r.m.Finish()
-				r.emit(r.snapshot(true, now.Sub(start)))
-				return r.m.Stats(), fmt.Errorf("exec: checkpoint at cycle %d: %w", p.Cycles, serr)
+				m.Finish()
+				emit(snapshot(m, true, now.Sub(start)))
+				return m.Stats(), fmt.Errorf("exec: checkpoint at cycle %d: %w", p.Cycles, serr)
 			}
 		}
-		if r.o.MaxWall > 0 {
-			if elapsed := now.Sub(start); elapsed > r.o.MaxWall {
-				r.m.Finish()
-				r.emit(r.snapshot(true, elapsed))
-				return r.m.Stats(), &WallBudgetError{Budget: r.o.MaxWall, Elapsed: elapsed, Cycles: p.Cycles}
+		if o.MaxWall > 0 {
+			if elapsed := now.Sub(start); elapsed > o.MaxWall {
+				m.Finish()
+				emit(snapshot(m, true, elapsed))
+				return m.Stats(), &WallBudgetError{Budget: o.MaxWall, Elapsed: elapsed, Cycles: p.Cycles}
 			}
 		}
 	}
 }
 
-// Progress returns the most recent snapshot (the zero Progress before
-// the first slice completes).  Safe to call concurrently with Run.
-func (r *Runner) Progress() Progress {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.latest
-}
-
-// Pause asks Run to park before its next slice.  Idempotent.
-func (r *Runner) Pause() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.paused {
-		r.paused = true
-		r.resume = make(chan struct{})
-	}
-}
-
-// Resume releases a paused Run.  Idempotent.
-func (r *Runner) Resume() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.paused {
-		r.paused = false
-		close(r.resume)
-		r.resume = nil
-	}
-}
-
-// pauseGate returns the channel Run must wait on, or nil when not
-// paused.
-func (r *Runner) pauseGate() <-chan struct{} {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.paused {
-		return nil
-	}
-	return r.resume
-}
-
-func (r *Runner) snapshot(done bool, elapsed time.Duration) Progress {
-	st := r.m.Progress()
-	p := Progress{
+func snapshot(m *sim.Machine, done bool, elapsed time.Duration) Progress {
+	st := m.Progress()
+	return Progress{
 		Cycles:       st.Cycles,
 		Instructions: st.Instructions,
 		MemReads:     st.MemReads,
@@ -268,15 +190,5 @@ func (r *Runner) snapshot(done bool, elapsed time.Duration) Progress {
 		StreamElems:  st.StreamElems,
 		Elapsed:      elapsed,
 		Done:         done,
-	}
-	r.mu.Lock()
-	r.latest = p
-	r.mu.Unlock()
-	return p
-}
-
-func (r *Runner) emit(p Progress) {
-	if r.o.OnProgress != nil {
-		r.o.OnProgress(p)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -37,7 +36,7 @@ func machine(t *testing.T, n int) (*sim.Machine, *bytes.Buffer) {
 	return sim.New(img, cfg), &out
 }
 
-// uninterrupted is the baseline every sliced/budgeted/paused run must
+// uninterrupted is the baseline every sliced/budgeted/resumed run must
 // reproduce exactly.
 func uninterrupted(t *testing.T, n int) (sim.Stats, string) {
 	t.Helper()
@@ -205,45 +204,6 @@ func TestCheckpointCallbackError(t *testing.T) {
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
-	}
-}
-
-// TestPauseResume: Pause parks the loop between slices (cycles stop
-// advancing), Resume releases it, and the completed run is still
-// bit-identical.
-func TestPauseResume(t *testing.T) {
-	const n = 4000
-	wantStats, wantOut := uninterrupted(t, n)
-	m, out := machine(t, n)
-	r := exec.New(m, exec.Options{Slice: 64})
-	r.Pause()
-
-	var (
-		stats sim.Stats
-		rerr  error
-		wg    sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		stats, rerr = r.Run(context.Background())
-	}()
-
-	// Parked before the first slice: progress must stay at zero.
-	time.Sleep(20 * time.Millisecond)
-	if got := r.Progress().Cycles; got != 0 {
-		t.Errorf("paused runner advanced to cycle %d", got)
-	}
-	r.Resume()
-	wg.Wait()
-	if rerr != nil {
-		t.Fatalf("run: %v", rerr)
-	}
-	if !reflect.DeepEqual(stats, wantStats) {
-		t.Errorf("stats mismatch:\nbaseline: %+v\npaused:   %+v", wantStats, stats)
-	}
-	if out.String() != wantOut {
-		t.Errorf("output %q, want %q", out.String(), wantOut)
 	}
 }
 

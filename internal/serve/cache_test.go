@@ -2,8 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -85,95 +83,6 @@ func TestCacheDuplicatePut(t *testing.T) {
 	if want := int64(4) + entryOverhead; st.Bytes != want {
 		t.Fatalf("bytes %d, want %d (no double count)", st.Bytes, want)
 	}
-}
-
-func TestPoolOverload(t *testing.T) {
-	release := make(chan struct{})
-	p := NewPool(1, 1)
-	defer p.Close()
-	defer close(release)
-
-	started := make(chan struct{})
-	errs := make(chan error, 2)
-	go func() {
-		errs <- p.Do(context.Background(), func(context.Context) {
-			close(started)
-			<-release
-		})
-	}()
-	<-started // worker busy
-	go func() {
-		errs <- p.Do(context.Background(), func(context.Context) {})
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for p.QueueDepth() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("queued task never showed up")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	if err := p.Do(context.Background(), func(context.Context) {}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("full queue: err = %v, want ErrOverloaded", err)
-	}
-	release <- struct{}{}
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("blocked task %d: %v", i, err)
-		}
-	}
-}
-
-func TestPoolSkipsExpiredTasks(t *testing.T) {
-	release := make(chan struct{})
-	p := NewPool(1, 4)
-	defer p.Close()
-
-	go p.Do(context.Background(), func(context.Context) { <-release })
-	deadline := time.Now().Add(5 * time.Second)
-	for p.InFlight() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first task never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	errc := make(chan error, 1)
-	go func() { errc <- p.Do(ctx, func(context.Context) { ran = true }) }()
-	for p.QueueDepth() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("expired task never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release) // free the worker so it reaches the expired task
-	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran {
-		t.Fatal("expired task body ran")
-	}
-}
-
-func TestPoolDraining(t *testing.T) {
-	p := NewPool(2, 4)
-	var mu sync.Mutex
-	ran := 0
-	for n := 0; n < 4; n++ {
-		go p.Do(context.Background(), func(context.Context) {
-			mu.Lock()
-			ran++
-			mu.Unlock()
-		})
-	}
-	p.Close()
-	if err := p.Do(context.Background(), func(context.Context) {}); !errors.Is(err, ErrDraining) {
-		t.Fatalf("err = %v, want ErrDraining", err)
-	}
-	p.Close() // idempotent
 }
 
 func TestFlightGroupSharing(t *testing.T) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"time"
@@ -46,8 +47,8 @@ type RecoveryInfo struct {
 // openStore opens the journal under Config.JobDir and rebuilds the
 // job table from it.  Failure to open is absorbed: the tier runs
 // memory-only exactly as it does with no JobDir, and health reports
-// why.  Called before start(), so recovered jobs are enqueued before
-// any worker looks.
+// why.  Called before start(), so recovered jobs are back in the
+// scheduler before the server accepts a submission.
 func (jm *jobManager) openStore() {
 	fsync, err := durable.ParseFsyncPolicy(jm.cfg.JobFsync)
 	if err != nil {
@@ -70,8 +71,9 @@ func (jm *jobManager) openStore() {
 	jm.recover(rec)
 }
 
-// recover replays one boot's Recovery into the job table.  Runs
-// before workers start; jm.mu is held for form.
+// recover replays one boot's Recovery into the job table and the
+// scheduler, in submission order.  jm.mu is held because the first
+// recovered jobs start running at once.
 func (jm *jobManager) recover(rec *durable.Recovery) {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
@@ -184,14 +186,16 @@ func (jm *jobManager) abandonLocked(r durable.JobRecord) {
 	jm.removeRefs(r.Checkpoint, r.PrevCheckpoint)
 }
 
-// enqueueLocked puts a queued job into its tenant FIFO and the
-// round-robin ring.  Caller holds jm.mu.
-func (jm *jobManager) enqueueLocked(j *job) {
-	if len(jm.pending[j.tenant]) == 0 {
-		jm.order = append(jm.order, j.tenant)
-	}
-	jm.pending[j.tenant] = append(jm.pending[j.tenant], j)
-	jm.queued++
+// enqueueLocked hands a queued job to the scheduler, in its tenant's
+// lane.  Admission was checked at submission (or, for a recovered job,
+// before the restart), so only a draining scheduler refuses it.  Caller
+// holds jm.mu.
+func (jm *jobManager) enqueueLocked(j *job) error {
+	e, err := jm.srv.sched.enqueue(context.Background(), jobClass, j.tenant, func(context.Context) {
+		jm.runJob(j)
+	})
+	j.entry = e
+	return err
 }
 
 // put journals one record; a nil store journals nothing.  The only
@@ -370,27 +374,4 @@ func retryBackoff(base time.Duration, attempt int) time.Duration {
 	d := base << shift
 	// Full jitter on the upper half, so synchronized retries spread.
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
-// crash simulates an abrupt process death for the crash-restart
-// harness: workers are told to stop and waited for — their in-flight
-// simulations abort via the already-canceled base context — but no
-// graceful-shutdown state transitions are journaled (the harness has
-// wedged the store with fault injection, so any attempted write fails
-// with ErrCrashed).  The journal file handles are released so a new
-// Server can recover from the same directory in-process.
-func (jm *jobManager) crash() {
-	jm.mu.Lock()
-	if !jm.closed {
-		jm.closed = true
-		close(jm.done)
-	}
-	jm.pending = make(map[string][]*job)
-	jm.order = nil
-	jm.queued = 0
-	jm.mu.Unlock()
-	jm.wg.Wait()
-	if jm.store != nil {
-		jm.store.Close()
-	}
 }

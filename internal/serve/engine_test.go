@@ -135,15 +135,14 @@ func TestEngineRunsMetric(t *testing.T) {
 	}
 }
 
-// TestJobBatchInterleaved: one worker with JobBatch=4 completes a
-// burst of jobs whose results are identical to dedicated execution —
-// the batch gate changes host scheduling, never simulation results.
-// Each job has its own source, so none completes from the response
-// cache and all four really interleave.
-func TestJobBatchInterleaved(t *testing.T) {
-	// Heavy enough to span many slices (so the gate actually rotates),
-	// light enough to finish promptly under the race detector.
-	batchSrc := func(n int) string {
+// TestJobResultsMatchSync: a burst of jobs from two tenants on one job
+// worker completes with results identical to sync /run, and each job
+// executes exactly once.  Each job has its own source, so none
+// completes from the response cache.
+func TestJobResultsMatchSync(t *testing.T) {
+	// Heavy enough to span many slices, light enough to finish promptly
+	// under the race detector.
+	jobSrc := func(n int) string {
 		return fmt.Sprintf(`int main(void) {
     int i; double s;
     s = %d.0;
@@ -153,10 +152,10 @@ func TestJobBatchInterleaved(t *testing.T) {
 }`, n)
 	}
 	const jobs = 4
-	_, dedicated := newTestServer(t, Config{})
+	_, syncSrv := newTestServer(t, Config{})
 	want := make([]RunResponse, jobs)
 	for n := range want {
-		res := post(t, dedicated, "/run", &Request{Source: batchSrc(n)})
+		res := post(t, syncSrv, "/run", &Request{Source: jobSrc(n)})
 		if res.status != http.StatusOK {
 			t.Fatalf("dedicated run %d: status %d, body %s", n, res.status, res.body)
 		}
@@ -166,13 +165,12 @@ func TestJobBatchInterleaved(t *testing.T) {
 	}
 
 	var ec execCounter
-	_, ts := newTestServer(t, Config{JobWorkers: 1, JobBatch: 4, CompileHook: ec.hook})
+	_, ts := newTestServer(t, Config{JobWorkers: 1, CompileHook: ec.hook})
 	ids := make([]string, jobs)
 	keys := make([]Key, jobs)
 	for n := range ids {
-		// Two tenants give the fair scheduler several queues to rotate
-		// over.
-		req := &JobRequest{Request: Request{Source: batchSrc(n)}, Tenant: fmt.Sprintf("t%d", n%2)}
+		// Two tenants give the scheduler two lanes to rotate over.
+		req := &JobRequest{Request: Request{Source: jobSrc(n)}, Tenant: fmt.Sprintf("t%d", n%2)}
 		res, jr := submitJob(t, ts, req)
 		if res.status != http.StatusAccepted {
 			t.Fatalf("submit %d: status %d, body %s", n, res.status, res.body)
@@ -188,7 +186,7 @@ func TestJobBatchInterleaved(t *testing.T) {
 			t.Fatalf("job %d: no result", n)
 		}
 		if jr.Result.Output != want[n].Output || jr.Result.Cycles != want[n].Cycles {
-			t.Errorf("job %d diverged from dedicated run: output=%q cycles=%d, want output=%q cycles=%d",
+			t.Errorf("job %d diverged from sync run: output=%q cycles=%d, want output=%q cycles=%d",
 				n, jr.Result.Output, jr.Result.Cycles, want[n].Output, want[n].Cycles)
 		}
 		if got := ec.count(keys[n]); got != 1 {

@@ -22,24 +22,18 @@ import (
 // returns immediately with a job ID; GET /jobs/{id} long-polls the
 // job's progress generation; DELETE /jobs/{id} cancels (or, for a
 // terminal job, deletes) it.  Jobs exist for simulations that outlive
-// the synchronous RequestTimeout: they run on their own small worker
-// pool under the JobTimeout wall budget, report periodic progress
+// the synchronous RequestTimeout: they run in the scheduler's job
+// class, whose JobWorkers running slots are separate from the sync
+// class's, under the JobTimeout wall budget, report periodic progress
 // snapshots from the execution core, and keep their terminal result
 // pollable for JobTTL before a janitor reclaims them.
 //
-// Scheduling is fair across tenants: each tenant has its own FIFO and
-// the dispatcher round-robins over tenants with pending work, so one
-// tenant queueing many jobs cannot starve another's first.  Admission
-// is bounded twice — a total queue cap (JobQueueDepth) and a per-tenant
-// cap (JobTenantQueue) — and over-cap submissions are shed with 429,
-// reusing the synchronous tier's load-shedding discipline.
-
-// Job queue admission errors; both unwrap to ErrOverloaded so callers
-// can treat them as shed.
-var (
-	errJobQueueFull    = fmt.Errorf("%w: job queue is full", ErrOverloaded)
-	errTenantQueueFull = fmt.Errorf("%w: tenant job queue is full", ErrOverloaded)
-)
+// Scheduling is fair across tenants: each tenant is a scheduler lane,
+// and lanes are served round-robin, so one tenant queueing many jobs
+// cannot starve another's first.  Admission is bounded twice — a total
+// queue cap (JobQueueDepth) and a per-tenant cap (JobTenantQueue) — and
+// over-cap submissions are shed with 429, the synchronous tier's
+// load-shedding discipline.
 
 // jobState is the job lifecycle: queued → running → done|failed|canceled
 // (queued jobs may also go directly to canceled).
@@ -102,6 +96,10 @@ type job struct {
 	cancel          context.CancelFunc
 	cancelRequested bool
 	expires         time.Time // terminal states only: TTL deadline
+	// entry is the job's latest scheduler entry (guarded by
+	// jobManager.mu); cancel and shutdown take a queued job out of the
+	// scheduler through it.
+	entry *entry
 
 	// trace is the job's end-to-end trace: opened at submission (under
 	// the submit request's trace ID, so one trace covers POST /jobs
@@ -169,21 +167,16 @@ func (j *job) poll(now time.Time) (*JobResponse, int64, <-chan struct{}) {
 	return j.responseLocked(now), j.gen, j.changed
 }
 
-// jobManager owns the job table, the per-tenant queues, the worker
-// pool, and the TTL janitor.
+// jobManager owns the job table and the TTL janitor; the scheduler
+// owns the queue.
 type jobManager struct {
 	srv *Server
 	cfg Config
 
-	mu      sync.Mutex
-	closed  bool
-	byID    map[string]*job
-	pending map[string][]*job // tenant -> FIFO of queued jobs
-	order   []string          // round-robin ring of tenants with pending work
-	next    int               // ring cursor
-	queued  int
-	running int
-	seq     int64 // last issued submission sequence (recovered from the journal)
+	mu     sync.Mutex
+	closed bool
+	byID   map[string]*job
+	seq    int64 // last issued submission sequence (recovered from the journal)
 
 	// store is the durable journal (nil: memory-only); rec reports
 	// what boot-time recovery reconstructed; storeErr is why opening
@@ -192,30 +185,23 @@ type jobManager struct {
 	rec      RecoveryInfo
 	storeErr string
 
-	notify chan struct{} // buffered(1) work signal; workers re-scan until empty
-	done   chan struct{}
-	wg     sync.WaitGroup
+	done chan struct{}
+	wg   sync.WaitGroup // the janitor
 }
 
 // newJobManager builds the manager without starting it; the server
-// runs recovery (openStore) first, then start, so every recovered job
-// is enqueued before any worker looks for work.
+// runs recovery (openStore) first, then start.
 func newJobManager(s *Server) *jobManager {
 	return &jobManager{
-		srv:     s,
-		cfg:     s.cfg,
-		byID:    make(map[string]*job),
-		pending: make(map[string][]*job),
-		notify:  make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		srv:  s,
+		cfg:  s.cfg,
+		byID: make(map[string]*job),
+		done: make(chan struct{}),
 	}
 }
 
 func (jm *jobManager) start() {
-	jm.wg.Add(jm.cfg.JobWorkers + 1)
-	for range jm.cfg.JobWorkers {
-		go jm.worker()
-	}
+	jm.wg.Add(1)
 	go jm.janitor()
 }
 
@@ -229,11 +215,11 @@ func (jm *jobManager) submit(req *JobRequest, tr *obs.Trace, root *obs.Span) (*j
 	if jm.closed {
 		return nil, ErrDraining
 	}
-	if jm.queued >= jm.cfg.JobQueueDepth {
-		return nil, errJobQueueFull
-	}
-	if len(jm.pending[req.Tenant]) >= jm.cfg.JobTenantQueue {
-		return nil, errTenantQueueFull
+	// Admission is checked before the journal write, so a shed job
+	// leaves no record; under jm.mu nothing else can fill the job class
+	// before the enqueue below.
+	if err := jm.srv.sched.admit(jobClass, req.Tenant); err != nil {
+		return nil, err
 	}
 	j := &job{
 		id:      newJobID(),
@@ -265,13 +251,13 @@ func (jm *jobManager) submit(req *JobRequest, tr *obs.Trace, root *obs.Span) (*j
 	}
 	jsp.End()
 	jm.seq = j.seq
-	jm.byID[j.id] = j
-	jm.enqueueLocked(j)
 	j.qspan = root.StartChild("queue.wait")
-	select {
-	case jm.notify <- struct{}{}:
-	default:
+	if err := jm.enqueueLocked(j); err != nil {
+		jm.put(durable.JobRecord{Seq: j.seq, ID: j.id, State: "deleted"})
+		j.trace, j.root = nil, nil
+		return nil, err
 	}
+	jm.byID[j.id] = j
 	return j, nil
 }
 
@@ -281,119 +267,11 @@ func (jm *jobManager) get(id string) *job {
 	return jm.byID[id]
 }
 
-// counts reports the queue gauges for /metrics.
-func (jm *jobManager) counts() (queued, running, held int) {
+// held is the number of jobs in the table, terminal ones included.
+func (jm *jobManager) held() int {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
-	return jm.queued, jm.running, len(jm.byID)
-}
-
-// popLocked dequeues the next job round-robin across tenants.  Caller
-// holds jm.mu.  Every queued entry is live (cancel removes eagerly),
-// so any non-empty tenant yields a job; drained tenants fall out of
-// the ring.
-func (jm *jobManager) popLocked() *job {
-	for len(jm.order) > 0 {
-		if jm.next >= len(jm.order) {
-			jm.next = 0
-		}
-		t := jm.order[jm.next]
-		q := jm.pending[t]
-		if len(q) == 0 {
-			jm.order = append(jm.order[:jm.next], jm.order[jm.next+1:]...)
-			delete(jm.pending, t)
-			continue
-		}
-		j := q[0]
-		if len(q) == 1 {
-			delete(jm.pending, t)
-			jm.order = append(jm.order[:jm.next], jm.order[jm.next+1:]...)
-		} else {
-			jm.pending[t] = q[1:]
-			jm.next++
-		}
-		return j
-	}
-	return nil
-}
-
-// removePendingLocked takes a still-queued job out of its tenant FIFO.
-// Returns false if a worker already claimed it.  Caller holds jm.mu.
-func (jm *jobManager) removePendingLocked(j *job) bool {
-	q := jm.pending[j.tenant]
-	for n, p := range q {
-		if p == j {
-			jm.pending[j.tenant] = append(q[:n:n], q[n+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// worker drains the queue: claim up to JobBatch jobs, run them, repeat;
-// sleep on the notify signal when empty.
-func (jm *jobManager) worker() {
-	defer jm.wg.Done()
-	batch := jm.cfg.JobBatch
-	if batch < 1 {
-		batch = 1
-	}
-	for {
-		jm.mu.Lock()
-		var claimed []*job
-		for len(claimed) < batch {
-			j := jm.popLocked()
-			if j == nil {
-				break
-			}
-			jm.queued--
-			jm.running++
-			claimed = append(claimed, j)
-		}
-		if len(claimed) > 0 {
-			jm.mu.Unlock()
-			jm.runClaimed(claimed)
-			jm.mu.Lock()
-			jm.running -= len(claimed)
-		}
-		closed := jm.closed
-		jm.mu.Unlock()
-		if len(claimed) > 0 {
-			continue
-		}
-		if closed {
-			return
-		}
-		select {
-		case <-jm.notify:
-		case <-jm.done:
-			return
-		}
-	}
-}
-
-// runClaimed executes one worker's claimed jobs.  A single job runs
-// inline with no gate — the dedicated path is unchanged.  Several run
-// as a batch: one goroutine each, simulation slices serialized on a
-// shared admission gate in FIFO rotation, so the worker interleaves N
-// jobs while still consuming roughly one core (internal/exec batch
-// mode).  Per-job progress, checkpoints, and cancellation all keep
-// working — they live between slices.
-func (jm *jobManager) runClaimed(js []*job) {
-	if len(js) == 1 {
-		jm.runJob(js[0], nil)
-		return
-	}
-	gate := wmstream.NewBatchGate()
-	var wg sync.WaitGroup
-	for _, j := range js {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			jm.runJob(j, gate)
-		}()
-	}
-	wg.Wait()
+	return len(jm.byID)
 }
 
 // runJob executes one job through the shared perform pipeline, feeding
@@ -404,9 +282,8 @@ func (jm *jobManager) runClaimed(js []*job) {
 // a job that executes to a 200 result fills the cache for both tiers.
 // With a durable store, the run checkpoints periodically and transient
 // failures (a checkpoint that no longer verifies) retry with backoff,
-// falling back candidate by candidate to a clean start.  A non-nil
-// gate serializes this job's slices with its batchmates.
-func (jm *jobManager) runJob(j *job, gate wmstream.BatchGate) {
+// falling back candidate by candidate to a clean start.
+func (jm *jobManager) runJob(j *job) {
 	ctx, cancel := context.WithTimeout(jm.srv.base, jm.cfg.JobTimeout)
 	defer cancel()
 
@@ -438,7 +315,7 @@ func (jm *jobManager) runJob(j *job, gate wmstream.BatchGate) {
 	key := j.req.cacheKey(kindRun)
 	out, hit := jm.cached(j, runSpan, key)
 	for !hit {
-		out = jm.runOnce(ctx, j, gate, key)
+		out = jm.runOnce(ctx, j, key)
 		if out.resumeErr == nil || !jm.retryWait(j) {
 			break
 		}
@@ -554,11 +431,10 @@ func (jm *jobManager) settleLocked(j *job) {
 // runOnce is one attempt: load the best resume candidate, run through
 // perform with checkpointing wired, and on a resume failure drop the
 // candidate so the next attempt falls back.
-func (jm *jobManager) runOnce(ctx context.Context, j *job, gate wmstream.BatchGate, key Key) runOutcome {
+func (jm *jobManager) runOnce(ctx context.Context, j *job, key Key) runOutcome {
 	opts := wmstream.SimOptions{
 		MaxWall:       jm.cfg.JobTimeout,
 		ProgressEvery: jm.cfg.JobProgressEvery,
-		Gate:          gate,
 		Progress: func(p wmstream.RunProgress) {
 			j.update(func() {
 				j.progress = &JobProgress{
@@ -626,8 +502,7 @@ func (jm *jobManager) cancelJob(j *job) *JobResponse {
 		jm.mu.Unlock()
 		return resp
 	case j.state == jobQueued:
-		if jm.removePendingLocked(j) {
-			jm.queued--
+		if jm.srv.sched.remove(j.entry) {
 			j.state = jobCanceled
 			j.expires = now.Add(jm.cfg.JobTTL)
 			j.qspan.SetAttr("outcome", "canceled")
@@ -636,8 +511,8 @@ func (jm *jobManager) cancelJob(j *job) *JobResponse {
 			jm.settleLocked(j)
 			jm.srv.metrics.jobs.add(`event="canceled"`, 1)
 		} else {
-			// A worker claimed it between our lookup and now; it will
-			// observe the flag before (or right after) starting.
+			// The scheduler started it between our lookup and now; it
+			// will observe the flag before (or right after) starting.
 			j.cancelRequested = true
 			if j.cancel != nil {
 				j.cancel()
@@ -655,12 +530,13 @@ func (jm *jobManager) cancelJob(j *job) *JobResponse {
 	return resp
 }
 
-// close stops admission and waits for workers (whose running jobs
-// have already had their base context canceled by Server.Close) and
-// the janitor to exit.  Memory-only, still-queued jobs are canceled —
-// there is nowhere for them to survive; with a journal they stay
-// "queued" both in memory and on disk, and the next boot re-admits
-// them with their original tenants and order.
+// close stops admission, takes every queued job out of the scheduler,
+// and waits for the janitor to exit; Server.Close then drains the
+// scheduler, whose running jobs have already had their base context
+// canceled.  Memory-only, the queued jobs are canceled — there is
+// nowhere for them to survive; with a journal they stay "queued" both
+// in memory and on disk, and the next boot re-admits them with their
+// original tenants and order.
 func (jm *jobManager) close() {
 	jm.mu.Lock()
 	if jm.closed {
@@ -669,24 +545,24 @@ func (jm *jobManager) close() {
 	}
 	jm.closed = true
 	now := time.Now()
-	if jm.store == nil {
-		for _, q := range jm.pending {
-			for _, j := range q {
-				j.mu.Lock()
-				j.state = jobCanceled
-				j.expires = now.Add(jm.cfg.JobTTL)
-				jm.settleLocked(j)
-				j.mu.Unlock()
-				jm.srv.metrics.jobs.add(`event="canceled"`, 1)
-			}
+	for _, j := range jm.byID {
+		if !jm.srv.sched.remove(j.entry) || jm.store != nil {
+			continue
 		}
+		j.mu.Lock()
+		j.state = jobCanceled
+		j.expires = now.Add(jm.cfg.JobTTL)
+		jm.settleLocked(j)
+		j.mu.Unlock()
+		jm.srv.metrics.jobs.add(`event="canceled"`, 1)
 	}
-	jm.pending = make(map[string][]*job)
-	jm.order = nil
-	jm.queued = 0
 	close(jm.done)
 	jm.mu.Unlock()
 	jm.wg.Wait()
+}
+
+// closeStore releases the journal once no job can write to it.
+func (jm *jobManager) closeStore() {
 	if jm.store != nil {
 		jm.store.Close()
 	}
@@ -809,7 +685,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.metrics.jobs.add(`event="shed"`, 1)
 		s.metrics.shed.inc()
 		msg := "overloaded: job queue is full, retry later"
-		if errors.Is(err, errTenantQueueFull) {
+		if errors.Is(err, errLaneFull) {
 			msg = "overloaded: tenant job queue is full, retry later"
 		}
 		s.finish(w, r, kindJobs, start, http.StatusTooManyRequests,

@@ -53,7 +53,8 @@ type LoadConfig struct {
 	// distinct constant per job, so none is a cache hit) instead of
 	// the hit/miss mix, so simulation time (not compile or queue time)
 	// dominates and completed jobs per second becomes the headline
-	// number — the scenario for comparing wmserved -batch settings.
+	// number — the scenario for comparing wmserved -job-workers
+	// settings.
 	// Cancel probes are disabled so every lifecycle counts toward
 	// throughput.
 	JobHeavy bool
@@ -154,7 +155,7 @@ func (r *LoadReport) RPS() float64 {
 }
 
 // JobsPerSec is the rate of job lifecycles that reached "done" — the
-// throughput metric of the JobHeavy batch scenario.
+// throughput metric of the JobHeavy scenario.
 func (r *LoadReport) JobsPerSec() float64 {
 	if r.Elapsed <= 0 {
 		return 0
@@ -280,9 +281,8 @@ int main(void) {
 
 // heavyJobProgram is the workload of the JobHeavy scenario: enough
 // simulated cycles that one job spans many execution slices, so
-// batch-mode interleaving (wmserved -batch) has something to rotate
-// over, while still completing in well under a second of host time per
-// job.  The job's sequence number n is baked in as the starting sum,
+// simulation dominates the job's cost, while still completing in well
+// under a second of host time per job.  The job's sequence number n is baked in as the starting sum,
 // so every job has its own content address and really simulates
 // instead of completing from the response cache; the cycle count does
 // not depend on n.

@@ -207,15 +207,11 @@ func (m *metrics) addSimUnits(units []wmstream.UnitBreakdown) {
 
 // gauges are the live values the server passes in at render time.
 type gauges struct {
-	queueDepth int
-	inFlight   int64
-	workers    int
+	sync, jobs classGauges // the scheduler's two classes
 	cache      CacheStats
 	uptime     float64
 
-	jobsQueued  int
-	jobsRunning int
-	jobsHeld    int // jobs in the table, including terminal ones awaiting TTL
+	jobsHeld int // jobs in the table, including terminal ones awaiting TTL
 
 	journalMode    string // durable | degraded | crashed | memory
 	journalBytes   int64
@@ -351,9 +347,9 @@ func (m *metrics) write(w io.Writer, g gauges) {
 
 	writeLabeled(w, "wmserved_jobs_total", "Asynchronous job lifecycle events, by event.", &m.jobs)
 	writeHeader(w, "wmserved_jobs_queued", "Jobs waiting for a job worker.", "gauge")
-	fmt.Fprintf(w, "wmserved_jobs_queued %d\n", g.jobsQueued)
+	fmt.Fprintf(w, "wmserved_jobs_queued %d\n", g.jobs.queued)
 	writeHeader(w, "wmserved_jobs_running", "Jobs currently executing.", "gauge")
-	fmt.Fprintf(w, "wmserved_jobs_running %d\n", g.jobsRunning)
+	fmt.Fprintf(w, "wmserved_jobs_running %d\n", g.jobs.running)
 	writeHeader(w, "wmserved_jobs_held", "Jobs retained in the table (queued, running, and terminal awaiting TTL).", "gauge")
 	fmt.Fprintf(w, "wmserved_jobs_held %d\n", g.jobsHeld)
 
@@ -372,11 +368,11 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "wmserved_journal_dropped_writes_total %d\n", g.journalDropped)
 
 	writeHeader(w, "wmserved_queue_depth", "Requests waiting for a worker.", "gauge")
-	fmt.Fprintf(w, "wmserved_queue_depth %d\n", g.queueDepth)
+	fmt.Fprintf(w, "wmserved_queue_depth %d\n", g.sync.queued)
 	writeHeader(w, "wmserved_inflight", "Requests currently executing on a worker.", "gauge")
-	fmt.Fprintf(w, "wmserved_inflight %d\n", g.inFlight)
+	fmt.Fprintf(w, "wmserved_inflight %d\n", g.sync.running)
 	writeHeader(w, "wmserved_workers", "Worker pool size.", "gauge")
-	fmt.Fprintf(w, "wmserved_workers %d\n", g.workers)
+	fmt.Fprintf(w, "wmserved_workers %d\n", g.sync.workers)
 	writeHeader(w, "wmserved_uptime_seconds", "Seconds since the server started.", "gauge")
 	fmt.Fprintf(w, "wmserved_uptime_seconds %g\n", g.uptime)
 

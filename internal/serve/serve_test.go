@@ -301,9 +301,9 @@ func TestQueueOverflow(t *testing.T) {
 	}
 	done := make(chan reply, 2)
 	go func() { done <- post(t, ts, "/compile", src(0)) }() // occupies the worker
-	waitFor(t, "worker busy", func() bool { return srv.pool.InFlight() == 1 })
+	waitFor(t, "worker busy", func() bool { return srv.sched.gauges(syncClass).running == 1 })
 	go func() { done <- post(t, ts, "/compile", src(1)) }() // occupies the queue slot
-	waitFor(t, "queue full", func() bool { return srv.pool.QueueDepth() == 1 })
+	waitFor(t, "queue full", func() bool { return srv.sched.gauges(syncClass).queued == 1 })
 
 	shed := post(t, ts, "/compile", src(2))
 	if shed.status != http.StatusTooManyRequests {

@@ -15,19 +15,23 @@
 //  3. Concurrent identical misses are coalesced (singleflight.go):
 //     one leader executes, everyone else shares its bytes (X-Cache:
 //     coalesced).
-//  4. The leader submits to a bounded worker pool (pool.go).  A full
-//     queue sheds the request with 429 + Retry-After instead of
-//     queueing without bound; the per-request deadline is plumbed as a
-//     context.Context through wmstream.CompileContext and
+//  4. The leader submits to the scheduler (sched.go), the one queue
+//     that jobs share: sync work is its own class with its own running
+//     and queued caps, so long jobs never starve it.  A full queue
+//     sheds the request with 429 + Retry-After instead of queueing
+//     without bound, and a request whose deadline passes while queued
+//     leaves the queue with 504.  The per-request deadline is plumbed
+//     as a context.Context through wmstream.CompileContext and
 //     RunWithTelemetryContext, so the optimizer pass loop and the
 //     simulator engine loops abandon work whose requester has given
 //     up.
 //  5. Successful bodies enter the cache; every outcome feeds the
 //     /metrics counters and the structured request log.
 //
-// The asynchronous job tier (jobs.go) shares the cache: a job looks up
-// its /run content address at dispatch, completes from a stored body
-// on a hit, and stores its own body after a successful execution.
+// The asynchronous job tier (jobs.go) shares the scheduler and the
+// cache: a job looks up its /run content address at dispatch,
+// completes from a stored body on a hit, and stores its own body after
+// a successful execution.
 //
 // Every request is additionally traced end to end (internal/obs): a
 // W3C traceparent is accepted inbound and a span tree — admission,
@@ -74,6 +78,12 @@ const (
 	kindJobCancel = "jobs-cancel"
 )
 
+// Scheduler classes (sched.go).
+const (
+	syncClass = iota // /compile and /run cache misses: one lane
+	jobClass         // jobs: one lane per tenant
+)
+
 // Config configures a Server.  The zero value gets sensible defaults
 // from New.
 type Config struct {
@@ -106,17 +116,9 @@ type Config struct {
 	CompileHook func(key Key)
 
 	// JobWorkers bounds concurrently executing asynchronous jobs
-	// (default 2): the job tier gets its own small pool so long jobs
+	// (default 2): jobs are their own scheduler class, so long jobs
 	// never starve synchronous traffic.
 	JobWorkers int
-	// JobBatch is how many queued jobs one job worker interleaves at a
-	// time (default 1 — dedicated execution).  Above 1, a worker claims
-	// up to JobBatch jobs and runs them on one shared admission gate:
-	// simulation slices execute one at a time in FIFO rotation, so N
-	// jobs progress together with the cache locality of sequential
-	// execution.  Results are bit-identical either way; only host
-	// scheduling changes.
-	JobBatch int
 	// JobQueueDepth bounds queued jobs across all tenants; a
 	// submission beyond it is shed with 429 (default 32).
 	JobQueueDepth int
@@ -208,9 +210,6 @@ func (c Config) withDefaults() Config {
 	if c.JobWorkers <= 0 {
 		c.JobWorkers = 2
 	}
-	if c.JobBatch <= 0 {
-		c.JobBatch = 1
-	}
 	if c.JobQueueDepth <= 0 {
 		c.JobQueueDepth = 32
 	}
@@ -257,7 +256,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	cache    *Cache
-	pool     *Pool
+	sched    *scheduler
 	jobs     *jobManager
 	flights  flightGroup
 	metrics  *metrics
@@ -281,9 +280,12 @@ func New(cfg Config) *Server {
 	// plumbing.
 	cfg.Logger = slog.New(obs.WrapHandler(cfg.Logger.Handler()))
 	s := &Server{
-		cfg:     cfg,
-		cache:   NewCache(cfg.CacheBytes),
-		pool:    NewPool(cfg.Workers, cfg.QueueDepth),
+		cfg:   cfg,
+		cache: NewCache(cfg.CacheBytes),
+		sched: newScheduler(
+			classCaps{running: cfg.Workers, queued: cfg.QueueDepth, lane: cfg.QueueDepth},
+			classCaps{running: cfg.JobWorkers, queued: cfg.JobQueueDepth, lane: cfg.JobTenantQueue},
+		),
 		metrics: newMetrics(),
 		traces: obs.NewCollector(obs.CollectorOptions{
 			Ring:          cfg.TraceRing,
@@ -297,8 +299,8 @@ func New(cfg Config) *Server {
 	s.base, s.cancel = context.WithCancel(context.Background())
 	s.jobs = newJobManager(s)
 	if cfg.JobDir != "" {
-		// Recovery before workers: every journaled job is back in its
-		// queue before anything can race it.
+		// Recovery before the listener: every journaled job is back in
+		// the scheduler before a new submission can race it.
 		s.jobs.openStore()
 	}
 	s.jobs.start()
@@ -354,21 +356,18 @@ func (s *Server) Close() {
 	s.Drain()
 	s.cancel()
 	s.jobs.close()
-	s.pool.Close()
+	s.sched.close()
+	s.jobs.closeStore()
 }
 
 // crash simulates kill -9 for the crash-restart harness: running
-// simulations abort via the canceled base context, workers exit
-// without journaling graceful-shutdown transitions (the harness has
-// already wedged the store with fault injection, so attempted writes
-// fail), and file handles are released so a fresh Server can recover
-// from the same JobDir in-process.  Test-only by being unexported.
-func (s *Server) crash() {
-	s.Drain()
-	s.cancel()
-	s.jobs.crash()
-	s.pool.Close()
-}
+// simulations abort via the canceled base context, queued jobs stay
+// queued in the journal, and file handles are released so a fresh
+// Server can recover from the same JobDir in-process.  With a journal
+// this is exactly Close; a test that needs an abrupt death wedges the
+// store with fault injection first, so graceful-shutdown writes fail.
+// Test-only by being unexported.
+func (s *Server) crash() { s.Close() }
 
 // Recovery reports what boot-time journal replay reconstructed, plus
 // the store's current mode ("durable", "degraded", "crashed", or
@@ -386,7 +385,7 @@ func (s *Server) Recovery() (RecoveryInfo, string) {
 // decodes the request, lets the cluster layer (when configured) route
 // it — local, forward to the owning peer, or degraded-local when the
 // owner is down — and otherwise runs the local cache → coalesce →
-// pool → execute pipeline.
+// schedule → execute pipeline.
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request, kind string) {
 	start := time.Now()
 	ctx, root := s.startTrace(r, "POST /"+kind)
@@ -441,7 +440,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request, kind string)
 	s.localSync(w, r, kind, start, key, req, budget)
 }
 
-// localSync is the node-local cache → coalesce → pool → execute
+// localSync is the node-local cache → coalesce → schedule → execute
 // pipeline.
 func (s *Server) localSync(w http.ResponseWriter, r *http.Request, kind string, start time.Time, key Key, req *Request, budget time.Duration) {
 	root := obs.FromContext(r.Context())
@@ -469,7 +468,7 @@ func (s *Server) localSync(w http.ResponseWriter, r *http.Request, kind string, 
 		// carries its own request trace.
 		ctx = obs.ContextWith(ctx, root)
 		qspan := root.StartChild("queue.wait")
-		err := s.pool.Do(ctx, func(ctx context.Context) {
+		err := s.sched.do(ctx, syncClass, "", func(ctx context.Context) {
 			qspan.End()
 			fr = s.execute(ctx, kind, key, req)
 		})
@@ -842,12 +841,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		jobs.JournalMode = "degraded"
 		jobs.JournalReason = s.jobs.storeErr
 	}
+	sg := s.sched.gauges(syncClass)
 	resp := &HealthResponse{
 		Status:        status,
 		Version:       s.cfg.Version,
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		QueueDepth:    s.pool.QueueDepth(),
-		InFlight:      s.pool.InFlight(),
+		QueueDepth:    sg.queued,
+		InFlight:      int64(sg.running),
 		Cache:         s.cache.Stats(),
 		Jobs:          jobs,
 	}
@@ -862,16 +862,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	jq, jr, jh := s.jobs.counts()
 	g := gauges{
-		queueDepth:  s.pool.QueueDepth(),
-		inFlight:    s.pool.InFlight(),
-		workers:     s.pool.Workers(),
+		sync:        s.sched.gauges(syncClass),
+		jobs:        s.sched.gauges(jobClass),
 		cache:       s.cache.Stats(),
 		uptime:      time.Since(s.start).Seconds(),
-		jobsQueued:  jq,
-		jobsRunning: jr,
-		jobsHeld:    jh,
+		jobsHeld:    s.jobs.held(),
 		journalMode: "memory",
 	}
 	if st := s.jobs.store; st != nil {

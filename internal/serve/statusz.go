@@ -143,7 +143,7 @@ type statuszData struct {
 	HeapBytes  uint64
 
 	Workers    int
-	InFlight   int64
+	InFlight   int
 	QueueDepth int
 
 	Cache      CacheStats
@@ -165,21 +165,21 @@ type statuszData struct {
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	jq, jr, jh := s.jobs.counts()
+	sg, jg := s.sched.gauges(syncClass), s.sched.gauges(jobClass)
 	d := statuszData{
 		Version:       s.cfg.Version,
 		Uptime:        time.Since(s.start).Round(time.Second),
 		Status:        "ok",
 		Goroutines:    runtime.NumGoroutine(),
 		HeapBytes:     ms.HeapAlloc,
-		Workers:       s.pool.Workers(),
-		InFlight:      s.pool.InFlight(),
-		QueueDepth:    s.pool.QueueDepth(),
+		Workers:       sg.workers,
+		InFlight:      sg.running,
+		QueueDepth:    sg.queued,
 		Cache:         s.cache.Stats(),
 		TransCache:    wmstream.TranslationCacheStats(),
-		JobsQueued:    jq,
-		JobsRunning:   jr,
-		JobsHeld:      jh,
+		JobsQueued:    jg.queued,
+		JobsRunning:   jg.running,
+		JobsHeld:      s.jobs.held(),
 		JournalMode:   "memory",
 		Traces:        s.traces.Stats(),
 		SlowThreshold: s.traces.SlowThreshold(),

@@ -392,8 +392,6 @@ func makeIssue(idx int, i *rtl.Instr, dec *decoded) issueFn {
 	if !isInt {
 		unitName = "FEU"
 	}
-	clsName := dec.unit.String()
-	instr := i
 	exec := makeExec(i, dec)
 
 	// issue is the hazard-free path: pop before executing, execute,
@@ -410,9 +408,6 @@ func makeIssue(idx int, i *rtl.Instr, dec *decoded) issueFn {
 			m.stats.FloatIssued++
 		}
 		m.lastUnit = unitName
-		if m.cfg.Trace != nil {
-			writeTrace(m.cfg.Trace, m.now, clsName, instr)
-		}
 		exec(m)
 		m.progress()
 		return telemetry.CauseIssued

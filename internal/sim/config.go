@@ -124,8 +124,6 @@ type Config struct {
 	WatchdogSlack int
 	// Output receives putc/puti/putd output (may be nil).
 	Output io.Writer
-	// Trace, when non-nil, receives a line per executed instruction.
-	Trace io.Writer
 	// TraceSink, when non-nil, receives Chrome trace events: one span
 	// track per functional unit plus FIFO/queue occupancy counters.
 	// When nil the hot path pays a single pointer check and allocates

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"io"
 	"math"
 
 	"wmstream/internal/rtl"
@@ -89,8 +87,4 @@ func (m *Machine) evalProg(p eprog) (uint64, bool) {
 	v := st[0]
 	m.evalStack = st[:0]
 	return v, true
-}
-
-func writeTrace(w io.Writer, now int64, unit string, i *rtl.Instr) {
-	fmt.Fprintf(w, "%8d %-5s %s\n", now, unit, i)
 }

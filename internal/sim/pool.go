@@ -18,15 +18,15 @@ import (
 // allocations (memory buffer, ring buffers, telemetry arrays) and the
 // shared decode/translation tables.
 //
-// Runs that attach per-cycle observers (Config.TraceSink, Config.Trace)
-// or the profiler bypass the pool: their machines carry run-specific
-// state (recorder, retirement counts) that is not worth recycling.
+// Runs that attach a per-cycle observer (Config.TraceSink) or the
+// profiler bypass the pool: their machines carry run-specific state
+// (recorder, retirement counts) that is not worth recycling.
 
 // poolKey identifies interchangeable machines: the image identity plus
 // every configuration field that shapes allocations or behavior.  The
 // per-run attachments (Ctx, Output) are excluded — Acquire reattaches
-// them — and the observer attachments (Trace, TraceSink, Profile)
-// bypass the pool entirely.
+// them — and the observer attachments (TraceSink, Profile) bypass the
+// pool entirely.
 type poolKey struct {
 	fp            [sha256.Size]byte
 	memLatency    int
@@ -49,7 +49,7 @@ var machinePools sync.Map // poolKey -> *sync.Pool of *Machine
 
 // poolable reports whether the configuration admits recycling.
 func poolable(cfg Config) bool {
-	return cfg.TraceSink == nil && cfg.Trace == nil && !cfg.Profile
+	return cfg.TraceSink == nil && !cfg.Profile
 }
 
 func keyFor(img *Image, cfg Config) poolKey {

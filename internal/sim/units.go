@@ -178,9 +178,6 @@ func (m *Machine) execute(d *dispatched, c rtl.Class) {
 		m.stats.FloatIssued++
 		m.lastUnit = "FEU"
 	}
-	if m.cfg.Trace != nil {
-		writeTrace(m.cfg.Trace, m.now, c.String(), i)
-	}
 	switch i.Kind {
 	case rtl.KAssign:
 		val, ok := m.evalProg(dec.src)

@@ -64,22 +64,7 @@ type SimOptions struct {
 	// run is stopped by context cancellation (a draining service), so
 	// the run can resume after a restart.
 	FinalCheckpoint bool
-	// Gate, when non-nil, is held around each simulation slice.  Runs
-	// sharing one gate (NewBatchGate) interleave slice-by-slice on a
-	// single admission token — N concurrent simulations with one
-	// worker's cache footprint.  Gating never changes results, only
-	// host scheduling.
-	Gate BatchGate
 }
-
-// BatchGate admits one simulation slice at a time across the runs that
-// share it; see SimOptions.Gate.
-type BatchGate = exec.Gate
-
-// NewBatchGate builds a gate for one batch of runs.  Goroutines
-// blocked on it are served in FIFO order, so a saturated batch
-// rotates round-robin, one slice per run per turn.
-func NewBatchGate() BatchGate { return exec.NewBatchGate() }
 
 // ResumeError reports that SimOptions.ResumeState could not be
 // restored — the blob was corrupt, from a different program, or from
@@ -258,7 +243,6 @@ func RunWithTelemetryContext(ctx context.Context, p *Program, m Machine, o SimOp
 		CheckpointEvery: o.CheckpointEvery,
 		OnCheckpoint:    onCkpt,
 		FinalCheckpoint: o.FinalCheckpoint,
-		Gate:            o.Gate,
 	})
 	res := SimResult{
 		Result: Result{
