@@ -77,9 +77,12 @@ func randomExpr(r *rand.Rand, nArrays, maxOff, depth int) string {
 // returns it with the output it must print, computed here in Go.  The
 // shapes: a scalar global bound n read by every loop test; inner loops
 // bounded by, or strided by, the outer induction variable; conditional
-// compare-and-exchange of adjacent elements (bubble passes); and
-// conditional stores, one of them to the element the next iteration
-// reads.  RandomProgram reaches none of these.  Values stay far inside
+// compare-and-exchange of adjacent elements (bubble passes, counting up
+// or down); conditional stores, one of them to the element the next
+// iteration reads; and a read beside a conditional store up to three
+// elements behind or ahead of it, on loops counting either way, which
+// the streaming pass must tell apart.  RandomProgram reaches none of
+// these.  Values stay far inside
 // the int range, and conditions mask with & rather than divide, so the
 // program means the same in C and in Go.
 func RandomLoadProgram(r *rand.Rand) (src, want string) {
@@ -102,7 +105,7 @@ func RandomLoadProgram(r *rand.Rand) (src, want string) {
 	for shapes := 2 + r.Intn(4); shapes > 0; shapes-- {
 		x, y := r.Intn(2), r.Intn(2)
 		ga, gb := g[x], g[y]
-		switch r.Intn(5) {
+		switch r.Intn(7) {
 		case 0: // bubble passes: the inner bound shrinks with the outer IV
 			passes := 1 + r.Intn(n-1)
 			less := r.Intn(2) == 0
@@ -170,6 +173,48 @@ func RandomLoadProgram(r *rand.Rand) (src, want string) {
 			for i := 1; i < n; i++ {
 				if ga[i-1] > ga[i] {
 					ga[i] = ga[i-1] - int64(d)
+				}
+			}
+		case 5: // bubble passes counting down: the carried element is g[j+1]
+			passes := 1 + r.Intn(n-1)
+			op := []string{">", "<"}[r.Intn(2)]
+			fmt.Fprintf(&b, "    for (i = 0; i < %d; i++)\n        for (j = n - 2; j >= i; j--)\n", passes)
+			fmt.Fprintf(&b, "            if (g%d[j] %s g%d[j+1]) { t = g%d[j]; g%d[j] = g%d[j+1]; g%d[j+1] = t; }\n", x, op, x, x, x, x, x)
+			for i := 0; i < passes; i++ {
+				for j := n - 2; j >= i; j-- {
+					if op == ">" && ga[j] > ga[j+1] || op == "<" && ga[j] < ga[j+1] {
+						ga[j], ga[j+1] = ga[j+1], ga[j]
+					}
+				}
+			}
+		case 6: // a read and a conditional store k elements from it
+			k, down := r.Intn(7)-3, r.Intn(2) == 0
+			mask, bits, c := 1+r.Intn(7), r.Intn(4), r.Intn(50)
+			bits &= mask
+			lo, hi := max(0, -k), n-max(0, k) // i + k stays in bounds
+			if down {
+				fmt.Fprintf(&b, "    for (i = %d; i >= %d; i--) {\n", hi-1, lo)
+			} else {
+				fmt.Fprintf(&b, "    for (i = %d; i < %d; i++) {\n", lo, hi)
+			}
+			idx := "i"
+			if k != 0 {
+				idx = fmt.Sprintf("i %c %d", "-+"[max(0, min(1, k))], max(k, -k))
+			}
+			fmt.Fprintf(&b, "        s = s + g%d[i];\n        if ((g%d[i] & %d) == %d) g%d[%s] = (g%d[i] + %d) & 255;\n    }\n", x, x, mask, bits, x, idx, x, c)
+			step := func(i int) {
+				s += ga[i]
+				if ga[i]&int64(mask) == int64(bits) {
+					ga[i+k] = (ga[i] + int64(c)) & 255
+				}
+			}
+			if down {
+				for i := hi - 1; i >= lo; i-- {
+					step(i)
+				}
+			} else {
+				for i := lo; i < hi; i++ {
+					step(i)
 				}
 			}
 		}

@@ -11,37 +11,66 @@ import (
 
 // TestRandomLoadPrograms runs RandomLoadProgram's programs at O0-O3 on
 // both engines against the output the generator computed in Go.  The
-// shapes reach the optimizer's region-aware load elimination: the test
-// also requires that some program carries a recurrence through a
-// conditional store, which no other generator produces.
+// shapes reach the optimizer's region-aware load elimination and the
+// streaming pass's per-read step 2a: the test also requires that some
+// program carries a recurrence through a conditional store, and that
+// some program streams a read whose partition keeps a scalar store,
+// which no other generator produces.
 func TestRandomLoadPrograms(t *testing.T) {
 	const seeds = 24
-	carried := 0
+	carried, pastStores := 0, 0
 	for seed := 0; seed < seeds; seed++ {
 		src, want := RandomLoadProgram(rand.New(rand.NewSource(int64(seed))))
-		p := Program{Name: fmt.Sprintf("load%d", seed), Source: src}
-		for lvl := 0; lvl <= 3; lvl++ {
-			rp, err := Compile(p, lvl)
-			if err != nil {
-				t.Fatalf("%s O%d: %v\n%s", p.Name, lvl, err, src)
-			}
-			if lvl == 2 && strings.Contains(rp.String(), "recurrence value") {
-				carried++
-			}
-			for _, eng := range []sim.Engine{sim.EngineReference, sim.EngineTranslated} {
-				cfg := sim.DefaultConfig()
-				cfg.Engine = eng
-				_, out, err := Run(rp, cfg)
-				if err != nil {
-					t.Fatalf("%s O%d %s: %v\n%s", p.Name, lvl, eng, err, src)
-				}
-				if out != want {
-					t.Fatalf("%s O%d %s: output %q, want %q\n%s", p.Name, lvl, eng, out, want, src)
-				}
-			}
+		listings := checkLoadProgram(t, fmt.Sprintf("load%d", seed), src, want)
+		if strings.Contains(listings[2], "recurrence value") {
+			carried++
+		}
+		if strings.Contains(listings[3], "past scalar stores") {
+			pastStores++
 		}
 	}
 	if carried == 0 {
 		t.Errorf("no program carried a recurrence at O2: the generator no longer reaches the conditional-store path")
 	}
+	if pastStores == 0 {
+		t.Errorf("no program streamed a read past scalar stores at O3: the generator no longer reaches per-read step 2a")
+	}
+}
+
+// FuzzLoadPrograms runs the program RandomLoadProgram builds from each
+// seed at O0-O3 on both engines against the output computed in Go.
+func FuzzLoadPrograms(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		src, want := RandomLoadProgram(rand.New(rand.NewSource(seed)))
+		checkLoadProgram(t, fmt.Sprintf("load%d", seed), src, want)
+	})
+}
+
+// checkLoadProgram compiles src at O0-O3, requires every level to print
+// want on both engines, and returns each level's listing.
+func checkLoadProgram(t *testing.T, name, src, want string) (listings [4]string) {
+	t.Helper()
+	p := Program{Name: name, Source: src}
+	for lvl := range listings {
+		rp, err := Compile(p, lvl)
+		if err != nil {
+			t.Fatalf("%s O%d: %v\n%s", p.Name, lvl, err, src)
+		}
+		listings[lvl] = rp.String()
+		for _, eng := range []sim.Engine{sim.EngineReference, sim.EngineTranslated} {
+			cfg := sim.DefaultConfig()
+			cfg.Engine = eng
+			_, out, err := Run(rp, cfg)
+			if err != nil {
+				t.Fatalf("%s O%d %s: %v\n%s", p.Name, lvl, eng, err, src)
+			}
+			if out != want {
+				t.Fatalf("%s O%d %s: output %q, want %q\n%s", p.Name, lvl, eng, out, want, src)
+			}
+		}
+	}
+	return listings
 }

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -496,6 +497,11 @@ type partition struct {
 	key    string
 	refs   []*memRef
 	unsafe bool
+}
+
+// hasWrite reports whether the partition holds a store.
+func (p *partition) hasWrite() bool {
+	return slices.ContainsFunc(p.refs, func(r *memRef) bool { return r.write })
 }
 
 // collectRefs finds every memory reference in the loop and pairs each

@@ -148,16 +148,13 @@ func planRecurrence(ctx *loopCtx, p *partition, off, maxDegree int64) *recPlan {
 	// Addresses read after the induction variable's increment would
 	// shift the linear form by one step; require program order
 	// ref-then-increment (the expander's rotated loops guarantee it).
-	// In an innermost loop a block the increment does not dominate is
-	// never reached after it within an iteration, so the conditional
-	// stores of an if-arm qualify too.
-	innermost := isInnermost(ctx)
+	// The conditional stores of an if-arm qualify too (afterIncrement).
 	for _, r := range p.refs {
-		before := precedes(ctx, r.accIdx, ivi.defIdx) || (innermost && !precedes(ctx, ivi.defIdx, r.accIdx))
-		if !before || (!r.write && !r.every) {
+		if after, ok := afterIncrement(ctx, ivi.defIdx, r.accIdx); !ok || after || (!r.write && !r.every) {
 			return nil
 		}
 	}
+	innermost := isInnermost(ctx)
 	for _, r := range p.refs {
 		if r.write {
 			continue

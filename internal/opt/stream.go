@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"sort"
 
 	"wmstream/internal/cfg"
@@ -13,11 +14,14 @@ import (
 //	Step 1    determine the loop's iteration count; too few
 //	          iterations (MinTrip) means streaming costs more than it
 //	          saves;
-//	Step 2    for every safe partition whose memory recurrences have
-//	          been eliminated, verify each reference runs on every
-//	          iteration with a fixed stride, allocate a FIFO, emit
-//	          sin/sout in the preheader, and rewrite the body's
+//	Step 2    for every safe partition, verify each reference runs on
+//	          every iteration with a fixed stride, allocate a FIFO,
+//	          emit sin/sout in the preheader, and rewrite the body's
 //	          loads/stores into FIFO register references;
+//	Step 2a   applied per read: a read streams unless a memory
+//	          recurrence remains through it (readStreams), so a read
+//	          streams past writes that trail it; a partition holding
+//	          reads keeps its writes scalar;
 //	Step 2i   replace the loop test with jump-on-stream-not-exhausted;
 //	Step 2j   the induction variable dies and dead-code elimination
 //	          (rerun by the driver) removes its increment;
@@ -246,6 +250,90 @@ func precedes(ctx *loopCtx, a, b int) bool {
 	return ctx.g.Dominates(ba, bb)
 }
 
+// readStreams is the paper's step 2a for one read r of a safe
+// partition: r may stream unless a memory recurrence remains through
+// it, that is, unless a write of the partition can store into an
+// element r has yet to fetch.  A safe partition's references share iv,
+// cee, base, class and size, with offsets a multiple of cee apart, so
+// a write w lands, in iteration t, on the element r fetches in
+// iteration t + δ/(|cee|·|step|), where
+//
+//	δ = (w.off − r.off)·sign(cee)·sign(step) + (w' − r')·|cee|·|step|
+//
+// and w', r' are 1 for a reference after the increment (its linear
+// form sees the stepped value).  With δ < 0 the write trails the read:
+// it touches only elements the execute unit has already dequeued, so
+// it never meets a stream prefetch, and the stream needs no interlock.
+// With δ = 0 both touch one element in the same iteration, so r must
+// run first, its dequeue before w's enqueue: the dequeue proves the
+// element was fetched before the store's datum exists.  Register steps
+// count as positive, as analyzeTrip assumes; their magnitude is at
+// least one, which bounds δ from above when only r follows the
+// increment and leaves it unbounded when only w does.
+func readStreams(ctx *loopCtx, p *partition, r *memRef) bool {
+	if !p.hasWrite() {
+		return true
+	}
+	ivi, ok := ctx.ivs[r.lin.iv]
+	if !ok {
+		return false
+	}
+	rAfter, ok := afterIncrement(ctx, ivi.defIdx, r.accIdx)
+	if !ok {
+		return false
+	}
+	// sign(cee)·sign(step) and |cee|·|step|, a register step counting
+	// as +1.
+	sign, span := ivSign(r.lin.cee), r.lin.cee*ivSign(r.lin.cee)
+	if !ivi.regStep {
+		sign, span = sign*ivSign(ivi.step), span*ivi.step*ivSign(ivi.step)
+	}
+	for _, w := range p.refs {
+		if !w.write {
+			continue
+		}
+		wAfter, ok := afterIncrement(ctx, ivi.defIdx, w.accIdx)
+		if !ok || ivi.regStep && wAfter && !rAfter {
+			return false
+		}
+		delta := (w.lin.off - r.lin.off) * sign
+		switch {
+		case wAfter && !rAfter:
+			delta += span
+		case rAfter && !wAfter:
+			delta -= span
+		}
+		if delta > 0 || delta == 0 &&
+			!(precedes(ctx, r.accIdx, w.accIdx) && precedes(ctx, r.dataIdx, w.dataIdx)) {
+			return false
+		}
+	}
+	return true
+}
+
+// afterIncrement reports whether the reference at n sees the
+// induction variable's stepped value, given its increment at inc; ok
+// is false when the order is ambiguous.  In an innermost loop a block
+// the increment does not dominate is reached only before it within an
+// iteration (the increment dominates the latches), so a conditional
+// reference on an if-arm reads the unstepped value.
+func afterIncrement(ctx *loopCtx, inc, n int) (after, ok bool) {
+	switch {
+	case precedes(ctx, n, inc):
+		return false, true
+	case precedes(ctx, inc, n):
+		return true, true
+	}
+	return false, isInnermost(ctx)
+}
+
+func ivSign(v int64) int64 {
+	if v < 0 {
+		return -1
+	}
+	return 1
+}
+
 // operandInvariant reports whether the expression is a constant or an
 // invariant register.
 func (ctx *loopCtx) operandInvariant(e rtl.Expr) bool {
@@ -328,7 +416,10 @@ func ceilDiv(a, b int64) int64 {
 	return (a + b - 1) / b
 }
 
-// streamLoop applies the algorithm to one innermost loop.
+// streamLoop applies the algorithm to one innermost loop with a
+// computable trip count: reads that pass readStreams and writes of
+// partitions without reads become streams, and jnd replaces the loop
+// test.
 func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
 	ctx := analyzeLoop(f, g, l)
 	if ctx.hasCall || ctx.stream {
@@ -349,14 +440,10 @@ func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
 	}
 	parts := buildPartitions(refs)
 	postIncr := map[*memRef]bool{}
+	pastStores := map[*memRef]bool{} // reads streamed ahead of scalar stores
 
 	// Choose streamable references (paper step 2).
-	type cand struct {
-		ref *memRef
-	}
 	var candidates []*memRef
-	streamedLoads := map[rtl.Class]int{}
-	streamedStores := map[rtl.Class]int{}
 	totalLoads := map[rtl.Class]int{}
 	totalStores := map[rtl.Class]int{}
 	for _, r := range refs {
@@ -370,20 +457,17 @@ func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
 		if p.unsafe {
 			continue
 		}
-		hasRead, hasWrite := false, false
-		for _, r := range p.refs {
-			if r.write {
-				hasWrite = true
-			} else {
-				hasRead = true
-			}
-		}
-		if hasRead && hasWrite {
-			continue // step 2a: memory recurrence remains; do not stream
-		}
+		hasRead := slices.ContainsFunc(p.refs, func(r *memRef) bool { return !r.write })
+		hasWrite := p.hasWrite()
 		for _, r := range p.refs {
 			if !r.every {
 				continue // step 2c: not executed every iteration
+			}
+			if r.write && hasRead {
+				continue // step 2a: beside reads, writes stay scalar
+			}
+			if !r.write && !readStreams(ctx, p, r) {
+				continue // step 2a: a memory recurrence remains through r
 			}
 			if !r.lin.hasIV() || r.lin.iv != trip.iv {
 				continue
@@ -391,23 +475,16 @@ func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
 			// A reference after the increment sees the stepped value;
 			// its stream base shifts by one stride.  Ambiguous ordering
 			// disqualifies the reference.
-			inc := ctx.ivs[trip.iv].defIdx
-			switch {
-			case precedes(ctx, r.accIdx, inc):
-			case precedes(ctx, inc, r.accIdx):
-				postIncr[r] = true
-			default:
+			after, ok := afterIncrement(ctx, ctx.ivs[trip.iv].defIdx, r.accIdx)
+			if !ok {
 				continue
 			}
+			postIncr[r] = after
 			if !trip.regStep && r.lin.cee*trip.step == 0 {
 				continue
 			}
 			candidates = append(candidates, r)
-			if r.write {
-				streamedStores[r.class]++
-			} else {
-				streamedLoads[r.class]++
-			}
+			pastStores[r] = !r.write && hasWrite
 		}
 	}
 	if len(candidates) == 0 {
@@ -539,6 +616,9 @@ func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
 		seq = append(seq, ba)
 		kind := rtl.KStreamIn
 		note := "stream in"
+		if pastStores[r] {
+			note += " past scalar stores"
+		}
 		if r.write {
 			kind = rtl.KStreamOut
 			note = "stream out"
@@ -654,7 +734,8 @@ func clampCount(f *rtl.Func, seq *[]*rtl.Instr, count rtl.Expr, trip *tripInfo) 
 // original loop test remains, and stream-stop instructions are placed
 // at every loop exit.  Only input streams are generated — an infinite
 // output stream stopped at the exit could lose enqueued data still in
-// flight.
+// flight.  Reads pass the same step-2a test as on the finite path, so
+// writes of their partition stay scalar.
 func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bool {
 	refs, ok := ctx.collectRefs()
 	if !ok {
@@ -692,37 +773,30 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 		ref  *memRef
 		ivi  ivInfo
 		post bool
+		past bool // the partition keeps scalar stores
 	}
 	var cands []cand
 	for _, p := range buildPartitions(refs) {
 		if p.unsafe {
 			continue
 		}
-		hasWrite := false
+		hasWrite := p.hasWrite()
 		for _, r := range p.refs {
-			if r.write {
-				hasWrite = true
+			if r.write || !r.every || !r.lin.hasIV() {
+				continue // writes never stream on the infinite path
 			}
-		}
-		if hasWrite {
-			continue // writes never stream on the infinite path
-		}
-		for _, r := range p.refs {
-			if !r.every || !r.lin.hasIV() {
-				continue
+			if !readStreams(ctx, p, r) {
+				continue // step 2a
 			}
 			ivi, ok := ctx.ivs[r.lin.iv]
 			if !ok {
 				continue
 			}
-			c := cand{ref: r, ivi: ivi}
-			switch {
-			case precedes(ctx, r.accIdx, ivi.defIdx):
-			case precedes(ctx, ivi.defIdx, r.accIdx):
-				c.post = true
-			default:
+			post, ok := afterIncrement(ctx, ivi.defIdx, r.accIdx)
+			if !ok {
 				continue
 			}
+			c := cand{ref: r, ivi: ivi, post: post, past: hasWrite}
 			if !ivi.regStep && r.lin.cee*ivi.step == 0 {
 				continue
 			}
@@ -799,6 +873,10 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 		ba := rtl.NewAssign(baseReg, addr)
 		ba.Note = "stream base"
 		seq = append(seq, ba)
+		note := "stream in (infinite)"
+		if a.past {
+			note += " past scalar stores"
+		}
 		seq = append(seq, &rtl.Instr{
 			Kind:     rtl.KStreamIn,
 			FIFO:     rtl.Reg{Class: a.ref.class, N: a.fifoN},
@@ -807,7 +885,7 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 			Stride:   strideExpr,
 			MemSize:  a.ref.size,
 			MemClass: a.ref.class,
-			Note:     "stream in (infinite)",
+			Note:     note,
 		})
 	}
 	f.Insert(hdr, seq...)
