@@ -169,12 +169,13 @@ int main(void) {
 `,
 }
 
-// Bubblesort sorts integers.  The swap loop's conditional exchange of
-// adjacent elements defeats streaming, but not recurrence removal: the
-// swap path reuses the values the compare loaded, and a[j+1]'s last
-// value, loaded or swapped in, is carried in a register to the next
-// iteration's a[j], so each iteration loads one element.  The fill and
-// checksum loops stream.
+// Bubblesort sorts integers.  In the swap loop the swap path reuses the
+// values the compare loaded, and a[j+1]'s last value, loaded or swapped
+// in, is carried in a register to the next iteration's a[j], so each
+// iteration loads one element, a[j+1].  The conditional exchange writes
+// only behind that read (a[j], and a[j+1] after it is read), so the
+// read streams while the stores stay scalar.  The fill and checksum
+// loops stream.
 var Bubblesort = Program{
 	Name: "bubblesort",
 	Source: `
