@@ -82,9 +82,9 @@ func randomExpr(r *rand.Rand, nArrays, maxOff, depth int) string {
 // iteration reads; and a read beside a conditional store up to three
 // elements behind or ahead of it, on loops counting either way, which
 // the streaming pass must tell apart.  RandomProgram reaches none of
-// these.  Values stay far inside
-// the int range, and conditions mask with & rather than divide, so the
-// program means the same in C and in Go.
+// these.  Values stay far inside the int range, and conditions mask
+// with & rather than divide, so the program means the same in C and in
+// Go.
 func RandomLoadProgram(r *rand.Rand) (src, want string) {
 	size := 24 + r.Intn(40)
 	var g [2][]int64
@@ -197,9 +197,9 @@ func RandomLoadProgram(r *rand.Rand) (src, want string) {
 			} else {
 				fmt.Fprintf(&b, "    for (i = %d; i < %d; i++) {\n", lo, hi)
 			}
-			idx := "i"
-			if k != 0 {
-				idx = fmt.Sprintf("i %c %d", "-+"[max(0, min(1, k))], max(k, -k))
+			idx := fmt.Sprintf("i + %d", k)
+			if k < 0 {
+				idx = fmt.Sprintf("i - %d", -k)
 			}
 			fmt.Fprintf(&b, "        s = s + g%d[i];\n        if ((g%d[i] & %d) == %d) g%d[%s] = (g%d[i] + %d) & 255;\n    }\n", x, x, mask, bits, x, idx, x, c)
 			step := func(i int) {
