@@ -266,16 +266,20 @@ func precedes(ctx *loopCtx, a, b int) bool {
 // it never meets a stream prefetch, and the stream needs no interlock.
 // With δ = 0 both touch one element in the same iteration, so r must
 // run first, its dequeue before w's enqueue: the dequeue proves the
-// element was fetched before the store's datum exists.  Register steps
-// count as positive, as analyzeTrip assumes; their magnitude is at
-// least one, which bounds δ from above when only r follows the
-// increment and leaves it unbounded when only w does.
-func readStreams(ctx *loopCtx, p *partition, r *memRef) bool {
+// element was fetched before the store's datum exists.  A register
+// step counts as positive only when stepUp says the loop test proves
+// it (analyzeTrip accepts a register step only under a `<`/`<=` test
+// of that induction variable); its magnitude is then at least one,
+// which bounds δ from above when only r follows the increment and
+// leaves it unbounded when only w does.  Without that proof the
+// step's sign, and so δ's, is unknown, and a partition with a write
+// keeps r scalar.
+func readStreams(ctx *loopCtx, p *partition, r *memRef, stepUp bool) bool {
 	if !p.hasWrite() {
 		return true
 	}
 	ivi, ok := ctx.ivs[r.lin.iv]
-	if !ok {
+	if !ok || ivi.regStep && !stepUp {
 		return false
 	}
 	rAfter, ok := afterIncrement(ctx, ivi.defIdx, r.accIdx)
@@ -466,11 +470,12 @@ func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
 			if r.write && hasRead {
 				continue // step 2a: beside reads, writes stay scalar
 			}
-			if !r.write && !readStreams(ctx, p, r) {
-				continue // step 2a: a memory recurrence remains through r
-			}
 			if !r.lin.hasIV() || r.lin.iv != trip.iv {
 				continue
+			}
+			// analyzeTrip proved a register step of trip.iv upward.
+			if !r.write && !readStreams(ctx, p, r, true) {
+				continue // step 2a: a memory recurrence remains through r
 			}
 			// A reference after the increment sees the stepped value;
 			// its stream base shifts by one stride.  Ambiguous ordering
@@ -735,7 +740,9 @@ func clampCount(f *rtl.Func, seq *[]*rtl.Instr, count rtl.Expr, trip *tripInfo) 
 // at every loop exit.  Only input streams are generated — an infinite
 // output stream stopped at the exit could lose enqueued data still in
 // flight.  Reads pass the same step-2a test as on the finite path, so
-// writes of their partition stay scalar.
+// writes of their partition stay scalar; with no loop test bounding
+// it, a register step's sign is unknown, so a read beside a write on
+// a register-step induction variable stays scalar too.
 func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bool {
 	refs, ok := ctx.collectRefs()
 	if !ok {
@@ -785,7 +792,9 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 			if r.write || !r.every || !r.lin.hasIV() {
 				continue // writes never stream on the infinite path
 			}
-			if !readStreams(ctx, p, r) {
+			// No loop test bounds a register step here, so its sign
+			// is unknown.
+			if !readStreams(ctx, p, r, false) {
 				continue // step 2a
 			}
 			ivi, ok := ctx.ivs[r.lin.iv]

@@ -242,3 +242,49 @@ halt`)
 		t.Errorf("want a stop per stream at the exit:\n%s", text)
 	}
 }
+
+// infRegStepRTL is "while (g[k] != 0) { %s k = k + s; }" with the step
+// s in the register rv9: no loop test bounds s, so its sign is
+// unknown.
+const infRegStepRTL = `
+rv0 := 10
+rv1 := _g
+LP:
+L5:
+%s
+rv0 := (rv0 + rv9)
+l32r r0, ((rv0 << 2) + rv1)
+rv3 := r0
+r31 := (rv3 != 0)
+jumpTr L5
+L7:
+halt`
+
+// TestStreamInfiniteRegisterStepWithoutWrite: the control for the
+// refusals below; with no write in the loop the test's read streams
+// on the register step.
+func TestStreamInfiniteRegisterStepWithoutWrite(t *testing.T) {
+	f := parseFunc(t, strings.Replace(infRegStepRTL, "%s", "", 1))
+	if !chk(Streams(f, 4)) || countKind(f, rtl.KStreamIn) != 1 || countKind(f, rtl.KLoad) != 0 {
+		t.Fatalf("want the read streamed:\n%s", listing(f))
+	}
+}
+
+// TestStreamInfiniteRegisterStepRefusesWrite: g[k-1] trails the read of
+// g[k + s] only for s > 0.  For s = -1 the next read is the element
+// just written, which a stream would already have prefetched, so the
+// read stays scalar.
+func TestStreamInfiniteRegisterStepRefusesWrite(t *testing.T) {
+	refusesToStream(t, fmt.Sprintf(infRegStepRTL, `rv4 := (rv0 - 1)
+r0 := 0
+s32r r0, ((rv4 << 2) + rv1)`))
+}
+
+// TestStreamInfiniteRegisterStepRefusesSameElement: "g[k] = g[k] - 1"
+// with s = 0 writes the element every later read fetches.
+func TestStreamInfiniteRegisterStepRefusesSameElement(t *testing.T) {
+	refusesToStream(t, fmt.Sprintf(infRegStepRTL, `l32r r0, ((rv0 << 2) + rv1)
+rv2 := r0
+r0 := (rv2 - 1)
+s32r r0, ((rv0 << 2) + rv1)`))
+}
