@@ -81,15 +81,18 @@ func randomExpr(r *rand.Rand, nArrays, maxOff, depth int) string {
 // or down); conditional stores, one of them to the element the next
 // iteration reads; and a read beside a conditional store up to three
 // elements behind or ahead of it, on loops counting either way, which
-// the streaming pass must tell apart.  RandomProgram reaches none of
+// the streaming pass must tell apart; and a callee whose pointer
+// parameter the call binds to a global, which it scans in a store-free
+// loop with a data-dependent exit and then reads beside direct stores
+// to that global.  RandomProgram reaches none of
 // these.  Values stay far inside the int range, and conditions mask
 // with & rather than divide, so the program means the same in C and in
 // Go.
 func RandomLoadProgram(r *rand.Rand) (src, want string) {
 	size := 24 + r.Intn(40)
 	var g [2][]int64
-	var b strings.Builder
-	fmt.Fprintf(&b, "int g0[%d];\nint g1[%d];\nint n = %d;\n", size, size, size)
+	var b, fns strings.Builder // main's body, and the functions it calls
+	fmt.Fprintf(&fns, "int g0[%d];\nint g1[%d];\nint n = %d;\n", size, size, size)
 	fmt.Fprintf(&b, "int main(void) {\n    int i, j, k, t, s;\n")
 	for a := range g {
 		mul, add, mod := 1+r.Intn(37), r.Intn(50), 50+r.Intn(150)
@@ -105,7 +108,7 @@ func RandomLoadProgram(r *rand.Rand) (src, want string) {
 	for shapes := 2 + r.Intn(4); shapes > 0; shapes-- {
 		x, y := r.Intn(2), r.Intn(2)
 		ga, gb := g[x], g[y]
-		switch r.Intn(7) {
+		switch r.Intn(8) {
 		case 0: // bubble passes: the inner bound shrinks with the outer IV
 			passes := 1 + r.Intn(n-1)
 			less := r.Intn(2) == 0
@@ -217,6 +220,26 @@ func RandomLoadProgram(r *rand.Rand) (src, want string) {
 					step(i)
 				}
 			}
+		case 7: // a pointer parameter bound to a global at the call
+			name := fmt.Sprintf("scan%d", shapes)
+			lo, lim, k, m, c := r.Intn(n-1), r.Intn(256), 1+r.Intn(3), 1+r.Intn(9), r.Intn(50)
+			fmt.Fprintf(&fns, "int %s(int *p, int lo, int lim) {\n    int i, s;\n    p[n - 1] = lim;\n", name)
+			// A read-only scan with a data-dependent exit, stopped by
+			// the sentinel above, then a loop that reads through p and
+			// writes the same global directly, k elements ahead.
+			fmt.Fprintf(&fns, "    i = lo;\n    while (p[i] < lim) i++;\n    s = i;\n")
+			fmt.Fprintf(&fns, "    for (i = 0; i < n - %d; i++)\n        g%d[i + %d] = (p[i] * %d + %d) & 255;\n", k, x, k, m, c)
+			fmt.Fprintf(&fns, "    return s;\n}\n")
+			fmt.Fprintf(&b, "    s = s + %s(g%d, %d, %d);\n", name, x, lo, lim)
+			ga[n-1] = int64(lim)
+			i := lo
+			for ga[i] < int64(lim) {
+				i++
+			}
+			s += int64(i)
+			for i := 0; i < n-k; i++ {
+				ga[i+k] = (ga[i]*int64(m) + int64(c)) & 255
+			}
 		}
 	}
 	fmt.Fprintf(&b, "    for (i = 0; i < n; i++) s = s + g0[i] * (i %% 7 + 1) + g1[i];\n")
@@ -224,7 +247,7 @@ func RandomLoadProgram(r *rand.Rand) (src, want string) {
 		s += g[0][i]*int64(i%7+1) + g[1][i]
 	}
 	fmt.Fprintf(&b, "    puti(s);\n    return 0;\n}\n")
-	return b.String(), fmt.Sprint(s)
+	return fns.String() + b.String(), fmt.Sprint(s)
 }
 
 // RandomCallProgram emits a random well-defined Mini-C program whose

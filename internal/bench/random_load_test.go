@@ -13,12 +13,13 @@ import (
 // both engines against the output the generator computed in Go.  The
 // shapes reach the optimizer's region-aware load elimination and the
 // streaming pass's per-read step 2a: the test also requires that some
-// program carries a recurrence through a conditional store, and that
-// some program streams a read whose partition keeps a scalar store,
+// program carries a recurrence through a conditional store, that some
+// program streams a read whose partition keeps a scalar store, and
+// that some callee streams its pointer parameter on the infinite path,
 // which no other generator produces.
 func TestRandomLoadPrograms(t *testing.T) {
 	const seeds = 24
-	carried, pastStores := 0, 0
+	carried, pastStores, scans := 0, 0, 0
 	for seed := 0; seed < seeds; seed++ {
 		src, want := RandomLoadProgram(rand.New(rand.NewSource(int64(seed))))
 		listings := checkLoadProgram(t, fmt.Sprintf("load%d", seed), src, want)
@@ -28,6 +29,15 @@ func TestRandomLoadPrograms(t *testing.T) {
 		if strings.Contains(listings[3], "past scalar stores") {
 			pastStores++
 		}
+		for _, fn := range strings.Split(listings[3], ".func ")[1:] {
+			if strings.HasPrefix(fn, "scan") && strings.Contains(fn, "stream in (infinite)") {
+				scans++
+				break
+			}
+		}
+	}
+	if scans == 0 {
+		t.Errorf("no callee streamed its pointer parameter at O3: the generator no longer reaches step 1 in a store-free loop")
 	}
 	if carried == 0 {
 		t.Errorf("no program carried a recurrence at O2: the generator no longer reaches the conditional-store path")

@@ -107,8 +107,13 @@ func TestTable1Shape(t *testing.T) {
 }
 
 // TestTable2Subset verifies the streaming measurement on the
-// fastest-running subset, including the paper's key shape points: the
-// dot product gains a lot, quicksort almost nothing.
+// fastest-running subset: the dot product gains a lot, and more than
+// quicksort.  Quicksort's scan loops (while (a[i] < pivot) i++) read
+// only through qsort2's pointer parameter and store nothing, so no
+// write can reach an element before its dequeue and they stream on the
+// infinite path.  The paper's step 1 used to poison every partition
+// for such a read, which left quicksort almost nothing (the test
+// bounded its reduction by 10%); the pin is now the stream itself.
 func TestTable2Subset(t *testing.T) {
 	dot, _ := bench.ByName("dot-product")
 	_, _, dotPct, err := bench.StreamingReduction(dot)
@@ -123,11 +128,15 @@ func TestTable2Subset(t *testing.T) {
 	if dotPct < 30 {
 		t.Errorf("dot-product reduction = %.1f%%, want large", dotPct)
 	}
-	if qsPct > 10 {
-		t.Errorf("quicksort reduction = %.1f%%, want small", qsPct)
-	}
 	if dotPct <= qsPct {
 		t.Errorf("shape violated: dot %.1f%% <= quicksort %.1f%%", dotPct, qsPct)
+	}
+	p, err := bench.Compile(qs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := p.Func("qsort2").Listing(); !strings.Contains(l, "stream in (infinite)") {
+		t.Errorf("quicksort's scan loops do not stream through qsort2's parameter:\n%s", l)
 	}
 }
 

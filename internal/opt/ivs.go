@@ -592,20 +592,35 @@ func (ctx *loopCtx) findEnqueue(b *cfg.Block, storeIdx int, store *rtl.Instr) in
 // whose region is named poisons only its own partition.  Step 3 applies
 // the safety tests: the same induction variable, cee and base, and
 // offsets on the same lattice.
-func buildPartitions(refs []*memRef) []*partition {
+//
+// Poisoning guards against a write reaching an element a stream has
+// fetched, so it matters only in a loop that writes memory.  In a loop
+// with no store, no stream instruction and no call, a read of unknown
+// region that linearizes joins a partition keyed by its base terms
+// instead (reads through one pointer share it), and step 3 applies to
+// that partition as to any other.
+func (ctx *loopCtx) buildPartitions(refs []*memRef) []*partition {
+	readOnly := !ctx.hasCall && !ctx.stream && !slices.ContainsFunc(refs, func(r *memRef) bool { return r.write })
 	byKey := map[string]*partition{}
 	var order []string
 	var unknowns []*memRef
 	for _, r := range refs {
-		if r.region == "" {
-			unknowns = append(unknowns, r)
-			continue
+		key := r.region
+		if key == "" {
+			if !readOnly {
+				unknowns = append(unknowns, r)
+				continue
+			}
+			if !r.lin.ok {
+				continue // cannot stream, and poisons nothing without a write
+			}
+			key = r.lin.baseKey()
 		}
-		p := byKey[r.region]
+		p := byKey[key]
 		if p == nil {
-			p = &partition{key: r.region}
-			byKey[r.region] = p
-			order = append(order, r.region)
+			p = &partition{key: key}
+			byKey[key] = p
+			order = append(order, key)
 		}
 		p.refs = append(p.refs, r)
 	}

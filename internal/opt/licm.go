@@ -75,16 +75,18 @@ func hoistLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) (bool, error) {
 	preInsert := preheaderInsertPos(f, pre)
 	live := false // liveness computed; nothing below changes f until a hoist returns
 	for _, b := range l.BlockList() {
-		if !dominatesAllLatches(g, l, b) {
-			continue
-		}
+		every := dominatesAllLatches(g, l, b)
 		for n := b.Start; n < b.End; n++ {
 			i := f.Code[n]
 			if i.Kind != rtl.KAssign || i.HasSideEffects() {
 				continue
 			}
+			// A call overwrites the physical registers (an argument
+			// register holds the result), so a physical destination
+			// in a loop with a call has more definitions than the
+			// loop's code shows.
 			d := i.Dst
-			if d.IsZero() || d.IsFIFO() || ctx.defCount[d] != 1 {
+			if d.IsZero() || d.IsFIFO() || ctx.defCount[d] != 1 || ctx.hasCall && !d.IsVirtual() {
 				continue
 			}
 			if !safeToSpeculate(i.Src) {
@@ -105,7 +107,12 @@ func hoistLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) (bool, error) {
 				g.Liveness()
 				live = true
 			}
-			if l.Header.LiveIn.Has(d) && usedBeforeDefInLoop(f, g, l, d, n) {
+			// A definition on a conditional arm (one that does not run
+			// on every iteration) moves only when nothing reads the
+			// destination's pre-loop value: then every read of it
+			// follows this, its only definition, and sees the same
+			// invariant value wherever that value is computed.
+			if l.Header.LiveIn.Has(d) && (!every || usedBeforeDefInLoop(f, g, l, d, n)) {
 				continue
 			}
 			f.Remove(n)

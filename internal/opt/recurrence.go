@@ -58,7 +58,7 @@ func recurrenceOnce(f *rtl.Func, maxDegree int64) (bool, error) {
 		if !ok {
 			continue
 		}
-		for _, p := range buildPartitions(refs) {
+		for _, p := range ctx.buildPartitions(refs) {
 			if transformRecurrence(ctx, p, maxDegree) {
 				return true, nil
 			}

@@ -442,7 +442,7 @@ func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
 	if !ok {
 		return false
 	}
-	parts := buildPartitions(refs)
+	parts := ctx.buildPartitions(refs)
 	postIncr := map[*memRef]bool{}
 	pastStores := map[*memRef]bool{} // reads streamed ahead of scalar stores
 
@@ -783,7 +783,7 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 		past bool // the partition keeps scalar stores
 	}
 	var cands []cand
-	for _, p := range buildPartitions(refs) {
+	for _, p := range ctx.buildPartitions(refs) {
 		if p.unsafe {
 			continue
 		}

@@ -18,26 +18,19 @@ import (
 // (package scalar) reuses the same analysis with a stricter notion of
 // what an addressing mode can absorb.
 func StrengthReduce(f *rtl.Func) (bool, error) {
-	changed := false
-	for round := 0; round < 128; round++ {
-		more, err := strengthOnce(f, wmAddrNeedsHelp)
-		if err != nil {
-			return changed, err
-		}
-		if !more {
-			return changed, nil
-		}
-		changed = true
-	}
-	return changed, nil
+	return strengthReduce(f, wmAddrNeedsHelp, true)
 }
 
 // StrengthReduceWith runs the pass with a custom "address needs help"
-// predicate (used by the scalar backend).
+// predicate (used by the scalar backend), without the offset fold.
 func StrengthReduceWith(f *rtl.Func, needsHelp func(lin linform) bool) (bool, error) {
+	return strengthReduce(f, needsHelp, false)
+}
+
+func strengthReduce(f *rtl.Func, needsHelp func(lin linform) bool, fold bool) (bool, error) {
 	changed := false
 	for round := 0; round < 128; round++ {
-		more, err := strengthOnce(f, needsHelp)
+		more, err := strengthOnce(f, needsHelp, fold)
 		if err != nil {
 			return changed, err
 		}
@@ -53,7 +46,7 @@ func StrengthReduceWith(f *rtl.Func, needsHelp func(lin linform) bool) (bool, er
 // helper definitions cost extra instructions on WM.
 func wmAddrNeedsHelp(lin linform) bool { return lin.expanded }
 
-func strengthOnce(f *rtl.Func, needsHelp func(linform) bool) (bool, error) {
+func strengthOnce(f *rtl.Func, needsHelp func(linform) bool, fold bool) (bool, error) {
 	g, err := cfg.Build(f)
 	if err != nil {
 		return false, err
@@ -105,8 +98,92 @@ func strengthOnce(f *rtl.Func, needsHelp func(linform) bool) (bool, error) {
 				return true, nil
 			}
 		}
+		if fold {
+			for _, r := range refs {
+				if !r.every && foldOffset(ctx, r.accIdx) {
+					return true, nil
+				}
+			}
+		}
 	}
 	return false, nil
+}
+
+// foldOffset moves the constant of an index into the base for an
+// access that does not run on every iteration (one on a conditional
+// arm, which derived pointers do not serve).  Its address
+// ((x << s) + B), with x := y ± c earlier in the same block, x used
+// nowhere else, y unchanged in between and B invariant, becomes
+// ((y << s) + B'), where the preheader computes B' := B ± (c << s).
+// In bubblesort's swap arm y is the induction variable j and x is j+1.
+// The access then needs no index arithmetic of its own, and dead-code
+// elimination deletes x's definition.  It reports whether it changed
+// the code.
+func foldOffset(ctx *loopCtx, acc int) bool {
+	f := ctx.f
+	i := f.Code[acc]
+	sum, ok := i.Addr.(rtl.Bin)
+	if !ok || sum.Op != rtl.Add {
+		return false
+	}
+	shl, ok := sum.L.(rtl.Bin)
+	bx, bok := sum.R.(rtl.RegX)
+	if !ok {
+		shl, ok = sum.R.(rtl.Bin)
+		bx, bok = sum.L.(rtl.RegX)
+	}
+	if !ok || !bok || shl.Op != rtl.Shl || bx.Reg.Class != rtl.Int || !ctx.invariant(bx.Reg) {
+		return false
+	}
+	xx, xok := shl.L.(rtl.RegX)
+	sh, sok := shl.R.(rtl.Imm)
+	if !xok || !sok || sh.V < 0 || sh.V >= 32 || ctx.defCount[xx.Reg] != 1 {
+		return false
+	}
+	x, d := xx.Reg, ctx.defIdx[xx.Reg][0]
+	def := f.Code[d]
+	if def.Kind != rtl.KAssign || d > acc || ctx.g.BlockOf(d) != ctx.g.BlockOf(acc) {
+		return false
+	}
+	add, ok := def.Src.(rtl.Bin)
+	if !ok || add.Op != rtl.Add && add.Op != rtl.Sub {
+		return false
+	}
+	yx, yok := add.L.(rtl.RegX)
+	c, cok := add.R.(rtl.Imm)
+	if !yok || !cok || yx.Reg.IsFIFO() {
+		return false
+	}
+	for _, n := range ctx.defIdx[yx.Reg] {
+		if d < n && n < acc {
+			return false // y changes between x's definition and the access
+		}
+	}
+	uses := 0
+	for _, in := range f.Code {
+		for _, u := range in.Uses(nil) {
+			if u == x {
+				uses++
+			}
+		}
+	}
+	if uses != 1 {
+		return false
+	}
+	off := c.V << uint(sh.V)
+	if add.Op == rtl.Sub {
+		off = -off
+	}
+	hdr := f.FindLabel(ctx.loopLabel())
+	if hdr < 0 {
+		return false
+	}
+	base := f.NewVirt(rtl.Int)
+	i.Addr = rtl.B(rtl.Add, rtl.B(rtl.Shl, yx, sh), rtl.RX(base))
+	init := rtl.NewAssign(base, rtl.B(rtl.Add, bx, rtl.I(off)))
+	init.Note = "base with folded offset"
+	f.Insert(hdr, init)
+	return true
 }
 
 // alreadyReduced reports whether an address is already in the form a
