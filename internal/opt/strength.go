@@ -160,8 +160,10 @@ func foldOffset(ctx *loopCtx, acc int) bool {
 		}
 	}
 	uses := 0
+	var regs []rtl.Reg
 	for _, in := range f.Code {
-		for _, u := range in.Uses(nil) {
+		regs = in.Uses(regs[:0])
+		for _, u := range regs {
 			if u == x {
 				uses++
 			}

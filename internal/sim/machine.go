@@ -613,18 +613,17 @@ func (m *Machine) stepSCUs() {
 				continue
 			}
 			// A stream read waits while a scalar store to its element
-			// is still on its way to memory.  That store was issued
+			// is still on its way to memory, such as one issued just
 			// before the stream started: the activation hold drains
 			// the unit queues, but not the store matcher or the write
-			// queue.  A store the loop issues later targets an element
-			// the stream has already fetched; one to an element still
-			// ahead is the hazard that forbids streaming loops with
-			// unresolved memory recurrences (paper step 2a), and this
-			// wait does not cure it.  An infinite stream
-			// may also prefetch past mapped memory before the loop
-			// exits and stops it; such reads deliver zero rather than
-			// faulting (the hardware would fault lazily, on
-			// consumption).
+			// queue.  It never waits for a store the loop has yet to
+			// issue; such a store to an element the stream fetches
+			// first is the hazard that forbids streaming loops with
+			// unresolved memory recurrences (paper step 2a).  An
+			// infinite stream may also prefetch past mapped memory
+			// before the loop exits and stops it; such reads deliver
+			// zero rather than faulting (the hardware would fault
+			// lazily, on consumption).
 			if m.storeConflict(s.base, s.size, -1) {
 				m.account(u, telemetry.CauseStreamBusy, nil)
 				continue

@@ -41,8 +41,9 @@ const (
 	// forwarding distance).
 	CauseResultLatency
 	// CauseStreamBusy: blocked on stream machinery — a scalar access
-	// interleaving with an active stream, or a stream start waiting for
-	// queues to drain or a free stream control unit.
+	// interleaving with an active stream, a stream start waiting for
+	// queues to drain or a free stream control unit, or a stream read
+	// waiting for a store to its element to reach memory.
 	CauseStreamBusy
 	// CauseQueueFull: the IFU could not dispatch into a full unit queue.
 	CauseQueueFull
