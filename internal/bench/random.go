@@ -84,14 +84,13 @@ func randomExpr(r *rand.Rand, nArrays, maxOff, depth int) string {
 // the streaming pass must tell apart; and a callee whose pointer
 // parameter the call binds to a global, which it scans in a store-free
 // loop with a data-dependent exit and then reads beside direct stores
-// to that global.  RandomProgram reaches none of
-// these.  Values stay far inside the int range, and conditions mask
-// with & rather than divide, so the program means the same in C and in
-// Go.
+// to that global.  RandomProgram reaches none of these.  Values stay
+// far inside the int range, and conditions mask with & rather than
+// divide, so the program means the same in C and in Go.
 func RandomLoadProgram(r *rand.Rand) (src, want string) {
 	size := 24 + r.Intn(40)
 	var g [2][]int64
-	var b, fns strings.Builder // main's body, and the functions it calls
+	var fns, b strings.Builder // the globals and callees, then main
 	fmt.Fprintf(&fns, "int g0[%d];\nint g1[%d];\nint n = %d;\n", size, size, size)
 	fmt.Fprintf(&b, "int main(void) {\n    int i, j, k, t, s;\n")
 	for a := range g {

@@ -22,7 +22,6 @@ func TestStoreThenStream(t *testing.T) {
 	for k := range 8 {
 		binary.LittleEndian.PutUint32(data[k*4:], uint32(100+k))
 	}
-	fdata := make([]byte, 64*8)
 	shapes := []struct {
 		name, pre, fifo string
 	}{
@@ -41,7 +40,7 @@ func TestStoreThenStream(t *testing.T) {
 						src := `
 .entry main
 .data w 32 align=4 init=` + hexOf(data) + `
-.data f 512 align=8 init=` + hexOf(fdata) + `
+.data f 512 align=8
 .func main
 ` + sh.pre + `r6 := _w
 r7 := (r6 + 8)
