@@ -1,28 +1,42 @@
 #!/usr/bin/env bash
 # Compares two copies of internal/bench/testdata/cycles.golden, the
-# per-program cycle ledger.  It prints every line whose cycles= value
-# changed, with the delta, and lines only one side has, and exits 1 if
-# any cycles= value rose.
+# per-program cycle ledger.  It prints every line whose cycles=,
+# memreads= or streamed= value changed, with each delta, and lines only
+# one side has.  It exits 1 if any cycles= value rose or a line of the
+# old ledger is gone (deleting a line would hide its regression);
+# memreads= and streamed= moves are reported, never failed.
 #
 #   bash .github/scripts/cycles-delta.sh old-cycles.golden new-cycles.golden
 set -euo pipefail
 awk '
-function cycles(line,   f, k) {
-	split(line, f, " ")
-	for (k in f) if (f[k] ~ /^cycles=/) return substr(f[k], 8) + 0
+function field(line, name,   f, k, n) {
+	n = split(line, f, " ")
+	for (k = 1; k <= n; k++) if (index(f[k], name "=") == 1) return substr(f[k], length(name) + 2) + 0
 	return -1
 }
-NR == FNR { old[$1] = cycles($0); next }
+function delta(name, a, b) {
+	if (a == b) return sprintf("%s=%d", name, b)
+	return sprintf("%s %d -> %d (%+d)", name, a, b, b - a)
+}
+NR == FNR {
+	old[$1] = field($0, "cycles"); oldm[$1] = field($0, "memreads"); olds[$1] = field($0, "streamed")
+	next
+}
 {
 	seen[$1] = 1
-	now = cycles($0)
-	if (!($1 in old)) { printf "new     %-28s cycles=%d\n", $1, now; next }
-	if (now == old[$1]) next
+	now = field($0, "cycles"); m = field($0, "memreads"); s = field($0, "streamed")
+	if (!($1 in old)) { printf "new     %-28s cycles=%d memreads=%d streamed=%d\n", $1, now, m, s; next }
+	if (now == old[$1] && m == oldm[$1] && s == olds[$1]) next
 	d = now - old[$1]
-	printf "%-7s %-28s %d -> %d (%+d, %+.1f%%)\n", (d > 0 ? "ROSE" : "fell"), $1, old[$1], now, d, 100 * d / old[$1]
+	tag = d > 0 ? "ROSE" : d < 0 ? "fell" : "same"
+	pct = old[$1] ? 100 * d / old[$1] : 0
+	printf "%-7s %-28s %d -> %d (%+d, %+.1f%%)  %s  %s\n", tag, $1, old[$1], now, d, pct,
+		delta("memreads", oldm[$1], m), delta("streamed", olds[$1], s)
 	if (d > 0) rose++
 }
 END {
-	for (k in old) if (!(k in seen)) printf "gone    %s\n", k
-	if (rose) { printf "%d cycles.golden line(s) rose\n", rose; exit 1 }
+	for (k in old) if (!(k in seen)) { printf "GONE    %s\n", k; gone++ }
+	if (rose) printf "%d cycles.golden line(s) rose\n", rose
+	if (gone) printf "%d cycles.golden line(s) gone\n", gone
+	if (rose || gone) exit 1
 }' "$1" "$2"

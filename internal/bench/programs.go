@@ -446,8 +446,11 @@ int main(void) {
 
 // Sieve of Eratosthenes: the flag-initialization loop streams, and so
 // does the marking loop, with the prime as a register stride.  The
-// bound n stays in a register across the prime loop: the marking
-// loop's stores go to flags, another region.
+// prime loop's read of flags[i] streams too: the stream stops as the
+// if (flags[i]) arm begins, before the marking loop clears multiples
+// of i, and restarts at flags[i+1] when the arm ends (the restart
+// rule).  The bound n stays in a register across the prime loop: the
+// marking loop's stores go to flags, another region.
 var Sieve = Program{
 	Name: "sieve",
 	Source: `

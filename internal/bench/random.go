@@ -81,12 +81,15 @@ func randomExpr(r *rand.Rand, nArrays, maxOff, depth int) string {
 // or down); conditional stores, one of them to the element the next
 // iteration reads; and a read beside a conditional store up to three
 // elements behind or ahead of it, on loops counting either way, which
-// the streaming pass must tell apart; and a callee whose pointer
+// the streaming pass must tell apart; a callee whose pointer
 // parameter the call binds to a global, which it scans in a store-free
 // loop with a data-dependent exit and then reads beside direct stores
-// to that global.  RandomProgram reaches none of these.  Values stay
-// far inside the int range, and conditions mask with & rather than
-// divide, so the program means the same in C and in Go.
+// to that global; and an outer read g[i] whose conditional arm holds an
+// inner loop rewriting the elements later iterations read, plus a
+// store to the next element or the one behind, counting either way,
+// which the restart rule streams.  RandomProgram reaches none of these.
+// Values stay far inside the int range, and conditions mask with &
+// rather than divide, so the program means the same in C and in Go.
 func RandomLoadProgram(r *rand.Rand) (src, want string) {
 	size := 24 + r.Intn(40)
 	var g [2][]int64
@@ -107,7 +110,7 @@ func RandomLoadProgram(r *rand.Rand) (src, want string) {
 	for shapes := 2 + r.Intn(4); shapes > 0; shapes-- {
 		x, y := r.Intn(2), r.Intn(2)
 		ga, gb := g[x], g[y]
-		switch r.Intn(8) {
+		switch r.Intn(9) {
 		case 0: // bubble passes: the inner bound shrinks with the outer IV
 			passes := 1 + r.Intn(n-1)
 			less := r.Intn(2) == 0
@@ -238,6 +241,47 @@ func RandomLoadProgram(r *rand.Rand) (src, want string) {
 			s += int64(i)
 			for i := 0; i < n-k; i++ {
 				ga[i+k] = (ga[i]*int64(m) + int64(c)) & 255
+			}
+		case 8: // an outer read whose arm holds an inner writer
+			span, down, store := 1+r.Intn(5), r.Intn(2) == 0, r.Intn(3)
+			mask, bits, c, c2 := 1+r.Intn(7), r.Intn(4), r.Intn(50), r.Intn(50)
+			bits &= mask
+			// d steps toward the elements later iterations read: the
+			// inner loop rewrites the span of them after i, and the
+			// store rewrites the next one or the one behind.
+			d, first, last, cmp, inc := 1, 1, n-1-span, "<=", "++"
+			if down {
+				d, first, last, cmp, inc = -1, n-2, span, ">=", "--"
+			}
+			fmt.Fprintf(&b, "    for (i = %d; i %s %d; i%s)\n", first, cmp, last, inc)
+			fmt.Fprintf(&b, "        if ((g%d[i] & %d) == %d) {\n            s = s + g%d[i];\n", x, mask, bits, x)
+			plus := func(v int) string { // i + v, spelled without a negative literal
+				if v < 0 {
+					return fmt.Sprintf("i - %d", -v)
+				}
+				return fmt.Sprintf("i + %d", v)
+			}
+			fmt.Fprintf(&b, "            for (k = %s; k %s %s; k%s) g%d[k] = (g%d[k] + %d) & 255;\n",
+				plus(d), cmp, plus(d*span), inc, y, y, c)
+			at := d // store 1 rewrites the next element, store 2 the one behind
+			if store == 2 {
+				at = -d
+			}
+			if store != 0 {
+				fmt.Fprintf(&b, "            g%d[%s] = (g%d[i] ^ %d) & 255;\n", x, plus(at), x, c2)
+			}
+			fmt.Fprintf(&b, "        }\n")
+			for i := first; i != last+d; i += d {
+				if ga[i]&int64(mask) != int64(bits) {
+					continue
+				}
+				s += ga[i]
+				for k := i + d; k != i+d*(span+1); k += d {
+					gb[k] = (gb[k] + int64(c)) & 255
+				}
+				if store != 0 {
+					ga[i+at] = (ga[i] ^ int64(c2)) & 255
+				}
 			}
 		}
 	}

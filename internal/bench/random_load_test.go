@@ -14,12 +14,13 @@ import (
 // shapes reach the optimizer's region-aware load elimination and the
 // streaming pass's per-read step 2a: the test also requires that some
 // program carries a recurrence through a conditional store, that some
-// program streams a read whose partition keeps a scalar store, and
-// that some callee streams its pointer parameter on the infinite path,
-// which no other generator produces.
+// program streams a read whose partition keeps a scalar store, that
+// some callee streams its pointer parameter on the infinite path, and
+// that some program restarts a stream after an arm holding an inner
+// writer, which no other generator produces.
 func TestRandomLoadPrograms(t *testing.T) {
 	const seeds = 24
-	carried, pastStores, scans := 0, 0, 0
+	carried, pastStores, scans, restarts := 0, 0, 0, 0
 	for seed := 0; seed < seeds; seed++ {
 		src, want := RandomLoadProgram(rand.New(rand.NewSource(int64(seed))))
 		listings := checkLoadProgram(t, fmt.Sprintf("load%d", seed), src, want)
@@ -28,6 +29,9 @@ func TestRandomLoadPrograms(t *testing.T) {
 		}
 		if strings.Contains(listings[3], "past scalar stores") {
 			pastStores++
+		}
+		if strings.Contains(listings[3], "restart stream") {
+			restarts++
 		}
 		for _, fn := range strings.Split(listings[3], ".func ")[1:] {
 			if strings.HasPrefix(fn, "scan") && strings.Contains(fn, "stream in (infinite)") {
@@ -41,6 +45,9 @@ func TestRandomLoadPrograms(t *testing.T) {
 	}
 	if carried == 0 {
 		t.Errorf("no program carried a recurrence at O2: the generator no longer reaches the conditional-store path")
+	}
+	if restarts == 0 {
+		t.Errorf("no program restarted a stream at O3: the generator no longer reaches the restart rule")
 	}
 	if pastStores == 0 {
 		t.Errorf("no program streamed a read past scalar stores at O3: the generator no longer reaches per-read step 2a")

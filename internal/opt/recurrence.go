@@ -384,11 +384,7 @@ func applyRecurrence(ctx *loopCtx, plan *recPlan) bool {
 func buildLinExpr(f *rtl.Func, seq *[]*rtl.Instr, lin linform, iv rtl.Reg, off int64, class rtl.Class) rtl.Expr {
 	var e rtl.Expr
 	if lin.cee != 0 {
-		if s := log2i64(lin.cee); s >= 0 {
-			e = rtl.B(rtl.Shl, rtl.RX(iv), rtl.I(int64(s)))
-		} else {
-			e = rtl.B(rtl.Mul, rtl.RX(iv), rtl.I(lin.cee))
-		}
+		e = ivTerm(rtl.RX(iv), lin.cee)
 	}
 	for _, b := range lin.base {
 		var term rtl.Expr
@@ -414,6 +410,14 @@ func buildLinExpr(f *rtl.Func, seq *[]*rtl.Instr, lin linform, iv rtl.Reg, off i
 		e = rtl.B(rtl.Add, e, rtl.I(off))
 	}
 	return e
+}
+
+// ivTerm returns cee·iv, a shift when cee is a power of two.
+func ivTerm(iv rtl.Expr, cee int64) rtl.Expr {
+	if s := log2i64(cee); s >= 0 {
+		return rtl.B(rtl.Shl, iv, rtl.I(int64(s)))
+	}
+	return rtl.B(rtl.Mul, iv, rtl.I(cee))
 }
 
 func log2i64(n int64) int {

@@ -28,7 +28,10 @@ import (
 //	Step 3    strength reduction of whatever addressing remains is a
 //	          separate pass (StrengthReduce).
 //
-// Only innermost loops are streamed.  Returns whether anything changed.
+// Innermost loops are streamed first.  A loop whose inner loops all lie
+// in one arm is then streamed by the restart rule (streamLoopRestart):
+// its stream stops at the arm's entry and starts again at its exit.
+// Returns whether anything changed.
 func Streams(f *rtl.Func, minTrip int64) (bool, error) {
 	changed := false
 	for round := 0; round < 128; round++ {
@@ -51,7 +54,7 @@ func streamOnce(f *rtl.Func, minTrip int64) (bool, error) {
 	}
 	g.Dominators()
 	loops := g.NaturalLoops()
-	// Innermost only: loops that are no other loop's parent.
+	// Innermost loops first: loops that are no other loop's parent.
 	isParent := map[*cfg.Loop]bool{}
 	for _, l := range loops {
 		if l.Parent != nil {
@@ -68,6 +71,24 @@ func streamOnce(f *rtl.Func, minTrip int64) (bool, error) {
 			return true, nil // structural change
 		}
 		if streamLoop(f, g, l, minTrip) {
+			return true, nil
+		}
+	}
+	// Then loops whose inner loops all lie in one arm: the restart rule.
+	for _, l := range loops {
+		if !isParent[l] {
+			continue
+		}
+		arm := findRestartArm(g, l, loops)
+		if arm == nil {
+			continue
+		}
+		if pre := EnsurePreheader(f, g, l); pre < 0 {
+			continue
+		} else if l.Preheader == nil {
+			return true, nil // structural change
+		}
+		if streamLoopRestart(f, g, l, arm, minTrip) {
 			return true, nil
 		}
 	}
@@ -651,14 +672,21 @@ func buildCount(f *rtl.Func, seq *[]*rtl.Instr, trip *tripInfo) rtl.Expr {
 	if trip.known {
 		return rtl.I(trip.constCount)
 	}
+	return buildCountFrom(f, seq, trip, rtl.RX(trip.iv))
+}
+
+// buildCountFrom emits code computing the number of iterations the loop
+// runs when the induction variable starts at from, unclamped: zero or
+// less when none run.
+func buildCountFrom(f *rtl.Func, seq *[]*rtl.Instr, trip *tripInfo, from rtl.Expr) rtl.Expr {
 	// diff = limit - iv  (or iv - limit for downward loops)
 	t := f.NewVirt(rtl.Int)
 	var diff rtl.Expr
 	up := trip.regStep || trip.step > 0
 	if up {
-		diff = rtl.B(rtl.Sub, trip.limit, rtl.RX(trip.iv))
+		diff = rtl.B(rtl.Sub, trip.limit, from)
 	} else {
-		diff = rtl.B(rtl.Sub, rtl.RX(trip.iv), trip.limit)
+		diff = rtl.B(rtl.Sub, from, trip.limit)
 	}
 	switch trip.op {
 	case rtl.Le, rtl.Ge:

@@ -616,15 +616,18 @@ func (m *Machine) stepSCUs() {
 			// is still on its way to memory, such as one issued just
 			// before the stream started: the activation hold drains
 			// the unit queues, but not the store matcher or the write
-			// queue.  It never waits for a store the loop has yet to
-			// issue; such a store to an element the stream fetches
+			// queue.  It waits likewise while an active output stream
+			// still covers the element, its datum queued in the output
+			// FIFO, as when a stream restarts after an inner loop's
+			// stream-out.  It never waits for a store the loop has yet
+			// to issue; such a store to an element the stream fetches
 			// first is the hazard that forbids streaming loops with
 			// unresolved memory recurrences (paper step 2a).  An
 			// infinite stream may also prefetch past mapped memory
 			// before the loop exits and stops it; such reads deliver
 			// zero rather than faulting (the hardware would fault
 			// lazily, on consumption).
-			if m.storeConflict(s.base, s.size, -1) {
+			if m.storeConflict(s.base, s.size, -1) || m.outputStreamConflict(s.base, s.size) {
 				m.account(u, telemetry.CauseStreamBusy, nil)
 				continue
 			}

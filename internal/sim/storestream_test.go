@@ -72,3 +72,53 @@ halt
 		}
 	}
 }
+
+// TestStreamInAfterStreamOut: an output stream fills buf from a copy
+// loop, and an input stream then reads buf backwards, starting at the
+// element the output stream writes last.  The output FIFO may still
+// hold data when the input stream starts, so its reads must wait for
+// the output stream to pass each element.  A stream restarted after an
+// inner loop's stream-out (sieve's prime loop) depends on this.
+func TestStreamInAfterStreamOut(t *testing.T) {
+	const src = `
+.entry _start
+.data buf 64 align=1
+.data buf2 64 align=1
+.func main frame=0
+    r12 := _buf
+    r13 := _buf2
+    r15 := 32
+    sin8r r1, r13, r15, 1
+    sout8r r0, r12, r15, 1
+L5:
+    r0 := (r1 + 1)
+    jnd r0, L5
+    r16 := (r12 + 31)
+    sin8r r0, r16, r15, -1
+    r14 := 0
+L6:
+    r14 := (r14 + r0)
+    jnd r0, L6
+    puti r14
+    r2 := 0
+    ret
+.end
+.func _start frame=0
+    call main
+    halt
+.end
+`
+	for _, depth := range []int{2, 8, 16} {
+		for _, ports := range []int{1, 2} {
+			for _, eng := range []Engine{EngineTranslated, EngineReference} {
+				t.Run(fmt.Sprintf("fifo%d/ports%d/%v", depth, ports, eng), func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.FIFODepth, cfg.MemPorts, cfg.Engine = depth, ports, eng
+					if _, _, out := run(t, cfg, src); out != "32" {
+						t.Errorf("output %q, want 32 (each of the 32 bytes is 1)", out)
+					}
+				})
+			}
+		}
+	}
+}
