@@ -65,8 +65,8 @@ func primeLoop(t *testing.T, header, arm, latch string) *rtl.Func {
 	return parseFunc(t, fmt.Sprintf(primeLoopRTL, header, arm, latch))
 }
 
-// defOf returns the instruction defining r (the fixtures here define
-// each stream operand once).
+// defOf returns the instruction defining the register e names (the
+// fixtures here define each stream operand once).
 func defOf(t *testing.T, f *rtl.Func, e rtl.Expr) *rtl.Instr {
 	t.Helper()
 	x, ok := e.(rtl.RegX)
