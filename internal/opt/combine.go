@@ -7,7 +7,8 @@ import (
 
 // analysisCheck is a test hook: when non-nil, Combine and SinkCopies
 // call it after every rewrite with the flow graph and liveness they
-// keep across rewrites, so a test can compare them with a fresh
+// keep across rewrites, and the loop driver (walkLoops) before every
+// loop visit on a kept graph, so a test can compare them with a fresh
 // analysis.  Production builds leave it nil.
 var analysisCheck func(pass string, f *rtl.Func, g *cfg.Graph)
 

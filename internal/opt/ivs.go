@@ -49,12 +49,16 @@ type loopCtx struct {
 	hasCall  bool
 	hasIO    bool
 	stream   bool // loop already contains stream instructions
+	// hoisted holds the definitions LICM moves to the end of the
+	// preheader in this visit (licm.go); their registers count as
+	// invariant, defined there.
+	hoisted map[rtl.Reg]*rtl.Instr
 
 	hdrLabelIdx int // index of the header's label instruction
 }
 
 // analyzeLoop builds a loopCtx.  The loop must already have a
-// preheader (EnsurePreheader).
+// preheader (walkLoops inserts them).
 func analyzeLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) *loopCtx {
 	ctx := &loopCtx{
 		f: f, g: g, loop: l,
@@ -79,7 +83,7 @@ func analyzeLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) *loopCtx {
 			}
 		}
 	}
-	ctx.hdrLabelIdx = headerLabelIndex(f, g, l)
+	ctx.hdrLabelIdx = headerLabelIndex(f, l)
 	// Basic induction variables.
 	for r, cnt := range ctx.defCount {
 		if cnt != 1 || r.IsZero() || r.IsFIFO() {
@@ -147,7 +151,7 @@ func (ctx *loopCtx) invariant(r rtl.Reg) bool {
 	if ctx.hasCall && !r.IsVirtual() {
 		return false
 	}
-	return ctx.defCount[r] == 0
+	return ctx.defCount[r] == 0 || ctx.hoisted[r] != nil
 }
 
 // --- linear address forms -------------------------------------------------
@@ -245,16 +249,17 @@ func (ctx *loopCtx) linearize(e rtl.Expr, atIdx int, depth int) linform {
 // loaded with, by scanning backwards from the loop preheader.
 func (ctx *loopCtx) invariantSym(r rtl.Reg) (rtl.Sym, bool) {
 	// Find the last definition of r before the loop header.
-	for n := ctx.loop.Header.Start - 1; n >= 0; n-- {
-		i := ctx.f.Code[n]
-		if d, ok := i.Def(); ok && d == r {
-			if s, isSym := i.Src.(rtl.Sym); isSym && i.Kind == rtl.KAssign {
-				return s, true
-			}
-			return rtl.Sym{}, false
+	def := ctx.hoisted[r]
+	for n := ctx.loop.Header.Start - 1; n >= 0 && def == nil; n-- {
+		if d, ok := ctx.f.Code[n].Def(); ok && d == r {
+			def = ctx.f.Code[n]
 		}
 	}
-	return rtl.Sym{}, false
+	if def == nil || def.Kind != rtl.KAssign {
+		return rtl.Sym{}, false
+	}
+	s, isSym := def.Src.(rtl.Sym)
+	return s, isSym
 }
 
 // expandReg substitutes the single in-loop definition of r, provided
@@ -276,11 +281,12 @@ func (ctx *loopCtx) expandReg(r rtl.Reg, atIdx, depth int) linform {
 	if b == nil || db == nil || b != db || defIdx >= atIdx {
 		return bad
 	}
-	// No register used by the definition may be redefined in between.
+	// No register used by the definition may be redefined in between
+	// (by a definition staying in the loop).
 	used := map[rtl.Reg]bool{r: true}
 	rtl.ExprRegs(i.Src, func(u rtl.Reg) { used[u] = true })
 	for k := defIdx + 1; k < atIdx; k++ {
-		if d, ok := ctx.f.Code[k].Def(); ok && used[d] {
+		if d, ok := ctx.f.Code[k].Def(); ok && used[d] && ctx.hoisted[d] != ctx.f.Code[k] {
 			return bad
 		}
 	}

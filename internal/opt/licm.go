@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"sort"
 
 	"wmstream/internal/cfg"
@@ -10,127 +11,181 @@ import (
 // LICM hoists loop-invariant assignments into loop preheaders.  It is
 // the "code motion" phase the paper requires to run before recurrence
 // detection: it moves the llh/sll address materializations of global
-// arrays out of the loop (Figure 4 lines 4-9).
+// arrays out of the loop (Figure 4 lines 4-9).  Loops are visited
+// innermost first, so invariants bubble outward.
 func LICM(f *rtl.Func) (bool, error) {
-	changed := false
-	// Innermost-first so invariants bubble outward over iterations of
-	// the fixpoint driver.  Each inner round hoists one instruction.
-	for round := 0; round < 500; round++ {
-		more, err := licmOnce(f)
-		if err != nil {
-			return changed, err
-		}
-		if !more {
-			return changed, nil
-		}
-		changed = true
-	}
-	return changed, nil
+	return walkLoops(f, "LICM", true, hoistLoop)
 }
 
-func licmOnce(f *rtl.Func) (bool, error) {
-	g, err := cfg.Build(f)
-	if err != nil {
-		return false, err
+// hoistLoop makes one visit's worth of code motion in l.  Its moves are
+// those of moving one instruction per fresh analysis, each time the
+// first in code order of: a load/dequeue pair, else a reused load, else
+// an assignment.  One analysis yields every load pair it licenses; then
+// a reused load, or else the first assignment, the load pairs its
+// destination makes movable, the next assignment, and so on while the
+// analysis stays exact (licm.stale).  The moved instructions reach the
+// end of the preheader in that order.
+func hoistLoop(w *loopWalk, l *cfg.Loop) bool {
+	ctx := analyzeLoop(w.f, w.g, l)
+	if ctx.hdrLabelIdx < 0 {
+		return false
 	}
-	g.Dominators()
-	loops := g.NaturalLoops()
-	for _, l := range loops {
-		moved, err := hoistLoop(f, g, l)
-		if err != nil {
-			return false, err
-		}
-		if moved {
-			return true, nil // code moved: rebuild analyses
+	reuse, y := reusableLoad(ctx)
+	m := newLICM(w, ctx)
+	for _, n := range m.loads {
+		if m.loadMoves(n) {
+			m.take(n, 2)
 		}
 	}
-	return false, nil
+	switch {
+	case reuse != nil && len(m.moves) == 0:
+		fifo := rtl.Reg{Class: reuse.class, N: ctx.f.Code[reuse.accIdx].FIFO.N}
+		ctx.f.Code[reuse.dataIdx].MapExprs(func(x rtl.Expr) rtl.Expr { return rtl.SubstReg(x, fifo, rtl.RX(y)) })
+		ctx.f.Remove(reuse.accIdx)
+		return true
+	case reuse == nil && !m.stale():
+		m.assigns()
+	}
+	if len(m.moves) == 0 {
+		return false
+	}
+	m.apply()
+	return true
 }
 
-// hoistLoop reports a change when it inserted a preheader, too: the
-// caller's graph no longer matches the code.
-func hoistLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) (bool, error) {
-	inserted := l.Preheader == nil
-	pre := EnsurePreheader(f, g, l)
-	if pre < 0 {
-		return false, nil
-	}
-	if inserted {
-		// Re-analyze after the preheader insertion.
-		var err error
-		if g, err = cfg.Build(f); err != nil {
-			return true, err
-		}
-		g.Dominators()
-		if l = findLoopByHeaderLabel(g, headerLabel(f, pre)); l == nil {
-			return true, nil
-		}
-	}
+// licm collects one visit's moves.  Instructions it takes stay in
+// place until apply; meanwhile the registers they define count as
+// invariant (loopCtx.hoisted), defined at the end of the preheader.
+type licm struct {
+	w     *loopWalk
+	ctx   *loopCtx
+	moves [][]*rtl.Instr // in the order they move
+	taken map[int]bool
+	// registers and loads taken since the last stale check
+	fresh      []rtl.Reg
+	freshLoads []int
+	loads      []int // the loop's loads, in code order
+	refs       map[int]*memRef
+	stores     []*memRef
+	// feeds maps a register to the loads whose address it feeds,
+	// directly or through definitions in the loop; storeFeed holds the
+	// registers feeding a store's address.
+	feeds     map[rtl.Reg][]int
+	storeFeed map[rtl.Reg]bool
+	steps     map[rtl.Reg]bool // registers added to a register in place
+}
 
-	ctx := analyzeLoop(f, g, l)
-	if hoistInvariantLoads(ctx) || reuseLoads(ctx) {
-		return true, nil
-	}
-
-	preInsert := preheaderInsertPos(f, pre)
-	live := false // liveness computed; nothing below changes f until a hoist returns
-	for _, b := range l.BlockList() {
-		every := dominatesAllLatches(g, l, b)
+func newLICM(w *loopWalk, ctx *loopCtx) *licm {
+	m := &licm{w: w, ctx: ctx, taken: map[int]bool{}, refs: map[int]*memRef{},
+		feeds: map[rtl.Reg][]int{}, storeFeed: map[rtl.Reg]bool{}, steps: map[rtl.Reg]bool{}}
+	for _, b := range ctx.loop.BlockList() {
 		for n := b.Start; n < b.End; n++ {
-			i := f.Code[n]
-			if i.Kind != rtl.KAssign || i.HasSideEffects() {
-				continue
-			}
-			// A call overwrites the physical registers (an argument
-			// register holds the result), so a physical destination
-			// in a loop with a call has more definitions than the
-			// loop's code shows.
-			d := i.Dst
-			if d.IsZero() || d.IsFIFO() || ctx.defCount[d] != 1 || ctx.hasCall && !d.IsVirtual() {
-				continue
-			}
-			if !safeToSpeculate(i.Src) {
-				continue
-			}
-			inv := true
-			rtl.ExprRegs(i.Src, func(r rtl.Reg) {
-				if !ctx.invariant(r) {
-					inv = false
+			switch i := ctx.f.Code[n]; i.Kind {
+			case rtl.KAssign:
+				if x, ok := i.Src.(rtl.Bin); ok && rtl.EqualExpr(x.L, rtl.RX(i.Dst)) {
+					if s, ok := x.R.(rtl.RegX); ok {
+						m.steps[s.Reg] = true
+					}
 				}
-			})
-			if !inv {
-				continue
+			case rtl.KLoad:
+				m.loads = append(m.loads, n)
+				ctx.addressRegs(i.Addr, func(r rtl.Reg) { m.feeds[r] = append(m.feeds[r], n) })
+			case rtl.KStore:
+				ctx.addressRegs(i.Addr, func(r rtl.Reg) { m.storeFeed[r] = true })
 			}
-			// The destination must not be live on entry to the loop
-			// (its pre-loop value would be clobbered by hoisting).
-			if !live {
-				g.Liveness()
-				live = true
-			}
-			// A definition on a conditional arm (one that does not run
-			// on every iteration) moves only when nothing reads the
-			// destination's pre-loop value: then every read of it
-			// follows this, its only definition, and sees the same
-			// invariant value wherever that value is computed.
-			if l.Header.LiveIn.Has(d) && (!every || usedBeforeDefInLoop(f, g, l, d, n)) {
-				continue
-			}
-			f.Remove(n)
-			if n < preInsert {
-				preInsert--
-			}
-			f.Insert(preInsert, i)
-			return true, nil // structural change: restart analysis
 		}
 	}
-	return inserted, nil
+	m.stores = ctx.storeRefs()
+	ctx.hoisted = map[rtl.Reg]*rtl.Instr{}
+	return m
 }
 
-// hoistInvariantLoads moves a load/dequeue pair of an invariant
-// address out of the loop when no store in the loop can touch that
-// address.  This is what keeps scalar globals such as loop bounds in
-// registers (the paper's Figure 4 has n in r23), which the trip-count
-// analysis of the streaming pass depends on.
+// take records the move of the size instructions at index n, the last
+// of which defines a register.
+func (m *licm) take(n, size int) {
+	f := m.ctx.f
+	for k := n; k < n+size; k++ {
+		m.taken[k] = true
+	}
+	m.moves = append(m.moves, f.Code[n:n+size])
+	def := f.Code[n+size-1]
+	m.ctx.hoisted[def.Dst] = def
+	m.fresh = append(m.fresh, def.Dst)
+	if size == 2 {
+		m.freshLoads = append(m.freshLoads, n)
+	}
+	for _, k := range m.feeds[def.Dst] {
+		delete(m.refs, k) // its address is invariant now
+	}
+	if m.storeFeed[def.Dst] {
+		m.stores = m.ctx.storeRefs() // and so is some store's
+	}
+}
+
+// ref describes the load at index n, as a fresh analysis would.
+func (m *licm) ref(n int) *memRef {
+	if m.refs[n] == nil {
+		m.refs[n] = m.ctx.loadRef(n)
+	}
+	return m.refs[n]
+}
+
+// apply moves the taken instructions to the end of the preheader, just
+// before the header label.
+func (m *licm) apply() {
+	code := make([]*rtl.Instr, 0, len(m.ctx.f.Code))
+	for n, i := range m.ctx.f.Code {
+		if n == m.ctx.hdrLabelIdx {
+			for _, mv := range m.moves {
+				code = append(code, mv...)
+			}
+		}
+		if !m.taken[n] {
+			code = append(code, i)
+		}
+	}
+	m.ctx.f.Code = code
+}
+
+// hoistable reports whether the in-loop definition of d may move to the
+// preheader: it is d's only definition in the loop, and nothing in the
+// loop reads d's pre-loop value.  A register live into the header is
+// read on some path before any definition in the loop; in the first
+// iteration that read sees the pre-loop value, which a hoisted
+// definition would overwrite.
+func (m *licm) hoistable(d rtl.Reg) bool {
+	ctx := m.ctx
+	if d.IsZero() || d.IsFIFO() || ctx.defCount[d] != 1 || ctx.hasCall && !d.IsVirtual() {
+		return false
+	}
+	m.w.liveness()
+	return !ctx.loop.Header.LiveIn.Has(d)
+}
+
+// assignMoves reports whether the assignment at index n may move: an
+// invariant value that cannot trap, into a hoistable register.  A
+// definition on a conditional arm moves too: hoistable demands that
+// nothing reads the destination's pre-loop value, so every read of it
+// follows this, its only definition, and sees the same invariant value
+// wherever that value is computed.  (A call overwrites the physical
+// registers, so a physical destination in a loop with a call has more
+// definitions than the loop's code shows.)
+func (m *licm) assignMoves(n int) bool {
+	i := m.ctx.f.Code[n]
+	if m.taken[n] || i.Kind != rtl.KAssign || i.HasSideEffects() || !safeToSpeculate(i.Src) {
+		return false
+	}
+	inv := true
+	rtl.ExprRegs(i.Src, func(r rtl.Reg) { inv = inv && m.ctx.invariant(r) })
+	return inv && m.hoistable(i.Dst)
+}
+
+// loadMoves reports whether the load at index n and its dequeue may
+// move: an invariant address no store in the loop can touch, read on
+// every iteration into a hoistable register.  This is what keeps
+// scalar globals such as loop bounds in registers (the paper's Figure 4
+// has n in r23), which the trip-count analysis of the streaming pass
+// depends on.
 //
 // Aliasing follows the region rule (regionOf).  The load must name its
 // region: only an access inside a named object is safe to execute in
@@ -140,82 +195,123 @@ func hoistLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) (bool, error) {
 // store to another region, even one whose address does not linearize
 // (sieve's flags[k], indexed by an inner induction variable), does not
 // block; one to the same region blocks unless both addresses are fixed
-// and their bytes disjoint.
-func hoistInvariantLoads(ctx *loopCtx) bool {
+// and their bytes disjoint.  A load through a loaded register names no
+// region, so moving one load never makes another movable.
+func (m *licm) loadMoves(n int) bool {
+	ctx := m.ctx
 	f, g, l := ctx.f, ctx.g, ctx.loop
-	if ctx.hasCall {
+	b := g.BlockOf(n)
+	if ctx.hasCall || m.taken[n] || n < ctx.hdrLabelIdx || n+1 >= b.End || !dominatesAllLatches(g, l, b) {
 		return false
 	}
-	var stores []*memRef
-	scanned := false // stores are collected at the first candidate load
-	for _, b := range l.BlockList() {
-		if !dominatesAllLatches(g, l, b) {
-			continue
+	ld, deq := f.Code[n], f.Code[n+1]
+	rx, isReg := deq.Src.(rtl.RegX)
+	if deq.Kind != rtl.KAssign || !isReg || rx.Reg != (rtl.Reg{Class: ld.MemClass, N: ld.FIFO.N}) {
+		return false
+	}
+	inv := true
+	rtl.ExprRegs(ld.Addr, func(r rtl.Reg) { inv = inv && ctx.invariant(r) })
+	if !inv || m.ref(n).region == "" {
+		return false
+	}
+	for _, st := range m.stores {
+		if st.region == "" || mayAlias(st, m.ref(n)) {
+			return false
 		}
-		for n := b.Start; n+1 < b.End; n++ {
-			ld := f.Code[n]
-			if ld.Kind != rtl.KLoad {
-				continue
+	}
+	return m.hoistable(deq.Dst)
+}
+
+// assigns takes the first movable assignment in code order and the load
+// pairs its destination makes movable, and repeats while the analysis
+// stays exact.
+func (m *licm) assigns() {
+	for {
+		n := m.firstAssign()
+		if n < 0 {
+			return
+		}
+		m.take(n, 1)
+		for _, k := range m.feeds[m.ctx.f.Code[n].Dst] {
+			if m.loadMoves(k) {
+				m.take(k, 2)
 			}
-			deq := f.Code[n+1]
-			if deq.Kind != rtl.KAssign {
-				continue
+		}
+		if m.stale() {
+			return
+		}
+	}
+}
+
+// firstAssign returns the index of the first movable assignment in
+// code order, or -1.
+func (m *licm) firstAssign() int {
+	for _, b := range m.ctx.loop.BlockList() {
+		for n := b.Start; n < b.End; n++ {
+			if m.assignMoves(n) {
+				return n
 			}
-			rx, isReg := deq.Src.(rtl.RegX)
-			fifo := rtl.Reg{Class: ld.MemClass, N: ld.FIFO.N}
-			if !isReg || rx.Reg != fifo || deq.Dst.IsFIFO() || deq.Dst.IsZero() {
-				continue
+		}
+	}
+	return -1
+}
+
+// stale reports whether moving the registers and loads taken since the
+// last call may have made a load that stays reusable, which must go
+// before any assignment.  The load needs a candidate value (reusable),
+// and one of: a taken register feeds its address, or steps an
+// induction variable an address may use, or feeds a store's address
+// (the alias tests change); or a taken load reads its region.
+func (m *licm) stale() bool {
+	regs, loaded := m.fresh, m.freshLoads
+	m.fresh, m.freshLoads = nil, nil
+	for _, r := range regs {
+		if m.steps[r] {
+			return true
+		}
+		for _, k := range m.loads {
+			if !m.taken[k] && (m.storeFeed[r] || slices.Contains(m.feeds[r], k)) && m.reusable(k) {
+				return true
 			}
-			if ctx.defCount[deq.Dst] != 1 {
-				continue
+		}
+	}
+	for _, k := range loaded {
+		for _, j := range m.loads {
+			if !m.taken[j] && m.ref(j).region != "" && m.ref(j).region == m.ref(k).region {
+				return true
 			}
-			// Invariant address?
-			inv := true
-			rtl.ExprRegs(ld.Addr, func(r rtl.Reg) {
-				if !ctx.invariant(r) {
-					inv = false
-				}
-			})
-			if !inv {
-				continue
-			}
-			ref := ctx.loadRef(n)
-			if ref.region == "" {
-				continue
-			}
-			if !scanned {
-				scanned = true
-				stores = ctx.storeRefs()
-				for _, st := range stores {
-					if st.region == "" {
-						return false
-					}
-				}
-			}
-			if anyMayAlias(stores, ref) {
-				continue
-			}
-			// Move the pair to the end of the preheader.
-			hdr := headerLabelIndex(f, g, l)
-			if hdr < 0 || hdr > n {
-				continue
-			}
-			f.Remove(n + 1)
-			f.Remove(n)
-			f.Insert(hdr, ld, deq)
+		}
+	}
+	return false
+}
+
+// reusable reports whether a value for the load at index k could be at
+// hand: its address is fixed (a preheader load may hold it), or an
+// access in another block of the loop has the same address.
+func (m *licm) reusable(k int) bool {
+	r, g := m.ref(k), m.ctx.g
+	if !r.lin.hasIV() {
+		return r.lin.ok
+	}
+	same := func(o *memRef) bool { return g.BlockOf(o.accIdx) != g.BlockOf(k) && sameAddress(o, r) }
+	if slices.ContainsFunc(m.stores, same) {
+		return true
+	}
+	for _, j := range m.loads {
+		if j != k && !m.taken[j] && same(m.ref(j)) {
 			return true
 		}
 	}
 	return false
 }
 
-// reuseLoads deletes one load whose value a register already holds and
-// makes its dequeue read that register.  The register comes from a
-// load or store of the same address in a block that dominates the
-// load's in the same iteration, or from a load hoisted to the end of
-// the preheader.  No store that may touch the address may run in
-// between, and neither the register nor the address may change.  It
-// reports whether it changed the code.
+// reusableLoad returns a load whose value a register already holds, and
+// that register, or nil.  The register comes from a load or store of
+// the same address in a block that dominates the load's in the same
+// iteration, or from a load hoisted to the end of the preheader.  No
+// store that may touch the address may run in between, and neither the
+// register nor the address may change.  LICM then deletes the load and
+// makes its dequeue read the register.
 //
 // Only a load behind a branch is replaced.  Within a block the access
 // unit issues loads ahead of the execute units, so a reload costs them
@@ -224,13 +320,13 @@ func hoistInvariantLoads(ctx *loopCtx) bool {
 // measured 4% slower).  Behind a branch the load cannot issue before
 // the compare resolves, and its latency lands on the execute unit:
 // bubblesort's swap path and sieve's conditional reloads of n.
-func reuseLoads(ctx *loopCtx) bool {
+func reusableLoad(ctx *loopCtx) (*memRef, rtl.Reg) {
 	if ctx.hasCall || ctx.stream {
-		return false
+		return nil, rtl.Reg{}
 	}
 	refs, ok := ctx.collectRefs()
 	if !ok {
-		return false
+		return nil, rtl.Reg{}
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i].accIdx < refs[j].accIdx })
 	for _, ld := range refs {
@@ -241,16 +337,11 @@ func reuseLoads(ctx *loopCtx) bool {
 		for k := len(refs) - 1; k >= 0 && !ok; k-- {
 			y, ok = ctx.iterationValue(refs[k], ld, refs)
 		}
-		if !ok {
-			continue
+		if ok {
+			return ld, y
 		}
-		fifo := rtl.Reg{Class: ld.class, N: ctx.f.Code[ld.accIdx].FIFO.N}
-		deq := ctx.f.Code[ld.dataIdx]
-		deq.MapExprs(func(x rtl.Expr) rtl.Expr { return rtl.SubstReg(x, fifo, rtl.RX(y)) })
-		ctx.f.Remove(ld.accIdx)
-		return true
 	}
-	return false
+	return nil, rtl.Reg{}
 }
 
 // iterationValue returns the register holding the value the load ld
@@ -391,6 +482,27 @@ func (ctx *loopCtx) between(from, to int, visit func(n int) bool) bool {
 	return true
 }
 
+// addressRegs calls fn once for each register that feeds the address
+// e: one it reads, and those read by the register's definitions in the
+// loop, transitively.
+func (ctx *loopCtx) addressRegs(e rtl.Expr, fn func(rtl.Reg)) {
+	seen := map[rtl.Reg]bool{}
+	var walk func(r rtl.Reg)
+	walk = func(r rtl.Reg) {
+		if seen[r] {
+			return
+		}
+		seen[r] = true
+		fn(r)
+		for _, n := range ctx.defIdx[r] {
+			for _, u := range ctx.f.Code[n].Uses(nil) {
+				walk(u)
+			}
+		}
+	}
+	rtl.ExprRegs(e, walk)
+}
+
 // storeRefs returns the loop's stores and stream-outs with their
 // regions; a stream-out's address is its base, and it has no linear
 // form since it covers a range.
@@ -473,34 +585,6 @@ func refAt(refs []*memRef, n int) *memRef {
 	return &memRef{}
 }
 
-// usedBeforeDefInLoop reports whether d could be read in the loop
-// before the definition at index defIdx executes — i.e. whether the
-// pre-loop value of d is observable.  With a single in-loop definition
-// that dominates all latches, only uses on the path from the header to
-// the definition matter; we approximate by checking liveness into the
-// definition's block.
-func usedBeforeDefInLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, d rtl.Reg, defIdx int) bool {
-	b := g.BlockOf(defIdx)
-	if b == nil {
-		return true
-	}
-	// Within the block: any earlier use?
-	for n := b.Start; n < defIdx; n++ {
-		for _, u := range f.Code[n].Uses(nil) {
-			if u == d {
-				return true
-			}
-		}
-	}
-	// Into the block from elsewhere in the loop: live-in implies a use
-	// upstream; if the block is the header, the live-in value is the
-	// hoisted one (fine), otherwise conservative.
-	if b == l.Header {
-		return false
-	}
-	return b.LiveIn.Has(d)
-}
-
 // safeToSpeculate reports whether evaluating e cannot trap: division by
 // a non-constant is excluded.
 func safeToSpeculate(e rtl.Expr) bool {
@@ -522,139 +606,4 @@ func dominatesAllLatches(g *cfg.Graph, l *cfg.Loop, b *cfg.Block) bool {
 		}
 	}
 	return true
-}
-
-// --- preheader management ------------------------------------------------
-
-// freshPreheaderLabel picks the lowest unused LP<n> label name in the
-// function.  Numbering is per-function (labels are function-scoped in
-// the linker) and derived only from the function's own code, so
-// optimizing functions concurrently — or in any order — yields
-// identical names.  A package-level counter here would be both a data
-// race and a determinism leak under the parallel engine.
-func freshPreheaderLabel(f *rtl.Func) string {
-	max := 0
-	for _, i := range f.Code {
-		if i.Kind != rtl.KLabel || len(i.Name) < 3 || i.Name[:2] != "LP" {
-			continue
-		}
-		if n, ok := atoi(i.Name[2:]); ok && n > max {
-			max = n
-		}
-	}
-	return "LP" + itoa(max+1)
-}
-
-// EnsurePreheader guarantees the loop has a dedicated preheader block
-// and returns the index of the header's label instruction (from which
-// preheaderInsertPos derives where to insert).  It returns -1 when the
-// loop header has no label (cannot happen for generated code).
-//
-// The transformation is textual: a fresh label is placed immediately
-// before the header label and every branch to the header from outside
-// the loop is retargeted to it.  Fall-through entry naturally passes
-// through the new label.
-func EnsurePreheader(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) int {
-	if l.Preheader != nil {
-		return headerLabelIndex(f, g, l)
-	}
-	hdrIdx := headerLabelIndex(f, g, l)
-	if hdrIdx < 0 {
-		return -1
-	}
-	hdrName := f.Code[hdrIdx].Name
-	preName := freshPreheaderLabel(f)
-	// Retarget outside branches.
-	inLoop := map[int]bool{}
-	for _, b := range l.BlockList() {
-		for n := b.Start; n < b.End; n++ {
-			inLoop[n] = true
-		}
-	}
-	for n, i := range f.Code {
-		if inLoop[n] {
-			continue
-		}
-		switch i.Kind {
-		case rtl.KJump, rtl.KCondJump, rtl.KJumpNotDone:
-			if i.Target == hdrName {
-				i.Target = preName
-			}
-		}
-	}
-	f.Insert(hdrIdx, rtl.NewLabel(preName))
-	return hdrIdx + 1
-}
-
-// preheaderInsertPos returns the position where hoisted code should be
-// inserted: immediately before the header label (i.e. at the end of the
-// preheader).
-func preheaderInsertPos(f *rtl.Func, hdrLabelIdx int) int { return hdrLabelIdx }
-
-func headerLabelIndex(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) int {
-	for n := l.Header.Start; n < l.Header.End; n++ {
-		if f.Code[n].Kind == rtl.KLabel {
-			return n
-		}
-	}
-	return -1
-}
-
-func headerLabel(f *rtl.Func, hdrLabelIdx int) string {
-	if hdrLabelIdx >= 0 && hdrLabelIdx < len(f.Code) && f.Code[hdrLabelIdx].Kind == rtl.KLabel {
-		return f.Code[hdrLabelIdx].Name
-	}
-	return ""
-}
-
-func findLoopByHeaderLabel(g *cfg.Graph, label string) *cfg.Loop {
-	if label == "" {
-		return nil
-	}
-	hb := g.LabelBlock(label)
-	if hb == nil {
-		return nil
-	}
-	for _, l := range g.NaturalLoops() {
-		if l.Header == hb {
-			return l
-		}
-	}
-	return nil
-}
-
-func atoi(s string) (int, bool) {
-	if s == "" {
-		return 0, false
-	}
-	n := 0
-	for _, ch := range s {
-		if ch < '0' || ch > '9' {
-			return 0, false
-		}
-		n = n*10 + int(ch-'0')
-	}
-	return n, true
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

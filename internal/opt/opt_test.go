@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -532,8 +533,8 @@ func TestRegAllocReusesRegisters(t *testing.T) {
 	// 100 sequential short-lived temporaries must fit the pool.
 	var sb strings.Builder
 	for k := 0; k < 100; k++ {
-		sb.WriteString("rv" + itoa(k) + " := " + itoa(k) + "\n")
-		sb.WriteString("r2 := rv" + itoa(k) + "\n")
+		sb.WriteString("rv" + strconv.Itoa(k) + " := " + strconv.Itoa(k) + "\n")
+		sb.WriteString("r2 := rv" + strconv.Itoa(k) + "\n")
 	}
 	sb.WriteString("ret")
 	f := parseFunc(t, sb.String())
@@ -661,11 +662,11 @@ func TestRegAllocHighPressureSpills(t *testing.T) {
 	var sb strings.Builder
 	n := 40
 	for k := 0; k < n; k++ {
-		sb.WriteString("rv" + itoa(k) + " := " + itoa(k) + "\n")
+		sb.WriteString("rv" + strconv.Itoa(k) + " := " + strconv.Itoa(k) + "\n")
 	}
 	sb.WriteString("r2 := rv0\n")
 	for k := 1; k < n; k++ {
-		sb.WriteString("r2 := (r2 + rv" + itoa(k) + ")\n")
+		sb.WriteString("r2 := (r2 + rv" + strconv.Itoa(k) + ")\n")
 	}
 	sb.WriteString("ret")
 	f := parseFunc(t, sb.String())

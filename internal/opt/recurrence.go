@@ -23,48 +23,22 @@ import (
 // The number of registers used is degree+1, where the degree is the
 // largest iteration distance.  It returns whether anything changed.
 func Recurrences(f *rtl.Func, maxDegree int64) (bool, error) {
-	changed := false
-	for round := 0; round < 128; round++ {
-		more, err := recurrenceOnce(f, maxDegree)
-		if err != nil {
-			return changed, err
-		}
-		if !more {
-			return changed, nil
-		}
-		changed = true
-	}
-	return changed, nil
-}
-
-func recurrenceOnce(f *rtl.Func, maxDegree int64) (bool, error) {
-	g, err := cfg.Build(f)
-	if err != nil {
-		return false, err
-	}
-	g.Dominators()
-	for _, l := range g.NaturalLoops() {
-		if pre := EnsurePreheader(f, g, l); pre < 0 {
-			continue
-		} else if l.Preheader == nil {
-			// A preheader was inserted: restart with fresh analyses.
-			return true, nil
-		}
-		ctx := analyzeLoop(f, g, l)
+	return walkLoops(f, "Recurrences", true, func(w *loopWalk, l *cfg.Loop) bool {
+		ctx := analyzeLoop(w.f, w.g, l)
 		if ctx.hasCall || ctx.stream {
-			continue
+			return false
 		}
 		refs, ok := ctx.collectRefs()
 		if !ok {
-			continue
+			return false
 		}
 		for _, p := range ctx.buildPartitions(refs) {
 			if transformRecurrence(ctx, p, maxDegree) {
-				return true, nil
+				return true
 			}
 		}
-	}
-	return false, nil
+		return false
+	})
 }
 
 // recPair is one read that fetches a value written dist iterations ago.
@@ -348,7 +322,7 @@ func applyRecurrence(ctx *loopCtx, plan *recPlan) bool {
 
 	// Step 4c: shifting copies at the top of the loop, highest degree
 	// first so nothing is overwritten prematurely.
-	hdr := headerLabelIndexByName(f, label)
+	hdr := f.FindLabel(label)
 	if hdr < 0 {
 		return false
 	}
@@ -427,12 +401,4 @@ func log2i64(n int64) int {
 		}
 	}
 	return -1
-}
-
-// headerLabelIndexByName finds a label instruction by name.
-func headerLabelIndexByName(f *rtl.Func, name string) int {
-	if name == "" {
-		return -1
-	}
-	return f.FindLabel(name)
 }

@@ -30,74 +30,52 @@ import (
 // ordered), and when nothing between the loop top and the increment
 // redefines the induction variable or the limit.
 func ScheduleLoopTest(f *rtl.Func) (bool, error) {
-	changed := false
-	for round := 0; round < 64; round++ {
-		more, err := scheduleOnce(f)
-		if err != nil {
-			return changed, err
-		}
-		if !more {
-			return changed, nil
-		}
-		changed = true
-	}
-	return changed, nil
+	return walkLoops(f, "ScheduleLoopTest", false, scheduleLoop)
 }
 
-func scheduleOnce(f *rtl.Func) (bool, error) {
-	g, err := cfg.Build(f)
-	if err != nil {
-		return false, err
+func scheduleLoop(w *loopWalk, l *cfg.Loop) bool {
+	f := w.f
+	ctx := analyzeLoop(f, w.g, l)
+	if ctx.hasCall {
+		return false // a callee's compares would interleave in the CC FIFO
 	}
-	g.Dominators()
-	for _, l := range g.NaturalLoops() {
-		ctx := analyzeLoop(f, g, l)
-		if ctx.hasCall {
-			continue // a callee's compares would interleave in the CC FIFO
-		}
-		trip := analyzeTrip(ctx)
-		if trip == nil {
-			continue
-		}
-		// No other CC traffic inside the loop.
-		ccOps := 0
-		for _, b := range l.BlockList() {
-			for n := b.Start; n < b.End; n++ {
-				i := f.Code[n]
-				if i.IsCompare() || i.Kind == rtl.KCondJump {
-					ccOps++
-				}
+	trip := analyzeTrip(ctx)
+	if trip == nil {
+		return false
+	}
+	// No other CC traffic inside the loop.
+	ccOps := 0
+	for _, b := range l.BlockList() {
+		for n := b.Start; n < b.End; n++ {
+			i := f.Code[n]
+			if i.IsCompare() || i.Kind == rtl.KCondJump {
+				ccOps++
 			}
 		}
-		if ccOps != 2 { // exactly the latch compare + jump
-			continue
-		}
-		// The compare must not already be scheduled (i.e. it sits
-		// directly before the jump; analyzeTrip guarantees that).
-		hdr := ctx.hdrLabelIdx
-		if hdr < 0 || hdr+1 > trip.cmpIdx {
-			continue
-		}
-		// The limit operand must be valid at the loop top: a constant
-		// or an invariant register (analyzeTrip guarantees that too).
-		// Build the hoisted compare over the pre-increment value.
-		cmp := f.Code[trip.cmpIdx]
-		pre := rtl.Bin{
-			Op: trip.op,
-			L:  rtl.B(rtl.Add, rtl.RX(trip.iv), trip.stepX),
-			R:  trip.limit,
-		}
-		sense := true
-		newCmp := rtl.NewAssign(rtl.Reg{Class: rtl.Int, N: rtl.ZeroReg}, pre)
-		newCmp.Note = "loop test (scheduled early)"
-		// Rewrite the branch to the canonical taken-when-true sense.
-		jmp := f.Code[trip.jmpIdx]
-		jmp.Sense = sense
-		jmp.CCClass = rtl.Int
-		_ = cmp
-		f.Remove(trip.cmpIdx)
-		f.Insert(hdr+1, newCmp)
-		return true, nil
 	}
-	return false, nil
+	if ccOps != 2 { // exactly the latch compare + jump
+		return false
+	}
+	// The compare must not already be scheduled (i.e. it sits
+	// directly before the jump; analyzeTrip guarantees that).
+	hdr := ctx.hdrLabelIdx
+	if hdr < 0 || hdr+1 > trip.cmpIdx {
+		return false
+	}
+	// The limit operand must be valid at the loop top: a constant or an
+	// invariant register (analyzeTrip guarantees that too).  Build the
+	// hoisted compare over the pre-increment value, and rewrite the
+	// branch to the canonical taken-when-true sense.
+	newCmp := rtl.NewAssign(rtl.Reg{Class: rtl.Int, N: rtl.ZeroReg}, rtl.Bin{
+		Op: trip.op,
+		L:  rtl.B(rtl.Add, rtl.RX(trip.iv), trip.stepX),
+		R:  trip.limit,
+	})
+	newCmp.Note = "loop test (scheduled early)"
+	jmp := f.Code[trip.jmpIdx]
+	jmp.Sense = true
+	jmp.CCClass = rtl.Int
+	f.Remove(trip.cmpIdx)
+	f.Insert(hdr+1, newCmp)
+	return true
 }

@@ -33,66 +33,15 @@ import (
 // its stream stops at the arm's entry and starts again at its exit.
 // Returns whether anything changed.
 func Streams(f *rtl.Func, minTrip int64) (bool, error) {
-	changed := false
-	for round := 0; round < 128; round++ {
-		more, err := streamOnce(f, minTrip)
-		if err != nil {
-			return changed, err
-		}
-		if !more {
-			return changed, nil
-		}
-		changed = true
-	}
-	return changed, nil
-}
-
-func streamOnce(f *rtl.Func, minTrip int64) (bool, error) {
-	g, err := cfg.Build(f)
-	if err != nil {
-		return false, err
-	}
-	g.Dominators()
-	loops := g.NaturalLoops()
-	// Innermost loops first: loops that are no other loop's parent.
-	isParent := map[*cfg.Loop]bool{}
-	for _, l := range loops {
-		if l.Parent != nil {
-			isParent[l.Parent] = true
-		}
-	}
-	for _, l := range loops {
-		if isParent[l] {
-			continue
-		}
-		if pre := EnsurePreheader(f, g, l); pre < 0 {
-			continue
-		} else if l.Preheader == nil {
-			return true, nil // structural change
-		}
-		if streamLoop(f, g, l, minTrip) {
-			return true, nil
-		}
-	}
-	// Then loops whose inner loops all lie in one arm: the restart rule.
-	for _, l := range loops {
-		if !isParent[l] {
-			continue
-		}
-		arm := findRestartArm(g, l, loops)
-		if arm == nil {
-			continue
-		}
-		if pre := EnsurePreheader(f, g, l); pre < 0 {
-			continue
-		} else if l.Preheader == nil {
-			return true, nil // structural change
-		}
-		if streamLoopRestart(f, g, l, arm, minTrip) {
-			return true, nil
-		}
-	}
-	return false, nil
+	return walkLoops(f, "Streams", true,
+		func(w *loopWalk, l *cfg.Loop) bool {
+			return !slices.ContainsFunc(w.loops, func(in *cfg.Loop) bool { return in.Parent == l }) &&
+				streamLoop(w.f, w.g, l, minTrip)
+		},
+		func(w *loopWalk, l *cfg.Loop) bool {
+			arm := findRestartArm(w.g, l, w.loops)
+			return arm != nil && streamLoopRestart(w.f, w.g, l, arm, minTrip)
+		})
 }
 
 // DeadIVs implements the paper's step 2j: after streaming replaces the
@@ -102,62 +51,25 @@ func streamOnce(f *rtl.Func, minTrip int64) (bool, error) {
 // deletes such increments (when the variable is also dead at every
 // loop exit).
 func DeadIVs(f *rtl.Func) (bool, error) {
-	changed := false
-	for round := 0; round < 128; round++ {
-		more, err := deadIVOnce(f)
-		if err != nil {
-			return changed, err
-		}
-		if !more {
-			return changed, nil
-		}
-		changed = true
-	}
-	return changed, nil
-}
-
-func deadIVOnce(f *rtl.Func) (bool, error) {
-	g, err := cfg.Build(f)
-	if err != nil {
-		return false, err
-	}
-	g.Dominators()
-	g.Liveness()
-	for _, l := range g.NaturalLoops() {
-		ctx := analyzeLoop(f, g, l)
+	return walkLoops(f, "DeadIVs", false, func(w *loopWalk, l *cfg.Loop) bool {
+		w.liveness()
+		ctx := analyzeLoop(w.f, w.g, l)
 		for iv, ivi := range ctx.ivs {
-			// Uses of iv inside the loop, excluding the increment's
-			// own operand.
-			uses := 0
+			// A use inside the loop other than the increment's own
+			// operand, or one after it, keeps the variable.
+			used := slices.ContainsFunc(l.ExitTargets, func(t *cfg.Block) bool { return t.LiveIn.Has(iv) })
 			for _, b := range l.BlockList() {
-				for n := b.Start; n < b.End; n++ {
-					if n == ivi.defIdx {
-						continue
-					}
-					for _, u := range f.Code[n].Uses(nil) {
-						if u == iv {
-							uses++
-						}
-					}
+				for n := b.Start; n < b.End && !used; n++ {
+					used = n != ivi.defIdx && slices.Contains(w.f.Code[n].Uses(nil), iv)
 				}
 			}
-			if uses > 0 {
-				continue
+			if !used {
+				w.f.Remove(ivi.defIdx)
+				return true
 			}
-			liveOut := false
-			for _, t := range l.ExitTargets {
-				if t.LiveIn.Has(iv) {
-					liveOut = true
-				}
-			}
-			if liveOut {
-				continue
-			}
-			f.Remove(ivi.defIdx)
-			return true, nil
 		}
-	}
-	return false, nil
+		return false
+	})
 }
 
 // tripInfo describes the loop's iteration count.

@@ -27,86 +27,67 @@ func StrengthReduceWith(f *rtl.Func, needsHelp func(lin linform) bool) (bool, er
 	return strengthReduce(f, needsHelp, false)
 }
 
-func strengthReduce(f *rtl.Func, needsHelp func(lin linform) bool, fold bool) (bool, error) {
-	changed := false
-	for round := 0; round < 128; round++ {
-		more, err := strengthOnce(f, needsHelp, fold)
-		if err != nil {
-			return changed, err
-		}
-		if !more {
-			return changed, nil
-		}
-		changed = true
-	}
-	return changed, nil
-}
-
 // wmAddrNeedsHelp: only addresses that required expanding in-loop
 // helper definitions cost extra instructions on WM.
 func wmAddrNeedsHelp(lin linform) bool { return lin.expanded }
 
-func strengthOnce(f *rtl.Func, needsHelp func(linform) bool, fold bool) (bool, error) {
-	g, err := cfg.Build(f)
-	if err != nil {
-		return false, err
+// strengthReduce reduces one group of a loop's references to a derived
+// pointer, or folds one offset, per visit.
+func strengthReduce(f *rtl.Func, needsHelp func(lin linform) bool, fold bool) (bool, error) {
+	return walkLoops(f, "StrengthReduce", true, func(w *loopWalk, l *cfg.Loop) bool {
+		return reduceLoop(analyzeLoop(w.f, w.g, l), needsHelp, fold)
+	})
+}
+
+func reduceLoop(ctx *loopCtx, needsHelp func(linform) bool, fold bool) bool {
+	f := ctx.f
+	if ctx.hasCall {
+		return false
 	}
-	g.Dominators()
-	for _, l := range g.NaturalLoops() {
-		if pre := EnsurePreheader(f, g, l); pre < 0 {
+	refs, ok := ctx.collectRefs()
+	if !ok {
+		return false
+	}
+	// Group reducible references by (iv, cee, region) so that
+	// references differing only by a constant offset share one derived
+	// pointer and one step per iteration — x[i] and x[i-1] become p@0
+	// and p@-8 off a single pointer.
+	groups := map[string][]*memRef{}
+	var order []string
+	for _, r := range refs {
+		if r.unknown || !r.lin.hasIV() || !needsHelp(r.lin) {
 			continue
-		} else if l.Preheader == nil {
-			return true, nil
 		}
-		ctx := analyzeLoop(f, g, l)
-		if ctx.hasCall {
+		if alreadyReduced(ctx, f.Code[r.accIdx].Addr) {
+			continue // address is a derived pointer (+ offset) already
+		}
+		ivi, ok := ctx.ivs[r.lin.iv]
+		if !ok || ivi.regStep {
 			continue
 		}
-		refs, ok := ctx.collectRefs()
-		if !ok {
-			continue
+		if !precedes(ctx, r.accIdx, ivi.defIdx) {
+			continue // address read after the increment: lin form shifts
 		}
-		// Group reducible references by (iv, cee, region) so that
-		// references differing only by a constant offset share one
-		// derived pointer and one step per iteration — x[i] and x[i-1]
-		// become p@0 and p@-8 off a single pointer.
-		groups := map[string][]*memRef{}
-		var order []string
+		key := r.lin.iv.String() + "/" + fmt.Sprint(r.lin.cee) + "/" + r.lin.baseKey()
+		if groups[key] == nil {
+			order = append(order, key)
+		}
+		groups[key] = append(groups[key], r)
+	}
+	for _, key := range order {
+		grp := groups[key]
+		if reduceGroup(ctx, grp, ctx.ivs[grp[0].lin.iv]) {
+			return true
+		}
+	}
+	if fold {
 		for _, r := range refs {
-			if r.unknown || !r.lin.hasIV() || !needsHelp(r.lin) {
-				continue
-			}
-			if alreadyReduced(ctx, f.Code[r.accIdx].Addr) {
-				continue // address is a derived pointer (+ offset) already
-			}
-			ivi, ok := ctx.ivs[r.lin.iv]
-			if !ok || ivi.regStep {
-				continue
-			}
-			if !precedes(ctx, r.accIdx, ivi.defIdx) {
-				continue // address read after the increment: lin form shifts
-			}
-			key := r.lin.iv.String() + "/" + fmt.Sprint(r.lin.cee) + "/" + r.lin.baseKey()
-			if groups[key] == nil {
-				order = append(order, key)
-			}
-			groups[key] = append(groups[key], r)
-		}
-		for _, key := range order {
-			grp := groups[key]
-			if reduceGroup(ctx, grp, ctx.ivs[grp[0].lin.iv]) {
-				return true, nil
-			}
-		}
-		if fold {
-			for _, r := range refs {
-				if !r.every && foldOffset(ctx, r.accIdx) {
-					return true, nil
-				}
+			if !r.every && foldOffset(ctx, r.accIdx) {
+				return true
 			}
 		}
 	}
-	return false, nil
+	return false
 }
 
 // foldOffset moves the constant of an index into the base for an
@@ -259,5 +240,3 @@ func reduceGroup(ctx *loopCtx, grp []*memRef, ivi ivInfo) bool {
 	f.Insert(hdr, seq...)
 	return true
 }
-
-var _ = cfg.Build
