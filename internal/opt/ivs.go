@@ -281,12 +281,11 @@ func (ctx *loopCtx) expandReg(r rtl.Reg, atIdx, depth int) linform {
 	if b == nil || db == nil || b != db || defIdx >= atIdx {
 		return bad
 	}
-	// No register used by the definition may be redefined in between
-	// (by a definition staying in the loop).
+	// No register used by the definition may be redefined in between.
 	used := map[rtl.Reg]bool{r: true}
 	rtl.ExprRegs(i.Src, func(u rtl.Reg) { used[u] = true })
 	for k := defIdx + 1; k < atIdx; k++ {
-		if d, ok := ctx.f.Code[k].Def(); ok && used[d] && ctx.hoisted[d] != ctx.f.Code[k] {
+		if d, ok := ctx.f.Code[k].Def(); ok && used[d] {
 			return bad
 		}
 	}

@@ -72,21 +72,14 @@ type licm struct {
 	// registers feeding a store's address.
 	feeds     map[rtl.Reg][]int
 	storeFeed map[rtl.Reg]bool
-	steps     map[rtl.Reg]bool // registers added to a register in place
 }
 
 func newLICM(w *loopWalk, ctx *loopCtx) *licm {
 	m := &licm{w: w, ctx: ctx, taken: map[int]bool{}, refs: map[int]*memRef{},
-		feeds: map[rtl.Reg][]int{}, storeFeed: map[rtl.Reg]bool{}, steps: map[rtl.Reg]bool{}}
+		feeds: map[rtl.Reg][]int{}, storeFeed: map[rtl.Reg]bool{}}
 	for _, b := range ctx.loop.BlockList() {
 		for n := b.Start; n < b.End; n++ {
 			switch i := ctx.f.Code[n]; i.Kind {
-			case rtl.KAssign:
-				if x, ok := i.Src.(rtl.Bin); ok && rtl.EqualExpr(x.L, rtl.RX(i.Dst)) {
-					if s, ok := x.R.(rtl.RegX); ok {
-						m.steps[s.Reg] = true
-					}
-				}
 			case rtl.KLoad:
 				m.loads = append(m.loads, n)
 				ctx.addressRegs(i.Addr, func(r rtl.Reg) { m.feeds[r] = append(m.feeds[r], n) })
@@ -109,16 +102,17 @@ func (m *licm) take(n, size int) {
 	}
 	m.moves = append(m.moves, f.Code[n:n+size])
 	def := f.Code[n+size-1]
-	m.ctx.hoisted[def.Dst] = def
-	m.fresh = append(m.fresh, def.Dst)
+	d := def.Dst
+	m.ctx.hoisted[d] = def
+	m.fresh = append(m.fresh, d)
 	if size == 2 {
 		m.freshLoads = append(m.freshLoads, n)
 	}
-	for _, k := range m.feeds[def.Dst] {
-		delete(m.refs, k) // its address is invariant now
+	for _, k := range m.feeds[d] {
+		delete(m.refs, k) // its address reads differently now
 	}
-	if m.storeFeed[def.Dst] {
-		m.stores = m.ctx.storeRefs() // and so is some store's
+	if m.storeFeed[d] {
+		m.stores = m.ctx.storeRefs() // and so may a store's
 	}
 }
 
@@ -257,49 +251,31 @@ func (m *licm) firstAssign() int {
 }
 
 // stale reports whether moving the registers and loads taken since the
-// last call may have made a load that stays reusable, which must go
-// before any assignment.  The load needs a candidate value (reusable),
-// and one of: a taken register feeds its address, or steps an
-// induction variable an address may use, or feeds a store's address
-// (the alias tests change); or a taken load reads its region.
+// last call may have changed what a fresh analysis says about a load
+// that stays at a fixed address: it may have become movable, or
+// reusable from a preheader load, and either goes before the next
+// assignment.  That takes a taken register feeding its address or a
+// store's (the alias tests), or a taken load reading its region.  A
+// load at a varying address can be reused only from a register loaded
+// in the loop, which never moves, so when that happens does not change
+// the moves.
 func (m *licm) stale() bool {
 	regs, loaded := m.fresh, m.freshLoads
 	m.fresh, m.freshLoads = nil, nil
-	for _, r := range regs {
-		if m.steps[r] {
-			return true
+	for _, k := range m.loads {
+		r := m.ref(k)
+		if m.taken[k] || !r.lin.ok || r.lin.hasIV() {
+			continue
 		}
-		for _, k := range m.loads {
-			if !m.taken[k] && (m.storeFeed[r] || slices.Contains(m.feeds[r], k)) && m.reusable(k) {
+		for _, d := range regs {
+			if m.storeFeed[d] || slices.Contains(m.feeds[d], k) {
 				return true
 			}
 		}
-	}
-	for _, k := range loaded {
-		for _, j := range m.loads {
-			if !m.taken[j] && m.ref(j).region != "" && m.ref(j).region == m.ref(k).region {
+		for _, j := range loaded {
+			if r.region != "" && r.region == m.ref(j).region {
 				return true
 			}
-		}
-	}
-	return false
-}
-
-// reusable reports whether a value for the load at index k could be at
-// hand: its address is fixed (a preheader load may hold it), or an
-// access in another block of the loop has the same address.
-func (m *licm) reusable(k int) bool {
-	r, g := m.ref(k), m.ctx.g
-	if !r.lin.hasIV() {
-		return r.lin.ok
-	}
-	same := func(o *memRef) bool { return g.BlockOf(o.accIdx) != g.BlockOf(k) && sameAddress(o, r) }
-	if slices.ContainsFunc(m.stores, same) {
-		return true
-	}
-	for _, j := range m.loads {
-		if j != k && !m.taken[j] && same(m.ref(j)) {
-			return true
 		}
 	}
 	return false

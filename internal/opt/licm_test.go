@@ -134,3 +134,90 @@ func TestLICMHoistsWideInvariantLoop(t *testing.T) {
 		t.Errorf("%d loads left in the loop", loadsIn(f, "L1"))
 	}
 }
+
+// TestLICMMovesInOrder pins the order of moves where a batch could
+// break it: each case has a move that makes a load reusable or
+// hoistable, which one instruction per analysis handles before the
+// next assignment, rv5 := _h, later in the code.
+func TestLICMMovesInOrder(t *testing.T) {
+	for _, c := range []struct{ name, body, want string }{{
+		// Moving rv7 := _g gives the arm's load through rv7 a fixed
+		// address, whose value the hoisted load of _g left in rv8;
+		// the reuse makes rv3 := rv8, which moves next.
+		"address made fixed", `
+rv7 := _g
+l32r r0, _g
+rv8 := r0
+rv9 := (rv9 + rv8)
+r31 := (rv9 > 100)
+jumpFr L2
+l32r r0, rv7
+rv3 := r0
+puti rv3
+L2:`, "l32r r0, _g|rv8 := r0|rv7 := _g|rv3 := rv8|rv5 := _h",
+	}, {
+		// The hoisted load of _g holds the value the arm reloads.
+		"load hoisted", `
+r31 := (rv9 > 100)
+jumpFr L2
+l32r r0, _g
+rv3 := r0
+puti rv3
+L2:
+l32r r0, _g
+rv8 := r0
+rv9 := (rv9 + rv8)`, "l32r r0, _g|rv8 := r0|rv3 := rv8|rv5 := _h",
+	}, {
+		// Moving rv1 := _a makes the store's address _a+4, which
+		// cannot touch the load of _a, so the load moves next.
+		"store address fixed", `
+rv1 := _a
+r31 := (rv9 > 100)
+jumpFr L2
+puti rv9
+L2:
+r0 := rv0
+s32r r0, (rv1 + 4)
+l32r r0, _a
+rv8 := r0
+rv9 := (rv9 + rv8)`, "rv1 := _a|l32r r0, _a|rv8 := r0|rv5 := _h",
+	}} {
+		f := parseFunc(t, "rv0 := 0\nrv9 := 0\nL1:"+c.body+`
+rv5 := _h
+puti rv5
+rv0 := (rv0 + 1)
+r31 := (rv0 < 10)
+jumpTr L1
+halt`)
+		chk(LICM(f))
+		want := "rv0 := 0\nrv9 := 0\n" + strings.ReplaceAll(c.want, "|", "\n")
+		if got := preheader(f, "L1"); got != want {
+			t.Errorf("%s: preheader:\n%s\nwant:\n%s\nfunction:\n%s", c.name, got, want, listing(f))
+		}
+	}
+}
+
+// TestLICMKeepsLoadThroughMovedAddress: moving rv1 := _g makes the load
+// through rv1 invariant; it reads _g, which the loop stores, so it
+// stays.  The address is _g, as the definition moving out says, not _x,
+// which rv1 held before the loop.
+func TestLICMKeepsLoadThroughMovedAddress(t *testing.T) {
+	f := parseFunc(t, `
+rv1 := _x
+puti rv1
+rv0 := 0
+L1:
+rv1 := _g
+l32r r0, rv1
+rv2 := r0
+r0 := rv0
+s32r r0, _g
+rv0 := (rv0 + rv2)
+r31 := (rv0 < 10)
+jumpTr L1
+halt`)
+	chk(LICM(f))
+	if !hoisted(f, "L1", "_g") || loadsIn(f, "L1") != 1 {
+		t.Errorf("want rv1 := _g hoisted and the load of _g kept:\n%s", listing(f))
+	}
+}
