@@ -524,15 +524,6 @@ func mayAlias(a, b *memRef) bool {
 	return true
 }
 
-func anyMayAlias(stores []*memRef, r *memRef) bool {
-	for _, st := range stores {
-		if mayAlias(st, r) {
-			return true
-		}
-	}
-	return false
-}
-
 // sameAddress reports whether two references read or write exactly the
 // same bytes, at the same values of the induction variable.
 func sameAddress(a, b *memRef) bool {

@@ -22,17 +22,6 @@ func preheader(f *rtl.Func, hdr string) string {
 	return strings.Join(out, "\n")
 }
 
-// loadsIn counts the loads from label hdr to the end of the function.
-func loadsIn(f *rtl.Func, hdr string) int {
-	n := 0
-	for _, i := range f.Code[f.FindLabel(hdr):] {
-		if i.Kind == rtl.KLoad {
-			n++
-		}
-	}
-	return n
-}
-
 // TestLICMKeepsLoadIntoLiveInRegister: the loop adds rv1 before it
 // loads rv1, so the first iteration adds rv1's value from before the
 // loop.  Hoisting the load would make it add _g's value instead.
@@ -51,7 +40,7 @@ jumpTr L1
 puti rv2
 halt`)
 	chk(LICM(f))
-	if loadsIn(f, "L1") != 1 {
+	if loadsInLoop(t, f, "L1") != 1 {
 		t.Errorf("load into a register read before it hoisted:\n%s", listing(f))
 	}
 }
@@ -82,43 +71,6 @@ halt`)
 	}
 }
 
-// TestLICMHoistOrder pins the order moves reach the preheader: that of
-// moving one instruction per fresh analysis, a load pair before an
-// assignment.  The load of _n goes first although it comes last; the
-// load through rv1 follows the assignment that makes its address
-// invariant, and then the next assignment.
-func TestLICMHoistOrder(t *testing.T) {
-	f := parseFunc(t, `
-rv0 := 0
-rv9 := 0
-L1:
-rv1 := _g0
-l32r r0, rv1
-rv2 := r0
-rv9 := (rv9 + rv2)
-rv3 := _g1
-l32r r0, rv3
-rv4 := r0
-rv9 := (rv9 + rv4)
-l32r r0, _n
-rv5 := r0
-rv0 := (rv0 + 1)
-r31 := (rv0 < rv5)
-jumpTr L1
-puti rv9
-halt`)
-	chk(LICM(f))
-	want := strings.Join([]string{
-		"rv0 := 0", "rv9 := 0",
-		"l32r r0, _n", "rv5 := r0",
-		"rv1 := _g0", "l32r r0, rv1", "rv2 := r0",
-		"rv3 := _g1", "l32r r0, rv3", "rv4 := r0",
-	}, "\n")
-	if got := preheader(f, "L1"); got != want {
-		t.Errorf("preheader:\n%s\nwant:\n%s\nfunction:\n%s", got, want, listing(f))
-	}
-}
-
 // TestLICMHoistsWideInvariantLoop: a loop reading 600 invariant globals
 // keeps none of the loads.  LICM once moved one instruction per round
 // and stopped at 500 rounds, leaving 100 loads in the loop.
@@ -130,17 +82,34 @@ func TestLICMHoistsWideInvariantLoop(t *testing.T) {
 	}
 	b.WriteString("rv0 := (rv0 + 1)\nr31 := (rv0 < 10)\njumpTr L1\nputi rv1\nhalt")
 	f := parseFunc(t, b.String())
-	if !chk(LICM(f)) || loadsIn(f, "L1") != 0 {
-		t.Errorf("%d loads left in the loop", loadsIn(f, "L1"))
+	if !chk(LICM(f)) || loadsInLoop(t, f, "L1") != 0 {
+		t.Errorf("%d loads left in the loop", loadsInLoop(t, f, "L1"))
 	}
 }
 
-// TestLICMMovesInOrder pins the order of moves where a batch could
-// break it: each case has a move that makes a load reusable or
-// hoistable, which one instruction per analysis handles before the
-// next assignment, rv5 := _h, later in the code.
+// TestLICMMovesInOrder pins the order in which moves reach the
+// preheader: that of moving one instruction per fresh analysis, a load
+// pair before a reused load before an assignment, each the first in
+// code order.  In each case a move makes a load movable or reusable,
+// which goes before the next assignment, rv5 := _h, later in the code.
 func TestLICMMovesInOrder(t *testing.T) {
 	for _, c := range []struct{ name, body, want string }{{
+		// The load of _n goes first although it comes last; the load
+		// through rv1 follows the assignment that makes its address
+		// invariant, and then the next assignment.
+		"loads first", `
+rv1 := _g0
+l32r r0, rv1
+rv2 := r0
+rv9 := (rv9 + rv2)
+rv3 := _g1
+l32r r0, rv3
+rv4 := r0
+rv9 := (rv9 + rv4)
+l32r r0, _n
+rv6 := r0
+puti rv6`, "l32r r0, _n|rv6 := r0|rv1 := _g0|l32r r0, rv1|rv2 := r0|rv3 := _g1|l32r r0, rv3|rv4 := r0|rv5 := _h",
+	}, {
 		// Moving rv7 := _g gives the arm's load through rv7 a fixed
 		// address, whose value the hoisted load of _g left in rv8;
 		// the reuse makes rv3 := rv8, which moves next.
@@ -217,7 +186,7 @@ r31 := (rv0 < 10)
 jumpTr L1
 halt`)
 	chk(LICM(f))
-	if !hoisted(f, "L1", "_g") || loadsIn(f, "L1") != 1 {
+	if !hoisted(f, "L1", "_g") || loadsInLoop(t, f, "L1") != 1 {
 		t.Errorf("want rv1 := _g hoisted and the load of _g kept:\n%s", listing(f))
 	}
 }

@@ -79,7 +79,7 @@ func walkLoops(f *rtl.Func, pass string, preheaders bool, visits ...loopVisit) (
 	}
 	bound := (len(f.Code) + len(w.loops)) * (depth + 1)
 	changes := 0
-	fresh := true // the graph was built for the current code
+	kept := false // the graph has outlived a visit that changed nothing
 	for {
 		swept := false
 		for _, visit := range visits {
@@ -88,12 +88,12 @@ func walkLoops(f *rtl.Func, pass string, preheaders bool, visits ...loopVisit) (
 				if preheaders && l.Preheader == nil {
 					continue
 				}
-				if !fresh && analysisCheck != nil {
+				if kept && analysisCheck != nil {
 					w.liveness()
 					analysisCheck(pass, f, w.g)
 				}
 				if !visit(w, l) {
-					fresh = false
+					kept = true
 					continue
 				}
 				changed, swept = true, true
@@ -103,7 +103,7 @@ func walkLoops(f *rtl.Func, pass string, preheaders bool, visits ...loopVisit) (
 				if err := w.build(); err != nil {
 					return true, err
 				}
-				fresh = true
+				kept = false
 				k-- // visit the same loop again
 			}
 		}

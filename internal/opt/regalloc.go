@@ -45,8 +45,8 @@ func poolRange(lo, hi int) []int {
 func RegAlloc(f *rtl.Func) error {
 	spilled := map[rtl.Reg]bool{}
 	saved := map[rtl.Reg]bool{}
-	// Every round but the last spills a register not spilled before (a
-	// respill is an error), so the registers there are bound the rounds.
+	// Each round but the last spills a register not spilled before (a
+	// respill is an error), so the virtual registers bound the rounds.
 	rounds := f.NumVirt(rtl.Int) + f.NumVirt(rtl.Float) + 1
 	for range rounds {
 		iv, err := buildIntervals(f)
