@@ -86,7 +86,7 @@ func TestManyLoopsStreamEveryLoop(t *testing.T) {
 // load of g out of the first loop, or g + 1 out of the second, once
 // made that addition read the new value (50 and 110 for 46 and 101).
 func TestLICMKeepsLiveInLoad(t *testing.T) {
-	p := Program{Name: "livein", Source: `
+	checkLoadProgram(t, "livein", `
 int g = 5;
 int n = 10;
 int c = 0;
@@ -110,14 +110,7 @@ int main(void) {
     puti(s);
     return 0;
 }
-`}
-	for lvl := 0; lvl <= 3; lvl++ {
-		rp, err := Compile(p, lvl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runBoth(t, fmt.Sprintf("O%d", lvl), rp, "46101")
-	}
+`, "46101")
 }
 
 // BenchmarkCompileScaling compiles the compile-scaling programs at O3:

@@ -9,16 +9,6 @@ import (
 	"wmstream/internal/rtl"
 )
 
-// The loop driver.  LICM, Recurrences, Streams, StrengthReduce, DeadIVs
-// and ScheduleLoopTest transform one loop at a time; walkLoops runs all
-// of them.  It builds the flow graph, dominators and natural loops
-// once, gives every loop a preheader up front (for the passes that
-// place code there), and visits the loops deepest first in
-// cfg.NaturalLoops order.  A visit that changes the code is followed by
-// a rebuild and another visit of the same loop; one that changes
-// nothing leaves the graph to the next loop.  The run ends when a full
-// sweep over every loop changes nothing.
-
 // loopWalk is the state of one driver run: the function, its flow
 // graph with dominators, its natural loops, and whether liveness has
 // been computed on that graph.
@@ -52,10 +42,16 @@ func (w *loopWalk) liveness() {
 	}
 }
 
-// walkLoops runs the visits over f's loops.  Each visit is one sweep
-// over every loop, in order; Streams uses two, leaf loops first and the
-// restart rule after.  With preheaders set, every loop gets a preheader
-// before the first visit and a loop that cannot have one is skipped.
+// walkLoops is the loop driver of LICM, Recurrences, Streams,
+// StrengthReduce, DeadIVs and ScheduleLoopTest.  It builds the flow
+// graph, dominators and natural loops, then sweeps the loops deepest
+// first, in cfg.NaturalLoops order, once per visit function (Streams
+// has two: leaf loops, then the restart rule).  After a visit that
+// changes the code it rebuilds and visits the same loop again; a visit
+// that changes nothing leaves the graph to the next one.  It returns
+// when a round of sweeps changes nothing.  With preheaders set, every
+// loop first gets a preheader, and a loop that cannot have one is
+// skipped.
 //
 // A change moves an instruction out of one loop level, removes one, or
 // rewrites one memory reference or one loop for good, so a terminating
