@@ -4,7 +4,9 @@
 # memreads= or streamed= value changed, with each delta, and lines only
 # one side has.  It exits 1 if any cycles= value rose or a line of the
 # old ledger is gone (deleting a line would hide its regression);
-# memreads= and streamed= moves are reported, never failed.
+# memreads= and streamed= moves are reported, never failed.  A last
+# line gives the suite O3 total, old -> new: cycles= summed over the
+# */O3/default lines, the figure the benchmark reports as sim_cycles.
 #
 #   bash .github/scripts/cycles-delta.sh old-cycles.golden new-cycles.golden
 set -euo pipefail
@@ -20,11 +22,13 @@ function delta(name, a, b) {
 }
 NR == FNR {
 	old[$1] = field($0, "cycles"); oldm[$1] = field($0, "memreads"); olds[$1] = field($0, "streamed")
+	if ($1 ~ /\/O3\/default$/) oldO3 += old[$1]
 	next
 }
 {
 	seen[$1] = 1
 	now = field($0, "cycles"); m = field($0, "memreads"); s = field($0, "streamed")
+	if ($1 ~ /\/O3\/default$/) newO3 += now
 	if (!($1 in old)) { printf "new     %-28s cycles=%d memreads=%d streamed=%d\n", $1, now, m, s; next }
 	if (now == old[$1] && m == oldm[$1] && s == olds[$1]) next
 	d = now - old[$1]
@@ -36,6 +40,7 @@ NR == FNR {
 }
 END {
 	for (k in old) if (!(k in seen)) { printf "GONE    %s\n", k; gone++ }
+	printf "suite O3 total %d -> %d (%+d, %+.1f%%)\n", oldO3, newO3, newO3 - oldO3, oldO3 ? 100 * (newO3 - oldO3) / oldO3 : 0
 	if (rose) printf "%d cycles.golden line(s) rose\n", rose
 	if (gone) printf "%d cycles.golden line(s) gone\n", gone
 	if (rose || gone) exit 1

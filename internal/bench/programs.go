@@ -172,12 +172,15 @@ int main(void) {
 // Bubblesort sorts integers.  In the swap loop the swap path reuses the
 // values the compare loaded, and a[j+1]'s last value, loaded or swapped
 // in, is carried in a register to the next iteration's a[j], so each
-// iteration loads one element, a[j+1].  The conditional exchange writes
-// only behind that read (a[j], and a[j+1] after it is read), so the
-// read streams while the stores stay scalar.  The swap arm's address
-// of a is hoisted to the preheader and a[j+1]'s offset folded into a
-// second base, so the arm's stores need no address instruction of
-// their own.  The fill and checksum
+// iteration loads one element, a[j+1].  The swap stores the old carry
+// into a[j+1], so the carry stays where the swap leaves it: it takes
+// the loaded a[j+1] only on the edge that does not swap, and the loop
+// has no copy at its top.  The conditional exchange writes only behind
+// that read (a[j], and a[j+1] after it is read), so the read streams
+// while the stores stay scalar.  The swap arm's address of a is hoisted
+// to the outer preheader, which the swap loop's preheader reuses, and
+// a[j+1]'s offset is folded into a second base, so the arm's stores
+// need no address instruction of their own.  The fill and checksum
 // loops stream.
 var Bubblesort = Program{
 	Name: "bubblesort",

@@ -87,7 +87,10 @@ func randomExpr(r *rand.Rand, nArrays, maxOff, depth int) string {
 // to that global; and an outer read g[i] whose conditional arm holds an
 // inner loop rewriting the elements later iterations read, plus a
 // store to the next element or the one behind, counting either way,
-// which the restart rule streams.  RandomProgram reaches none of these.
+// which the restart rule streams; and an exchange that stores the old
+// a[j] plus a constant into a[j+1], or whose paths join before a second
+// branch, either of which must keep the recurrence's copy at the top of
+// the loop.  RandomProgram reaches none of these.
 // Values stay far inside the int range, and conditions mask with &
 // rather than divide, so the program means the same in C and in Go.
 func RandomLoadProgram(r *rand.Rand) (src, want string) {
@@ -110,7 +113,7 @@ func RandomLoadProgram(r *rand.Rand) (src, want string) {
 	for shapes := 2 + r.Intn(4); shapes > 0; shapes-- {
 		x, y := r.Intn(2), r.Intn(2)
 		ga, gb := g[x], g[y]
-		switch r.Intn(9) {
+		switch r.Intn(10) {
 		case 0: // bubble passes: the inner bound shrinks with the outer IV
 			passes := 1 + r.Intn(n-1)
 			less := r.Intn(2) == 0
@@ -281,6 +284,29 @@ func RandomLoadProgram(r *rand.Rand) (src, want string) {
 				}
 				if store != 0 {
 					ga[i+at] = (ga[i] ^ int64(c2)) & 255
+				}
+			}
+		case 9: // near-miss exchanges: a[j+1] takes the old carry plus c,
+			// or the exact exchange's paths join before a second branch
+			passes, c, join := 1+r.Intn(3), 1+r.Intn(9), r.Intn(2) == 0
+			stored := fmt.Sprintf("t + %d", c)
+			if join {
+				c, stored = 0, "t"
+			}
+			fmt.Fprintf(&b, "    for (i = 0; i < %d; i++)\n        for (j = 0; j < n - 1; j++) {\n", passes)
+			fmt.Fprintf(&b, "            if (g%d[j] > g%d[j+1]) { t = g%d[j]; g%d[j] = g%d[j+1]; g%d[j+1] = %s; }\n", x, x, x, x, x, x, stored)
+			if join {
+				fmt.Fprintf(&b, "            if ((j & 3) == 0) s = s + 1;\n")
+			}
+			fmt.Fprintf(&b, "        }\n")
+			for i := 0; i < passes; i++ {
+				for j := 0; j < n-1; j++ {
+					if ga[j] > ga[j+1] {
+						ga[j], ga[j+1] = ga[j+1], ga[j]+int64(c)
+					}
+					if join && j&3 == 0 {
+						s++
+					}
 				}
 			}
 		}

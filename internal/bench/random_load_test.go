@@ -14,18 +14,22 @@ import (
 // shapes reach the optimizer's region-aware load elimination and the
 // streaming pass's per-read step 2a: the test also requires that some
 // program carries a recurrence through a conditional store, that some
-// program streams a read whose partition keeps a scalar store, that
-// some callee streams its pointer parameter on the infinite path, and
-// that some program restarts a stream after an arm holding an inner
-// writer, which no other generator produces.
+// program keeps that carry where its exchange leaves it at O3, that
+// some program streams a read whose partition keeps a scalar store,
+// that some callee streams its pointer parameter on the infinite path,
+// and that some program restarts a stream after an arm holding an
+// inner writer, which no other generator produces.
 func TestRandomLoadPrograms(t *testing.T) {
 	const seeds = 24
-	carried, pastStores, scans, restarts := 0, 0, 0, 0
+	carried, kept, pastStores, scans, restarts := 0, 0, 0, 0, 0
 	for seed := 0; seed < seeds; seed++ {
 		src, want := RandomLoadProgram(rand.New(rand.NewSource(int64(seed))))
 		listings := checkLoadProgram(t, fmt.Sprintf("load%d", seed), src, want)
 		if strings.Contains(listings[2], "recurrence value") {
 			carried++
+		}
+		if strings.Contains(listings[3], "carry recurrence value, not stored") {
+			kept++
 		}
 		if strings.Contains(listings[3], "past scalar stores") {
 			pastStores++
@@ -45,6 +49,9 @@ func TestRandomLoadPrograms(t *testing.T) {
 	}
 	if carried == 0 {
 		t.Errorf("no program carried a recurrence at O2: the generator no longer reaches the conditional-store path")
+	}
+	if kept == 0 {
+		t.Errorf("no program kept a carry where its exchange left it at O3: the generator no longer reaches the kept carry")
 	}
 	if restarts == 0 {
 		t.Errorf("no program restarted a stream at O3: the generator no longer reaches the restart rule")
@@ -90,4 +97,105 @@ func checkLoadProgram(t *testing.T, name, src, want string) (listings [4]string)
 		}
 	}
 	return listings
+}
+
+// sideExitPrograms leave a streamed loop through a break or a return
+// while its stream still runs.  Unstopped, the break program's next
+// loop dequeued the stale prefetch of a[] as b[] (8667), and find's
+// prefetch filled the FIFO that main's next scalar load needed, a
+// deadlock.  An output stream cut short by a break deadlocked too.  The
+// wants are each program's O0 output: 45 + 55 + 66 from a[] plus
+// 3 * 4032 from b[]; find's 1 + 4 + 7 plus 3 * 4032; and 190 + 231 +
+// 275 from the b[] the stores wrote.  stopped marks the programs whose
+// O3 listing must stop a stream at the side exit.
+var sideExitPrograms = []struct {
+	name, src, want string
+	stopped         bool
+}{
+	{"break", `
+int a[64], b[64];
+int n = 64;
+
+int main(void) {
+    int r, i, s;
+    for (i = 0; i < n; i++) {
+        a[i] = i;
+        b[i] = 2 * i;
+    }
+    s = 0;
+    for (r = 0; r < 3; r++) {
+        for (i = 0; i < n; i++) {
+            if (a[i] == 10 + r)
+                break;
+            s = s + a[i];
+        }
+        for (i = 0; i < n; i++)
+            s = s + b[i];
+    }
+    puti(s);
+    return 0;
+}
+`, "12262", true},
+	{"return", `
+int a[64], b[64];
+int n = 64;
+
+int find(int k) {
+    int i;
+    for (i = 0; i < n; i++)
+        if (a[i] == k)
+            return i;
+    return -1;
+}
+
+int main(void) {
+    int r, i, s;
+    for (i = 0; i < n; i++) {
+        a[i] = 3 * i;
+        b[i] = 2 * i;
+    }
+    s = 0;
+    for (r = 0; r < 3; r++) {
+        s = s + find(9 * r + 3);
+        for (i = 0; i < n; i++)
+            s = s + b[i];
+    }
+    puti(s);
+    return 0;
+}
+`, "12108", true},
+	{"break-store", `
+int b[64];
+int n = 64;
+
+int main(void) {
+    int r, i, s;
+    s = 0;
+    for (r = 0; r < 3; r++) {
+        for (i = 0; i < n; i++) {
+            if (i == 20 + r)
+                break;
+            b[i] = i + r;
+        }
+        for (i = 0; i < n; i++)
+            s = s + b[i];
+    }
+    puti(s);
+    return 0;
+}
+`, "696", false},
+}
+
+// TestSideExitStreams runs the side-exit programs at O0-O3 on both
+// engines, and requires O3 to stream the searching loops and stop their
+// streams at the side exit.
+func TestSideExitStreams(t *testing.T) {
+	for _, p := range sideExitPrograms {
+		t.Run(p.name, func(t *testing.T) {
+			listings := checkLoadProgram(t, p.name, p.src, p.want)
+			if p.stopped && !strings.Contains(listings[3], "stop stream at side exit") {
+				t.Errorf("O3 stops no stream at the side exit:\n%s", listings[3])
+			}
+		})
+	}
 }

@@ -45,10 +45,13 @@ type loopCtx struct {
 	ivs      map[rtl.Reg]ivInfo
 	defCount map[rtl.Reg]int
 	defIdx   map[rtl.Reg][]int
-	funcDefs map[rtl.Reg][]int // every definition in the function, built on demand by regionOf
-	hasCall  bool
-	hasIO    bool
-	stream   bool // loop already contains stream instructions
+	funcDefs map[rtl.Reg][]int // every definition in the function, built on demand by functionDefs
+	// symRegs maps a symbolic base term ("_a") to a register that holds
+	// it on entry to the loop (noteSymbolReg), for buildLinExpr.
+	symRegs map[string]rtl.Reg
+	hasCall bool
+	hasIO   bool
+	stream  bool // loop already contains stream instructions
 	// hoisted holds the definitions LICM moves to the end of the
 	// preheader in this visit (licm.go); their registers count as
 	// invariant, defined there.
@@ -209,6 +212,7 @@ func (ctx *loopCtx) linearize(e rtl.Expr, atIdx int, depth int) linform {
 			// in the preheader chain; otherwise the register itself is
 			// the base term.
 			if sym, ok := ctx.invariantSym(r); ok {
+				ctx.noteSymbolReg(r, sym)
 				return linform{base: []string{"_" + sym.Name}, off: sym.Off, ok: true}
 			}
 			return linform{base: []string{r.String()}, ok: true}
@@ -260,6 +264,42 @@ func (ctx *loopCtx) invariantSym(r rtl.Reg) (rtl.Sym, bool) {
 	}
 	s, isSym := def.Src.(rtl.Sym)
 	return s, isSym
+}
+
+// noteSymbolReg records r, which invariantSym resolved to sym, as the
+// register buildLinExpr reuses for sym's address on entry to the loop,
+// when r's one definition in the function dominates the loop.  Of two
+// such registers it keeps the one defined later, closer to the loop.
+func (ctx *loopCtx) noteSymbolReg(r rtl.Reg, sym rtl.Sym) {
+	if sym.Off != 0 || !r.IsVirtual() || ctx.hoisted[r] != nil {
+		return
+	}
+	defs := ctx.functionDefs()[r]
+	if len(defs) != 1 || !ctx.g.Dominates(ctx.g.BlockOf(defs[0]), ctx.loop.Header) {
+		return
+	}
+	key := "_" + sym.Name
+	if old, ok := ctx.symRegs[key]; ok && ctx.funcDefs[old][0] > defs[0] {
+		return
+	}
+	if ctx.symRegs == nil {
+		ctx.symRegs = map[string]rtl.Reg{}
+	}
+	ctx.symRegs[key] = r
+}
+
+// functionDefs returns the index of every definition in the function,
+// by register, built on first use.
+func (ctx *loopCtx) functionDefs() map[rtl.Reg][]int {
+	if ctx.funcDefs == nil {
+		ctx.funcDefs = map[rtl.Reg][]int{}
+		for n, i := range ctx.f.Code {
+			if d, ok := i.Def(); ok {
+				ctx.funcDefs[d] = append(ctx.funcDefs[d], n)
+			}
+		}
+	}
+	return ctx.funcDefs
 }
 
 // expandReg substitutes the single in-loop definition of r, provided
@@ -365,14 +405,7 @@ func (ctx *loopCtx) regionOf(e rtl.Expr, lin linform) string {
 	if !direct {
 		return ""
 	}
-	if ctx.funcDefs == nil {
-		ctx.funcDefs = map[rtl.Reg][]int{}
-		for n, i := range ctx.f.Code {
-			if d, ok := i.Def(); ok {
-				ctx.funcDefs[d] = append(ctx.funcDefs[d], n)
-			}
-		}
-	}
+	ctx.functionDefs()
 	t := regionTracer{ctx: ctx, state: map[rtl.Reg]*traceState{}}
 	s := t.expr(e, false)
 	if !s.ok || s.syms != 1 {

@@ -350,7 +350,7 @@ func (ctx *loopCtx) iterationValue(p, ld *memRef, refs []*memRef) (rtl.Reg, bool
 	}
 	from := min(p.accIdx, p.dataIdx)
 	noStore := ctx.between(from, ld.accIdx, func(n int) bool {
-		return ctx.f.Code[n].Kind != rtl.KStore || !mayAlias(refAt(refs, n), ld)
+		return n == p.accIdx || ctx.f.Code[n].Kind != rtl.KStore || !mayAlias(refAt(refs, n), ld)
 	})
 	unchanged := ctx.between(from, ld.dataIdx, func(n int) bool {
 		d, ok := ctx.f.Code[n].Def()

@@ -190,3 +190,29 @@ halt`)
 		t.Errorf("want rv1 := _g hoisted and the load of _g kept:\n%s", listing(f))
 	}
 }
+
+// TestLICMReusesStoredValue: the header stores rv6 into a[i], and the
+// arm reloads a[i].  Nothing between writes a[i] again, so the reload
+// takes rv6 and leaves the loop with no load.
+func TestLICMReusesStoredValue(t *testing.T) {
+	f := parseFunc(t, `
+rv0 := 0
+L1:
+rv6 := (rv0 * 3)
+r0 := rv6
+s32r r0, ((rv0 << 2) + _a)
+r31 := (rv6 > 50)
+jumpFr L2
+l32r r0, ((rv0 << 2) + _a)
+rv7 := r0
+puti rv7
+L2:
+rv0 := (rv0 + 1)
+r31 := (rv0 < 100)
+jumpTr L1
+halt`)
+	chk(LICM(f))
+	if n := loadsInLoop(t, f, "L1"); n != 0 {
+		t.Errorf("%d loads in the loop, want the reload of a[i] replaced by rv6:\n%s", n, listing(f))
+	}
+}

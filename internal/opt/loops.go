@@ -138,7 +138,7 @@ func insertPreheaders(f *rtl.Func, loops []*cfg.Loop) bool {
 		todo = append(todo, p)
 	}
 	for _, p := range todo {
-		pre := freshPreheaderLabel(f)
+		pre := freshLabel(f, "LP")
 		for _, i := range f.Code {
 			switch i.Kind {
 			case rtl.KJump, rtl.KCondJump, rtl.KJumpNotDone:
@@ -152,23 +152,23 @@ func insertPreheaders(f *rtl.Func, loops []*cfg.Loop) bool {
 	return len(todo) > 0
 }
 
-// freshPreheaderLabel picks the lowest unused LP<n> label name in the
+// freshLabel picks the lowest unused <prefix><n> label name in the
 // function.  Numbering is per-function (labels are function-scoped in
 // the linker) and derived only from the function's own code, so
 // optimizing functions concurrently — or in any order — yields
 // identical names.  A package-level counter here would be both a data
 // race and a determinism leak under the parallel engine.
-func freshPreheaderLabel(f *rtl.Func) string {
+func freshLabel(f *rtl.Func, prefix string) string {
 	max := 0
 	for _, i := range f.Code {
-		if i.Kind != rtl.KLabel || !strings.HasPrefix(i.Name, "LP") {
+		if i.Kind != rtl.KLabel || !strings.HasPrefix(i.Name, prefix) {
 			continue
 		}
-		if n, err := strconv.Atoi(i.Name[2:]); err == nil && n > max {
+		if n, err := strconv.Atoi(i.Name[len(prefix):]); err == nil && n > max {
 			max = n
 		}
 	}
-	return "LP" + strconv.Itoa(max+1)
+	return prefix + strconv.Itoa(max+1)
 }
 
 // headerLabelIndex returns the index of the loop header's label, which

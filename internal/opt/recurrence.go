@@ -20,6 +20,10 @@ import (
 //	         with register references, emit shifting copies at the
 //	         top of the loop and initial loads in the preheader.
 //
+// Where every conditional store of a degree-1 recurrence writes back
+// the carried value itself, the one copy moves off the storing paths
+// instead (keepCarry).
+//
 // The number of registers used is degree+1, where the degree is the
 // largest iteration distance.  It returns whether anything changed.
 func Recurrences(f *rtl.Func, maxDegree int64) (bool, error) {
@@ -213,16 +217,8 @@ func isInnermost(ctx *loopCtx) bool {
 // value site could be reached (bubblesort's swap path stores a[j+1]'s
 // loaded value into a[j] before storing into a[j+1]).
 func anchorCarrier(ctx *loopCtx, plan *recPlan) (rtl.Reg, bool) {
-	anchor := plan.anchor
-	if anchor.write {
-		return rtl.Reg{}, false
-	}
-	deq := ctx.f.Code[anchor.dataIdx]
-	rx, isReg := deq.Src.(rtl.RegX)
-	y := deq.Dst
-	fifo := rtl.Reg{Class: anchor.class, N: ctx.f.Code[anchor.accIdx].FIFO.N}
-	if deq.Kind != rtl.KAssign || !isReg || rx.Reg != fifo || y.IsFIFO() || y.IsZero() ||
-		y.Class != anchor.class || ctx.defCount[y] != 1 {
+	y, ok := plainDequeue(ctx, plan.anchor)
+	if !ok {
 		return rtl.Reg{}, false
 	}
 	ctx.g.Liveness()
@@ -243,19 +239,150 @@ func anchorCarrier(ctx *loopCtx, plan *recPlan) (rtl.Reg, bool) {
 	return y, true
 }
 
+// plainDequeue returns y when the load r's datum is dequeued by a plain
+// "y := fifo", y's only definition in the loop.
+func plainDequeue(ctx *loopCtx, r *memRef) (rtl.Reg, bool) {
+	if r.write {
+		return rtl.Reg{}, false
+	}
+	deq := ctx.f.Code[r.dataIdx]
+	rx, isReg := deq.Src.(rtl.RegX)
+	y := deq.Dst
+	fifo := rtl.Reg{Class: r.class, N: ctx.f.Code[r.accIdx].FIFO.N}
+	if deq.Kind != rtl.KAssign || !isReg || rx.Reg != fifo || y.IsFIFO() || y.IsZero() ||
+		y.Class != r.class || ctx.defCount[y] != 1 {
+		return rtl.Reg{}, false
+	}
+	return y, true
+}
+
+// keepCarry reports whether plan's carry can stay where its tracked
+// stores leave it.  It can when the plan has degree 1, its anchor is a
+// load, and every tracked store writes the old carry (the value the
+// distance-1 reads fetch, possibly through one copy).  Every write of L
+// after the anchor is tracked, so the last write of L on a path that
+// runs one writes the old carry too, and the iteration ends with L
+// holding the carry's own value.  Only the paths that run no tracked
+// store need the anchor's value copied into the carry, and they need it
+// only on their way into the latch: keepCarry returns the edit that
+// splits those edges.  Every predecessor of the latch must lie on paths
+// of one kind, and the latch, which runs after the copy, may hold no
+// tracked store, no distance-1 read and not the anchor.
+func keepCarry(ctx *loopCtx, plan *recPlan) (splitEdges, bool) {
+	g, l := ctx.g, ctx.loop
+	if plan.degree != 1 || plan.anchor.write || len(plan.tracked) == 0 || len(l.Latches) != 1 {
+		return splitEdges{}, false
+	}
+	latch := l.Latches[0]
+	if latch == l.Header || ctx.f.Code[latch.Start].Kind != rtl.KLabel || g.BlockOf(plan.anchor.dataIdx) == latch {
+		return splitEdges{}, false
+	}
+	for _, pr := range plan.pairs {
+		if g.BlockOf(pr.read.dataIdx) == latch {
+			return splitEdges{}, false
+		}
+	}
+	stores := map[*cfg.Block]bool{}
+	var from []*cfg.Block
+	for _, w := range plan.tracked {
+		b := g.BlockOf(w.accIdx)
+		if b == latch || !writesOldCarry(ctx, plan, w) {
+			return splitEdges{}, false
+		}
+		stores[b] = true
+		from = append(from, b)
+	}
+	stored := iterationReach(l, from, nil)
+	unstored := iterationReach(l, []*cfg.Block{l.Header}, stores)
+	split := splitEdges{latch: ctx.f.Code[latch.Start].Name}
+	fallsIn := false // a predecessor that runs a tracked store falls into the latch
+	for _, p := range latch.Preds {
+		if stored[p] == unstored[p] {
+			return splitEdges{}, false
+		}
+		last := ctx.f.Code[p.End-1]
+		if unstored[p] && last.IsBranch() && last.Target == split.latch {
+			split.retarget = append(split.retarget, last)
+		}
+		if unstored[p] {
+			split.copies = true
+		} else if p.End == latch.Start && last.Kind != rtl.KJump {
+			fallsIn = true
+		}
+	}
+	split.jumpOver = split.copies && fallsIn
+	return split, true
+}
+
+// writesOldCarry reports whether the tracked store w writes the value a
+// distance-1 read of plan dequeued in the same iteration, directly or
+// through one copy.
+func writesOldCarry(ctx *loopCtx, plan *recPlan, w *memRef) bool {
+	data := ctx.f.Code[w.dataIdx]
+	rx, isReg := data.Src.(rtl.RegX)
+	if data.Kind != rtl.KAssign || !isReg {
+		return false
+	}
+	r, at := rx.Reg, w.dataIdx
+	for range 2 {
+		if r.IsFIFO() || r.IsZero() || ctx.defCount[r] != 1 {
+			return false
+		}
+		d := ctx.defIdx[r][0]
+		def := ctx.f.Code[d]
+		src, isReg := def.Src.(rtl.RegX)
+		if def.Kind != rtl.KAssign || !isReg || !precedes(ctx, d, at) {
+			return false
+		}
+		for _, pr := range plan.pairs {
+			if pr.read.dataIdx == d && src.Reg == (rtl.Reg{Class: pr.read.class, N: ctx.f.Code[pr.read.accIdx].FIFO.N}) {
+				return true
+			}
+		}
+		r, at = src.Reg, d
+	}
+	return false
+}
+
+// iterationReach returns the loop blocks reachable from the blocks in
+// from, which count themselves, without starting a new iteration and
+// without entering a block in stop.
+func iterationReach(l *cfg.Loop, from []*cfg.Block, stop map[*cfg.Block]bool) map[*cfg.Block]bool {
+	seen := map[*cfg.Block]bool{}
+	stack := append([]*cfg.Block(nil), from...)
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[b] || stop[b] || !l.Blocks[b] {
+			continue
+		}
+		seen[b] = true
+		for _, s := range b.Succs {
+			if s != l.Header {
+				stack = append(stack, s)
+			}
+		}
+	}
+	return seen
+}
+
 // applyRecurrence rewrites the loop for plan (paper steps 4b-4d).
 func applyRecurrence(ctx *loopCtx, plan *recPlan) bool {
 	f := ctx.f
 	anchor := plan.anchor
 	class := anchor.class
 	label := ctx.loopLabel()
+	split, keep := keepCarry(ctx, plan)
 
 	// Step 4b: retain the value of L in a register.  A lone store keeps
 	// its source register when that is a plain register, and an anchor
 	// load its destination register when anchorCarrier allows.
 	// Otherwise every value site of L sets a fresh register v: the
 	// enqueue "fifo := expr" of a store becomes "v := expr; fifo := v",
-	// and the dequeue of an anchor load reads the FIFO through v.
+	// and the dequeue of an anchor load reads the FIFO through v.  A
+	// kept carry needs no value site at its tracked stores, and the
+	// anchor's value gets a register of its own, as a plain dequeue
+	// already has.
 	recRegs := make([]rtl.Reg, plan.degree+1)
 	type insertion struct {
 		at  int
@@ -264,7 +391,13 @@ func applyRecurrence(ctx *loopCtx, plan *recPlan) bool {
 	var inserts []insertion
 	sites := append([]*memRef{anchor}, plan.tracked...)
 	enq := f.Code[anchor.dataIdx]
-	if rx, isReg := enq.Src.(rtl.RegX); anchor.write && len(plan.tracked) == 0 && isReg && !rx.Reg.IsFIFO() && !rx.Reg.IsZero() {
+	if y, ok := plainDequeue(ctx, anchor); keep && ok {
+		recRegs[0] = y
+		sites = nil
+	} else if keep {
+		recRegs[0] = f.NewVirt(class)
+		sites = sites[:1]
+	} else if rx, isReg := enq.Src.(rtl.RegX); anchor.write && len(plan.tracked) == 0 && isReg && !rx.Reg.IsFIFO() && !rx.Reg.IsZero() {
 		recRegs[0] = rx.Reg
 		sites = nil
 	} else if y, ok := anchorCarrier(ctx, plan); ok {
@@ -290,6 +423,12 @@ func applyRecurrence(ctx *loopCtx, plan *recPlan) bool {
 	}
 	for k := int64(1); k <= plan.degree; k++ {
 		recRegs[k] = f.NewVirt(class)
+	}
+	if keep {
+		// keepCarry proved each tracked store writes the old carry.
+		for _, w := range plan.tracked {
+			f.Code[w.dataIdx].Src = rtl.RX(recRegs[1])
+		}
 	}
 
 	// Step 4b continued: replace each recurrence read with a register
@@ -321,13 +460,18 @@ func applyRecurrence(ctx *loopCtx, plan *recPlan) bool {
 	}
 
 	// Step 4c: shifting copies at the top of the loop, highest degree
-	// first so nothing is overwritten prematurely.
+	// first so nothing is overwritten prematurely.  A kept carry instead
+	// takes the anchor's value on the edges into the latch that run no
+	// tracked store.
+	if keep {
+		split.insert(f, rtl.NewAssign(recRegs[1], rtl.RX(recRegs[0])))
+	}
 	hdr := f.FindLabel(label)
 	if hdr < 0 {
 		return false
 	}
 	pos := hdr + 1
-	for k := plan.degree; k >= 1; k-- {
+	for k := plan.degree; k >= 1 && !keep; k-- {
 		cp := rtl.NewAssign(recRegs[k], rtl.RX(recRegs[k-1]))
 		cp.Note = "carry recurrence value"
 		f.Insert(pos, cp)
@@ -335,16 +479,21 @@ func applyRecurrence(ctx *loopCtx, plan *recPlan) bool {
 	}
 
 	// Step 4d: initial loads in the preheader: recRegs[k-1] holds the
-	// value the first iteration reads at distance k.  Inserting before
-	// the header label places the code at the end of the preheader.
+	// value the first iteration reads at distance k (a kept carry,
+	// recRegs[1], holds it itself).  Inserting before the header label
+	// places the code at the end of the preheader.
 	fifo := rtl.Reg{Class: class, N: rtl.FIFO0}
 	var seq []*rtl.Instr
 	for k := int64(1); k <= plan.degree; k++ {
-		addr := buildLinExpr(f, &seq, anchor.lin, plan.iv, anchor.lin.off-k*plan.strideIter, class)
+		addr := buildLinExpr(ctx, &seq, anchor.lin, plan.iv, anchor.lin.off-k*plan.strideIter, class)
 		ld := rtl.NewLoad(fifo, addr, anchor.size)
 		ld.Note = "preload recurrence value"
 		seq = append(seq, ld)
-		mv := rtl.NewAssign(recRegs[k-1], rtl.RX(fifo))
+		dst := recRegs[k-1]
+		if keep {
+			dst = recRegs[k]
+		}
+		mv := rtl.NewAssign(dst, rtl.RX(fifo))
 		mv.Note = "initial recurrence value"
 		seq = append(seq, mv)
 	}
@@ -352,17 +501,52 @@ func applyRecurrence(ctx *loopCtx, plan *recPlan) bool {
 	return true
 }
 
-// buildLinExpr reconstructs cee*iv + bases + off as an expression,
-// appending any helper instructions to seq (they are inserted together
-// with the loads).
-func buildLinExpr(f *rtl.Func, seq *[]*rtl.Instr, lin linform, iv rtl.Reg, off int64, class rtl.Class) rtl.Expr {
+// splitEdges is the code edit that puts an instruction on the edges
+// into a latch (labelled latch) from the predecessors no tracked store
+// reaches, when there are any (copies): their jumps to the latch
+// (retarget) go to a fresh label placed just before it, and with
+// jumpOver the predecessor that falls into the latch after a tracked
+// store jumps over the new block.  The latch keeps its one back edge,
+// and the fetch unit executes the jumps, so the split costs no cycle.
+type splitEdges struct {
+	latch    string
+	retarget []*rtl.Instr
+	copies   bool
+	jumpOver bool
+}
+
+// insert places ins on the split edges.
+func (s splitEdges) insert(f *rtl.Func, ins *rtl.Instr) {
+	if !s.copies {
+		return
+	}
+	ins.Note = "carry recurrence value, not stored"
+	label := freshLabel(f, "LC")
+	for _, j := range s.retarget {
+		j.Target = label
+	}
+	seq := []*rtl.Instr{rtl.NewLabel(label), ins}
+	if s.jumpOver {
+		seq = append([]*rtl.Instr{rtl.NewJump(s.latch)}, seq...)
+	}
+	f.Insert(f.FindLabel(s.latch), seq...)
+}
+
+// buildLinExpr reconstructs cee*iv + bases + off as an expression for
+// the end of the loop's preheader, appending any helper instructions to
+// seq (they are inserted together with the loads).  A symbolic base
+// reuses a register that already holds it there (noteSymbolReg).
+func buildLinExpr(ctx *loopCtx, seq *[]*rtl.Instr, lin linform, iv rtl.Reg, off int64, class rtl.Class) rtl.Expr {
+	f := ctx.f
 	var e rtl.Expr
 	if lin.cee != 0 {
 		e = ivTerm(rtl.RX(iv), lin.cee)
 	}
 	for _, b := range lin.base {
 		var term rtl.Expr
-		if b[0] == '_' {
+		if r, ok := ctx.symRegs[b]; ok {
+			term = rtl.RX(r)
+		} else if b[0] == '_' {
 			t := f.NewVirt(rtl.Int)
 			ins := rtl.NewAssign(t, rtl.Sym{Name: b[1:]})
 			*seq = append(*seq, ins)

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -279,7 +280,10 @@ jumpTr L8
 halt`
 
 // TestRecurrenceThroughConditionalStore: a[j+1]'s last value, loaded or
-// swapped in, is the next iteration's a[j].
+// swapped in, is the next iteration's a[j].  The swap stores the old
+// carry back into a[j+1], so the carry stays where the swap leaves it:
+// no copy at the top of the loop, and one copy of the loaded a[j+1] on
+// the edge that does not swap.
 func TestRecurrenceThroughConditionalStore(t *testing.T) {
 	f := parseFunc(t, strings.Replace(carriedSwapRTL, "%s", "", 1))
 	if !chk(Recurrences(f, 4)) {
@@ -291,22 +295,293 @@ func TestRecurrenceThroughConditionalStore(t *testing.T) {
 	if n := countKind(f, rtl.KLoad); n != 2 {
 		t.Errorf("%d loads, want a[j+1] and one preload:\n%s", n, listing(f))
 	}
-	// The swap path's store of the old a[j] into a[j+1] must set the
-	// register the next iteration's carry copy reads.
-	var carried rtl.Reg
+	if n := strings.Count(listing(f), ":= _a"); n != 1 {
+		t.Errorf("the preload materializes _a again instead of reading rv38:\n%s", listing(f))
+	}
+	keptCarryShape(t, f, "rv49")
+}
+
+// TestRecurrenceKeepsCarryThroughCopy: the swap stores the old carry
+// through the copy t.
+func TestRecurrenceKeepsCarryThroughCopy(t *testing.T) {
+	src := strings.Replace(carriedSwapRTL, "%s", "", 1)
+	src = strings.Replace(src, "rv62 := (rv1 + 1)\n", "rv62 := (rv1 + 1)\nrv70 := rv42\n", 1)
+	src = strings.Replace(src, "r0 := rv42\n", "r0 := rv70\n", 1)
+	f := parseFunc(t, src)
+	if !chk(Recurrences(f, 4)) {
+		t.Fatalf("recurrence through the swap not carried:\n%s", listing(f))
+	}
+	keptCarryShape(t, f, "rv49")
+}
+
+// keptCarryShape checks the kept carry of the swap loop at L8, whose
+// anchor dequeues into y: no shifting copy, the swap's store of a[j+1]
+// writes the carry, and the one copy "carry := y" sits just before the
+// latch L11, reached by the compare's jump on the path that does not
+// swap, which jumps over it.
+func keptCarryShape(t *testing.T, f *rtl.Func, y string) {
+	t.Helper()
+	var carry *rtl.Instr
 	for _, i := range f.Code {
-		if i.Note == "carry recurrence value" {
-			carried = i.Src.(rtl.RegX).Reg
+		switch i.Note {
+		case "carry recurrence value":
+			t.Errorf("shifting copy %s at the top of the loop:\n%s", i, listing(f))
+		case "carry recurrence value, not stored":
+			if carry != nil {
+				t.Errorf("two carry copies:\n%s", listing(f))
+			}
+			carry = i
 		}
 	}
-	set := false
+	if carry == nil || carry.Src.String() != y {
+		t.Fatalf("no copy of %s into the carry:\n%s", y, listing(f))
+	}
+	c := carry.Dst.String()
+	at := slices.Index(f.Code, carry)
+	split, latch := f.Code[at-1], f.Code[at+1]
+	if split.Kind != rtl.KLabel || latch.Kind != rtl.KLabel || latch.Name != "L11" || f.Code[at-2].String() != "jump L11" {
+		t.Errorf("carry copy not alone on a split edge into L11:\n%s", listing(f))
+	}
+	jumps := 0
 	for _, i := range f.Code {
-		if i.Note == "recurrence value" && i.Dst == carried && i.Src.String() == "rv42" {
-			set = true
+		if i.Kind == rtl.KCondJump && i.Target == split.Name {
+			jumps++
 		}
 	}
-	if !set {
-		t.Errorf("swap store does not update the carried register %s:\n%s", carried, listing(f))
+	if jumps != 1 {
+		t.Errorf("%d branches take the copy, want the compare's:\n%s", jumps, listing(f))
+	}
+	stores := 0
+	for k, i := range f.Code {
+		if i.Kind == rtl.KStore && f.Code[k-1].String() == "r0 := "+c {
+			stores++
+		}
+	}
+	if stores != 1 {
+		t.Errorf("%d stores of the carry %s, want the swap's store into a[j+1]:\n%s", stores, c, listing(f))
+	}
+}
+
+// keptCarryRefusals are loops where the carry must change at the top of
+// each iteration: a path can leave L holding something other than the
+// old carry, the storing and non-storing paths meet before the latch,
+// or the carry spans more than one iteration.  A char loop carries
+// nothing.  Each want is the listing the shifting-copy scheme gives.
+var keptCarryRefusals = []struct{ name, src, want string }{
+	{"swap stores t + 1", swapIntoRTL("r0 := (rv42 + 1)\ns32r r0, ((rv62 << 2) + _a)"), `
+  1.     rv1 := 0
+  2.     rv64 := _a
+  3.     l32r r0, ((rv1 << 2) + rv64)                -- preload recurrence value
+  4.     rv49 := r0                                  -- initial recurrence value
+  5. L8:
+  6.     rv63 := rv49                                -- carry recurrence value
+  7.     rv42 := rv63                                -- recurrence register
+  8.     rv46 := (rv1 + 1)
+  9.     l32r r0, ((rv46 << 2) + _a)
+ 10.     rv49 := r0
+ 11.     r31 := (rv42 > rv49)
+ 12.     jumpFr L11
+ 13.     rv62 := (rv1 + 1)
+ 14.     r0 := rv49
+ 15.     s32r r0, ((rv1 << 2) + _a)
+ 16.     rv49 := (rv42 + 1)                          -- recurrence value
+ 17.     r0 := rv49
+ 18.     s32r r0, ((rv62 << 2) + _a)
+ 19. L11:
+ 20.     rv1 := (rv1 + 1)
+ 21.     r31 := (rv1 < r5)
+ 22.     jumpTr L8
+ 23.     halt
+`},
+	{"second store after the old carry", swapIntoRTL("r0 := rv42\ns32r r0, ((rv62 << 2) + _a)\nr0 := rv49\ns32r r0, ((rv62 << 2) + _a)"), `
+  1.     rv1 := 0
+  2.     rv65 := _a
+  3.     l32r r0, ((rv1 << 2) + rv65)                -- preload recurrence value
+  4.     rv63 := r0                                  -- initial recurrence value
+  5. L8:
+  6.     rv64 := rv63                                -- carry recurrence value
+  7.     rv42 := rv64                                -- recurrence register
+  8.     rv46 := (rv1 + 1)
+  9.     l32r r0, ((rv46 << 2) + _a)
+ 10.     rv63 := r0                                  -- recurrence value
+ 11.     rv49 := rv63
+ 12.     r31 := (rv42 > rv49)
+ 13.     jumpFr L11
+ 14.     rv62 := (rv1 + 1)
+ 15.     r0 := rv49
+ 16.     s32r r0, ((rv1 << 2) + _a)
+ 17.     rv63 := rv42                                -- recurrence value
+ 18.     r0 := rv63
+ 19.     s32r r0, ((rv62 << 2) + _a)
+ 20.     rv63 := rv49                                -- recurrence value
+ 21.     r0 := rv63
+ 22.     s32r r0, ((rv62 << 2) + _a)
+ 23. L11:
+ 24.     rv1 := (rv1 + 1)
+ 25.     r31 := (rv1 < r5)
+ 26.     jumpTr L8
+ 27.     halt
+`},
+	{"paths join before the latch", strings.Replace(swapIntoRTL("r0 := rv42\ns32r r0, ((rv62 << 2) + _a)"),
+		"L11:\n", "L11:\nrv9 := (rv9 + rv49)\nL12:\n", 1), `
+  1.     rv1 := 0
+  2.     rv65 := _a
+  3.     l32r r0, ((rv1 << 2) + rv65)                -- preload recurrence value
+  4.     rv63 := r0                                  -- initial recurrence value
+  5. L8:
+  6.     rv64 := rv63                                -- carry recurrence value
+  7.     rv42 := rv64                                -- recurrence register
+  8.     rv46 := (rv1 + 1)
+  9.     l32r r0, ((rv46 << 2) + _a)
+ 10.     rv63 := r0                                  -- recurrence value
+ 11.     rv49 := rv63
+ 12.     r31 := (rv42 > rv49)
+ 13.     jumpFr L11
+ 14.     rv62 := (rv1 + 1)
+ 15.     r0 := rv49
+ 16.     s32r r0, ((rv1 << 2) + _a)
+ 17.     rv63 := rv42                                -- recurrence value
+ 18.     r0 := rv63
+ 19.     s32r r0, ((rv62 << 2) + _a)
+ 20. L11:
+ 21.     rv9 := (rv9 + rv49)
+ 22. L12:
+ 23.     rv1 := (rv1 + 1)
+ 24.     r31 := (rv1 < r5)
+ 25.     jumpTr L8
+ 26.     halt
+`},
+	{"degree 2", `
+rv1 := 0
+rv9 := 0
+L8:
+l32r r0, ((rv1 << 2) + _a)
+rv42 := r0
+rv9 := (rv9 + rv42)
+rv46 := (rv1 + 1)
+l32r r0, ((rv46 << 2) + _a)
+rv49 := r0
+rv50 := (rv1 + 2)
+l32r r0, ((rv50 << 2) + _a)
+rv51 := r0
+r31 := (rv49 > rv51)
+jumpFr L11
+rv52 := (rv1 + 2)
+r0 := rv49
+s32r r0, ((rv52 << 2) + _a)
+L11:
+rv1 := (rv1 + 1)
+r31 := (rv1 < r5)
+jumpTr L8
+puti rv9
+halt`, `
+  1.     rv1 := 0
+  2.     rv9 := 0
+  3.     rv55 := _a
+  4.     l32r r0, (((rv1 << 2) + rv55) + 4)          -- preload recurrence value
+  5.     rv51 := r0                                  -- initial recurrence value
+  6.     rv56 := _a
+  7.     l32r r0, ((rv1 << 2) + rv56)                -- preload recurrence value
+  8.     rv53 := r0                                  -- initial recurrence value
+  9. L8:
+ 10.     rv54 := rv53                                -- carry recurrence value
+ 11.     rv53 := rv51                                -- carry recurrence value
+ 12.     rv42 := rv54                                -- recurrence register
+ 13.     rv9 := (rv9 + rv42)
+ 14.     rv46 := (rv1 + 1)
+ 15.     rv49 := rv53                                -- recurrence register
+ 16.     rv50 := (rv1 + 2)
+ 17.     l32r r0, ((rv50 << 2) + _a)
+ 18.     rv51 := r0
+ 19.     r31 := (rv49 > rv51)
+ 20.     jumpFr L11
+ 21.     rv52 := (rv1 + 2)
+ 22.     rv51 := rv49                                -- recurrence value
+ 23.     r0 := rv51
+ 24.     s32r r0, ((rv52 << 2) + _a)
+ 25. L11:
+ 26.     rv1 := (rv1 + 1)
+ 27.     r31 := (rv1 < r5)
+ 28.     jumpTr L8
+ 29.     puti rv9
+ 30.     halt
+`},
+	{"char array", `
+rv1 := 0
+L8:
+l8r r0, (rv1 + _a)
+rv42 := r0
+rv46 := (rv1 + 1)
+l8r r0, (rv46 + _a)
+rv49 := r0
+r31 := (rv42 > rv49)
+jumpFr L11
+rv62 := (rv1 + 1)
+r0 := rv49
+s8r r0, (rv1 + _a)
+r0 := rv42
+s8r r0, (rv62 + _a)
+L11:
+rv1 := (rv1 + 1)
+r31 := (rv1 < r5)
+jumpTr L8
+halt`, `
+  1.     rv1 := 0
+  2. L8:
+  3.     l8r r0, (rv1 + _a)
+  4.     rv42 := r0
+  5.     rv46 := (rv1 + 1)
+  6.     l8r r0, (rv46 + _a)
+  7.     rv49 := r0
+  8.     r31 := (rv42 > rv49)
+  9.     jumpFr L11
+ 10.     rv62 := (rv1 + 1)
+ 11.     r0 := rv49
+ 12.     s8r r0, (rv1 + _a)
+ 13.     r0 := rv42
+ 14.     s8r r0, (rv62 + _a)
+ 15. L11:
+ 16.     rv1 := (rv1 + 1)
+ 17.     r31 := (rv1 < r5)
+ 18.     jumpTr L8
+ 19.     halt
+`},
+}
+
+// swapIntoRTL is the swap loop addressed straight off _a, with store as
+// its code for a[j+1].
+func swapIntoRTL(store string) string {
+	return `
+rv1 := 0
+L8:
+l32r r0, ((rv1 << 2) + _a)
+rv42 := r0
+rv46 := (rv1 + 1)
+l32r r0, ((rv46 << 2) + _a)
+rv49 := r0
+r31 := (rv42 > rv49)
+jumpFr L11
+rv62 := (rv1 + 1)
+r0 := rv49
+s32r r0, ((rv1 << 2) + _a)
+` + store + `
+L11:
+rv1 := (rv1 + 1)
+r31 := (rv1 < r5)
+jumpTr L8
+halt`
+}
+
+// TestRecurrenceKeptCarryRefusals: each refusal compiles byte for byte
+// to its want.
+func TestRecurrenceKeptCarryRefusals(t *testing.T) {
+	for _, tc := range keptCarryRefusals {
+		f := parseFunc(t, tc.src)
+		chk(Recurrences(f, 4))
+		want := ".func t frame=0" + tc.want + ".end\n"
+		if got := listing(f); got != want {
+			t.Errorf("%s: listing changed:\n%s\nwant:\n%s", tc.name, got, want)
+		}
 	}
 }
 

@@ -226,7 +226,7 @@ func streamLoopRestart(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, arm *restartArm, 
 	stride := map[*memRef]rtl.Expr{}
 	for _, r := range ordered {
 		stride[r] = buildStride(f, &pre, r.lin.cee, trip)
-		origin[r] = buildLinExpr(f, &pre, linform{base: r.lin.base}, trip.iv, r.lin.off, r.class)
+		origin[r] = buildLinExpr(ctx, &pre, linform{base: r.lin.base}, trip.iv, r.lin.off, r.class)
 		if _, isImm := origin[r].(rtl.Imm); !isImm {
 			o := f.NewVirt(rtl.Int)
 			pre = append(pre, rtl.NewAssign(o, origin[r]))

@@ -375,6 +375,23 @@ func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
 	if !ok {
 		return false
 	}
+	// A break or return leaves the loop with its input streams still
+	// running: they stop at every side exit's target.  An output stream
+	// left running there would take the next scalar stores of its FIFO,
+	// and one stopped there could lose enqueued data still in flight, so
+	// such a loop keeps its writes scalar.
+	var sideTargets []*cfg.Block
+	for _, b := range l.Exits {
+		for _, s := range b.Succs {
+			if b != l.Latches[0] && !l.Blocks[s] && !slices.Contains(sideTargets, s) {
+				sideTargets = append(sideTargets, s)
+			}
+		}
+	}
+	stops, ok := exitStopSites(f, sideTargets)
+	if !ok {
+		return false
+	}
 	parts := ctx.buildPartitions(refs)
 	postIncr := map[*memRef]bool{}
 	pastStores := map[*memRef]bool{} // reads streamed ahead of scalar stores
@@ -400,7 +417,7 @@ func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
 			if !r.every {
 				continue // step 2c: not executed every iteration
 			}
-			if r.write && hasRead {
+			if r.write && (hasRead || len(sideTargets) > 0) {
 				continue // step 2a: beside reads, writes stay scalar
 			}
 			if !r.lin.hasIV() || r.lin.iv != trip.iv {
@@ -525,6 +542,7 @@ func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
 		return false
 	}
 	var seq []*rtl.Instr
+	var stopped []rtl.Reg
 	countExpr := buildCount(f, &seq, trip)
 	// Clamp to >= 1 (bottom-tested loops execute at least once even
 	// when the guard is absent, e.g. do-while).
@@ -544,7 +562,7 @@ func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
 	for _, em := range ems {
 		r := em.ref
 		strideExpr := buildStride(f, &seq, r.lin.cee, trip)
-		addr := buildLinExpr(f, &seq, r.lin, trip.iv, r.lin.off, r.class)
+		addr := buildLinExpr(ctx, &seq, r.lin, trip.iv, r.lin.off, r.class)
 		if postIncr[r] {
 			addr = rtl.B(rtl.Add, addr, strideExpr)
 		}
@@ -572,9 +590,58 @@ func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
 			Note:     note,
 		}
 		seq = append(seq, si)
+		if !r.write {
+			stopped = append(stopped, si.FIFO)
+		}
 	}
 	f.Insert(hdr, seq...)
+	insertStops(f, stops, stopped, "stop stream at side exit")
 	return true
+}
+
+// stopSite is where stream stops go on the way into an exit target:
+// after the label that starts it, or before the first instruction of a
+// target only the loop falls into.
+type stopSite struct {
+	at    *rtl.Instr
+	after bool
+}
+
+// exitStopSites returns the stop site of each block of targets, or
+// ok=false when a block has no label and more than one predecessor: no
+// place in it runs on the loop's way out alone.  A path that reaches a
+// label without running the loop stops an inactive stream, which the
+// hardware treats as a no-op (scalar FIFO traffic is unaffected), so
+// shared labels are fine.
+func exitStopSites(f *rtl.Func, targets []*cfg.Block) ([]stopSite, bool) {
+	var sites []stopSite
+	for _, t := range targets {
+		first := f.Code[t.Start]
+		switch {
+		case first.Kind == rtl.KLabel:
+			sites = append(sites, stopSite{first, true})
+		case len(t.Preds) == 1:
+			sites = append(sites, stopSite{first, false})
+		default:
+			return nil, false
+		}
+	}
+	return sites, true
+}
+
+// insertStops places an sstop of every FIFO in fifos at each site.
+func insertStops(f *rtl.Func, sites []stopSite, fifos []rtl.Reg, note string) {
+	for _, s := range sites {
+		at := slices.Index(f.Code, s.at)
+		if s.after {
+			at++
+		}
+		stops := make([]*rtl.Instr, len(fifos))
+		for k, fifo := range fifos {
+			stops[k] = &rtl.Instr{Kind: rtl.KStreamStop, FIFO: fifo, Note: note}
+		}
+		f.Insert(at, stops...)
+	}
 }
 
 // buildCount emits preheader code computing the iteration count and
@@ -688,25 +755,9 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 	if !ok {
 		return false
 	}
-	// Stream stops go at the start of each exit target.  Paths that
-	// reach an exit label without entering the loop execute the stop on
-	// an inactive stream, which the hardware treats as a no-op (scalar
-	// FIFO traffic is unaffected), so shared exit labels are fine.
-	var exitLabels []string
-	for _, t := range l.ExitTargets {
-		idx := -1
-		for n := t.Start; n < t.End; n++ {
-			if f.Code[n].Kind == rtl.KLabel {
-				idx = n
-				break
-			}
-		}
-		if idx == -1 || idx != t.Start {
-			return false // exit entered by fall-through: no safe stop point
-		}
-		exitLabels = append(exitLabels, f.Code[idx].Name)
-	}
-	if len(exitLabels) == 0 {
+	// Stream stops go at the start of each exit target.
+	stops, ok := exitStopSites(f, l.ExitTargets)
+	if !ok || len(stops) == 0 {
 		return false
 	}
 
@@ -808,13 +859,14 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 		return false
 	}
 	var seq []*rtl.Instr
+	var stopped []rtl.Reg
 	for _, a := range allocs {
 		trip := &tripInfo{
 			iv: a.ref.lin.iv, step: a.ivi.step, stepReg: a.ivi.stepReg,
 			regStep: a.ivi.regStep, stepX: a.ivi.stepExpr(),
 		}
 		strideExpr := buildStride(f, &seq, a.ref.lin.cee, trip)
-		addr := buildLinExpr(f, &seq, a.ref.lin, a.ref.lin.iv, a.ref.lin.off, a.ref.class)
+		addr := buildLinExpr(ctx, &seq, a.ref.lin, a.ref.lin.iv, a.ref.lin.off, a.ref.class)
 		if a.post {
 			addr = rtl.B(rtl.Add, addr, strideExpr)
 		}
@@ -836,24 +888,11 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 			MemClass: a.ref.class,
 			Note:     note,
 		})
+		stopped = append(stopped, rtl.Reg{Class: a.ref.class, N: a.fifoN})
 	}
 	f.Insert(hdr, seq...)
 
 	// Stream stops at every exit (paper step 2i).
-	for _, lbl := range exitLabels {
-		at := f.FindLabel(lbl)
-		if at < 0 {
-			continue
-		}
-		var stops []*rtl.Instr
-		for _, a := range allocs {
-			stops = append(stops, &rtl.Instr{
-				Kind: rtl.KStreamStop,
-				FIFO: rtl.Reg{Class: a.ref.class, N: a.fifoN},
-				Note: "stop infinite stream",
-			})
-		}
-		f.Insert(at+1, stops...)
-	}
+	insertStops(f, stops, stopped, "stop infinite stream")
 	return true
 }

@@ -233,7 +233,7 @@ func reduceGroup(ctx *loopCtx, grp []*memRef, ivi ivInfo) bool {
 		return false
 	}
 	var seq []*rtl.Instr
-	addr := buildLinExpr(f, &seq, base.lin, base.lin.iv, base.lin.off, base.class)
+	addr := buildLinExpr(ctx, &seq, base.lin, base.lin.iv, base.lin.off, base.class)
 	init := rtl.NewAssign(p, addr)
 	init.Note = "derived pointer"
 	seq = append(seq, init)
