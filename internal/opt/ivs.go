@@ -45,10 +45,10 @@ type loopCtx struct {
 	ivs      map[rtl.Reg]ivInfo
 	defCount map[rtl.Reg]int
 	defIdx   map[rtl.Reg][]int
-	funcDefs map[rtl.Reg][]int // every definition in the function, built on demand by functionDefs
-	// symRegs maps a symbolic base term ("_a") to a register that holds
-	// it on entry to the loop (noteSymbolReg), for buildLinExpr.
-	symRegs map[string]rtl.Reg
+	funcDefs map[rtl.Reg][]int // every definition in the function, built on demand by regionOf
+	// symRegs maps a symbolic base term ("_a") to a register that may
+	// hold it on entry to the loop (noteSymbolReg), for buildLinExpr.
+	symRegs map[string]symReg
 	hasCall bool
 	hasIO   bool
 	stream  bool // loop already contains stream instructions
@@ -211,8 +211,8 @@ func (ctx *loopCtx) linearize(e rtl.Expr, atIdx int, depth int) linform {
 			// its symbol name when we can see the defining instruction
 			// in the preheader chain; otherwise the register itself is
 			// the base term.
-			if sym, ok := ctx.invariantSym(r); ok {
-				ctx.noteSymbolReg(r, sym)
+			if sym, def, ok := ctx.invariantSym(r); ok {
+				ctx.noteSymbolReg(r, sym, def)
 				return linform{base: []string{"_" + sym.Name}, off: sym.Off, ok: true}
 			}
 			return linform{base: []string{r.String()}, ok: true}
@@ -250,56 +250,48 @@ func (ctx *loopCtx) linearize(e rtl.Expr, atIdx int, depth int) linform {
 }
 
 // invariantSym resolves an invariant register to the symbol it was
-// loaded with, by scanning backwards from the loop preheader.
-func (ctx *loopCtx) invariantSym(r rtl.Reg) (rtl.Sym, bool) {
+// loaded with, by scanning backwards from the loop preheader.  It also
+// returns the index of that definition, -1 for one LICM is moving.
+func (ctx *loopCtx) invariantSym(r rtl.Reg) (rtl.Sym, int, bool) {
 	// Find the last definition of r before the loop header.
-	def := ctx.hoisted[r]
+	def, at := ctx.hoisted[r], -1
 	for n := ctx.loop.Header.Start - 1; n >= 0 && def == nil; n-- {
 		if d, ok := ctx.f.Code[n].Def(); ok && d == r {
-			def = ctx.f.Code[n]
+			def, at = ctx.f.Code[n], n
 		}
 	}
 	if def == nil || def.Kind != rtl.KAssign {
-		return rtl.Sym{}, false
+		return rtl.Sym{}, at, false
 	}
 	s, isSym := def.Src.(rtl.Sym)
-	return s, isSym
+	return s, at, isSym
 }
 
-// noteSymbolReg records r, which invariantSym resolved to sym, as the
-// register buildLinExpr reuses for sym's address on entry to the loop,
-// when r's one definition in the function dominates the loop.  Of two
-// such registers it keeps the one defined later, closer to the loop.
-func (ctx *loopCtx) noteSymbolReg(r rtl.Reg, sym rtl.Sym) {
-	if sym.Off != 0 || !r.IsVirtual() || ctx.hoisted[r] != nil {
-		return
-	}
-	defs := ctx.functionDefs()[r]
-	if len(defs) != 1 || !ctx.g.Dominates(ctx.g.BlockOf(defs[0]), ctx.loop.Header) {
-		return
-	}
+// symReg is a register whose definition at index def sets it to a
+// symbol's address.
+type symReg struct {
+	reg rtl.Reg
+	def int
+}
+
+// noteSymbolReg records r, which invariantSym resolved to sym through
+// its definition at index def, as the register buildLinExpr may reuse
+// for sym's address on entry to the loop, when that definition
+// dominates the loop.  Of two such registers it keeps the one defined
+// later, closer to the loop.  buildLinExpr still requires r to have no
+// other definition in the function.
+func (ctx *loopCtx) noteSymbolReg(r rtl.Reg, sym rtl.Sym, def int) {
 	key := "_" + sym.Name
-	if old, ok := ctx.symRegs[key]; ok && ctx.funcDefs[old][0] > defs[0] {
+	if old, ok := ctx.symRegs[key]; ok && old.def >= def || sym.Off != 0 || !r.IsVirtual() || def < 0 {
+		return
+	}
+	if !ctx.g.Dominates(ctx.g.BlockOf(def), ctx.loop.Header) {
 		return
 	}
 	if ctx.symRegs == nil {
-		ctx.symRegs = map[string]rtl.Reg{}
+		ctx.symRegs = map[string]symReg{}
 	}
-	ctx.symRegs[key] = r
-}
-
-// functionDefs returns the index of every definition in the function,
-// by register, built on first use.
-func (ctx *loopCtx) functionDefs() map[rtl.Reg][]int {
-	if ctx.funcDefs == nil {
-		ctx.funcDefs = map[rtl.Reg][]int{}
-		for n, i := range ctx.f.Code {
-			if d, ok := i.Def(); ok {
-				ctx.funcDefs[d] = append(ctx.funcDefs[d], n)
-			}
-		}
-	}
-	return ctx.funcDefs
+	ctx.symRegs[key] = symReg{r, def}
 }
 
 // expandReg substitutes the single in-loop definition of r, provided
@@ -405,7 +397,14 @@ func (ctx *loopCtx) regionOf(e rtl.Expr, lin linform) string {
 	if !direct {
 		return ""
 	}
-	ctx.functionDefs()
+	if ctx.funcDefs == nil {
+		ctx.funcDefs = map[rtl.Reg][]int{}
+		for n, i := range ctx.f.Code {
+			if d, ok := i.Def(); ok {
+				ctx.funcDefs[d] = append(ctx.funcDefs[d], n)
+			}
+		}
+	}
 	t := regionTracer{ctx: ctx, state: map[rtl.Reg]*traceState{}}
 	s := t.expr(e, false)
 	if !s.ok || s.syms != 1 {

@@ -535,7 +535,8 @@ func (s splitEdges) insert(f *rtl.Func, ins *rtl.Instr) {
 // buildLinExpr reconstructs cee*iv + bases + off as an expression for
 // the end of the loop's preheader, appending any helper instructions to
 // seq (they are inserted together with the loads).  A symbolic base
-// reuses a register that already holds it there (noteSymbolReg).
+// reuses a register that holds it there: one noteSymbolReg recorded
+// that the function defines nowhere else.
 func buildLinExpr(ctx *loopCtx, seq *[]*rtl.Instr, lin linform, iv rtl.Reg, off int64, class rtl.Class) rtl.Expr {
 	f := ctx.f
 	var e rtl.Expr
@@ -544,8 +545,8 @@ func buildLinExpr(ctx *loopCtx, seq *[]*rtl.Instr, lin linform, iv rtl.Reg, off 
 	}
 	for _, b := range lin.base {
 		var term rtl.Expr
-		if r, ok := ctx.symRegs[b]; ok {
-			term = rtl.RX(r)
+		if s, ok := ctx.symRegs[b]; ok && definedOnce(f, s.reg) {
+			term = rtl.RX(s.reg)
 		} else if b[0] == '_' {
 			t := f.NewVirt(rtl.Int)
 			ins := rtl.NewAssign(t, rtl.Sym{Name: b[1:]})
@@ -568,6 +569,17 @@ func buildLinExpr(ctx *loopCtx, seq *[]*rtl.Instr, lin linform, iv rtl.Reg, off 
 		e = rtl.B(rtl.Add, e, rtl.I(off))
 	}
 	return e
+}
+
+// definedOnce reports whether r has exactly one definition in f.
+func definedOnce(f *rtl.Func, r rtl.Reg) bool {
+	n := 0
+	for _, i := range f.Code {
+		if d, ok := i.Def(); ok && d == r {
+			n++
+		}
+	}
+	return n == 1
 }
 
 // ivTerm returns cee·iv, a shift when cee is a power of two.
