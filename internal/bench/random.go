@@ -90,7 +90,10 @@ func randomExpr(r *rand.Rand, nArrays, maxOff, depth int) string {
 // which the restart rule streams; and an exchange that stores the old
 // a[j] plus a constant into a[j+1], or whose paths join before a second
 // branch, either of which must keep the recurrence's copy at the top of
-// the loop.  RandomProgram reaches none of these.
+// the loop; and quicksort's partition rounds (Partition), two scans
+// through pointer parameters with a store to p[j] or j = i + 5 between
+// them or none, whose streams start early.  RandomProgram reaches none
+// of these.
 // Values stay far inside the int range, and conditions mask with &
 // rather than divide, so the program means the same in C and in Go.
 func RandomLoadProgram(r *rand.Rand) (src, want string) {
@@ -113,7 +116,7 @@ func RandomLoadProgram(r *rand.Rand) (src, want string) {
 	for shapes := 2 + r.Intn(4); shapes > 0; shapes-- {
 		x, y := r.Intn(2), r.Intn(2)
 		ga, gb := g[x], g[y]
-		switch r.Intn(10) {
+		switch r.Intn(11) {
 		case 0: // bubble passes: the inner bound shrinks with the outer IV
 			passes := 1 + r.Intn(n-1)
 			less := r.Intn(2) == 0
@@ -309,6 +312,19 @@ func RandomLoadProgram(r *rand.Rand) (src, want string) {
 					}
 				}
 			}
+		case 10: // Hoare partition rounds through pointer parameters
+			// Half the rounds leave the scans adjacent, the case whose
+			// second stream starts early.
+			pt := Partition{Between: max(0, r.Intn(4)-1), C: 1 + int64(r.Intn(5)), Both: r.Intn(4) == 0}
+			if pt.Both && x == y {
+				y, gb = 1-x, g[1-x]
+			}
+			lo := 1 + r.Intn(n/2)
+			hi := lo + r.Intn(n-7-lo)
+			name := fmt.Sprintf("part%d", shapes)
+			fns.WriteString(pt.Source(name))
+			fmt.Fprintf(&b, "    s = s + %s(g%d, g%d, %d, %d);\n", name, x, y, lo, hi)
+			s += pt.Run(ga, gb, lo, hi)
 		}
 	}
 	fmt.Fprintf(&b, "    for (i = 0; i < n; i++) s = s + g0[i] * (i %% 7 + 1) + g1[i];\n")
@@ -317,6 +333,94 @@ func RandomLoadProgram(r *rand.Rand) (src, want string) {
 	}
 	fmt.Fprintf(&b, "    puti(s);\n    return 0;\n}\n")
 	return fns.String() + b.String(), fmt.Sprint(s)
+}
+
+// Partition describes a callee that runs quicksort's Hoare partition
+// rounds over p[lo..hi] through pointer parameters:
+//
+//	while (i <= j) {
+//	    while (p[i] < pivot) i++;      (p[i] + q[i] < pivot with Both)
+//	    between
+//	    while (p[j] > pivot) j--;
+//	    if (i <= j) { exchange p[i] and p[j]; i++; j--; }
+//	}
+//
+// between is nothing, a store p[j] = p[j] - C, or j = i + 5.  The
+// pivot is p[(lo + hi) / 2].  Before the rounds the callee fences the
+// range: p[lo - 1] = pivot - 1 stops the down scan, p[hi + 1..hi + 6]
+// = pivot + 1 stops the up scan and lets a down scan started as far as
+// i + 5 pass, and with Both q[hi + 1] = 0 keeps the sum at least the
+// pivot there.
+// So the scans stay inside p[lo - 1..hi + 6], each round that goes on
+// moves i up, and the callee returns the sum of 3i + j after each
+// round.  p and q must hold at least hi + 7 elements.
+type Partition struct {
+	Between int   // 0: nothing, 1: the store to p[j], 2: j = i + 5
+	C       int64 // the store's decrement
+	Both    bool  // the up scan also reads q[i]
+}
+
+// Source returns the callee, named name, in Mini-C.
+func (pt Partition) Source(name string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "int %s(int *p, int *q, int lo, int hi) {\n    int i, j, t, pivot, s;\n", name)
+	fmt.Fprintf(&b, "    pivot = p[(lo + hi) / 2];\n")
+	if pt.Both {
+		fmt.Fprintf(&b, "    q[hi + 1] = 0;\n")
+	}
+	fmt.Fprintf(&b, "    p[lo - 1] = pivot - 1;\n")
+	fmt.Fprintf(&b, "    for (i = hi + 1; i <= hi + 6; i++) p[i] = pivot + 1;\n")
+	fmt.Fprintf(&b, "    i = lo;\n    j = hi;\n    s = 0;\n    while (i <= j) {\n")
+	if pt.Both {
+		fmt.Fprintf(&b, "        while (p[i] + q[i] < pivot) i++;\n")
+	} else {
+		fmt.Fprintf(&b, "        while (p[i] < pivot) i++;\n")
+	}
+	switch pt.Between {
+	case 1:
+		fmt.Fprintf(&b, "        p[j] = p[j] - %d;\n", pt.C)
+	case 2:
+		fmt.Fprintf(&b, "        j = i + 5;\n")
+	}
+	fmt.Fprintf(&b, "        while (p[j] > pivot) j--;\n")
+	fmt.Fprintf(&b, "        if (i <= j) {\n            t = p[i];\n            p[i] = p[j];\n            p[j] = t;\n            i++;\n            j--;\n        }\n")
+	fmt.Fprintf(&b, "        s = s + i * 3 + j;\n    }\n    return s;\n}\n")
+	return b.String()
+}
+
+// Run does in Go what the callee does to p and q, and returns its
+// result.
+func (pt Partition) Run(p, q []int64, lo, hi int) int64 {
+	pivot := p[(lo+hi)/2]
+	if pt.Both {
+		q[hi+1] = 0
+	}
+	p[lo-1] = pivot - 1
+	for k := hi + 1; k <= hi+6; k++ {
+		p[k] = pivot + 1
+	}
+	i, j, s := lo, hi, int64(0)
+	for i <= j {
+		for p[i] < pivot && !pt.Both || pt.Both && p[i]+q[i] < pivot {
+			i++
+		}
+		switch pt.Between {
+		case 1:
+			p[j] -= pt.C
+		case 2:
+			j = i + 5
+		}
+		for p[j] > pivot {
+			j--
+		}
+		if i <= j {
+			p[i], p[j] = p[j], p[i]
+			i++
+			j--
+		}
+		s += int64(3*i + j)
+	}
+	return s
 }
 
 // RandomCallProgram emits a random well-defined Mini-C program whose

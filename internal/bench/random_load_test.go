@@ -17,11 +17,12 @@ import (
 // program keeps that carry where its exchange leaves it at O3, that
 // some program streams a read whose partition keeps a scalar store,
 // that some callee streams its pointer parameter on the infinite path,
-// and that some program restarts a stream after an arm holding an
-// inner writer, which no other generator produces.
+// that some program restarts a stream after an arm holding an inner
+// writer, and that some partition callee starts a scan's stream early,
+// which no other generator produces.
 func TestRandomLoadPrograms(t *testing.T) {
 	const seeds = 24
-	carried, kept, pastStores, scans, restarts := 0, 0, 0, 0, 0
+	carried, kept, pastStores, scans, restarts, early := 0, 0, 0, 0, 0, 0
 	for seed := 0; seed < seeds; seed++ {
 		src, want := RandomLoadProgram(rand.New(rand.NewSource(int64(seed))))
 		listings := checkLoadProgram(t, fmt.Sprintf("load%d", seed), src, want)
@@ -36,6 +37,9 @@ func TestRandomLoadPrograms(t *testing.T) {
 		}
 		if strings.Contains(listings[3], "restart stream") {
 			restarts++
+		}
+		if strings.Contains(listings[3], "started early") {
+			early++
 		}
 		for _, fn := range strings.Split(listings[3], ".func ")[1:] {
 			if strings.HasPrefix(fn, "scan") && strings.Contains(fn, "stream in (infinite)") {
@@ -55,6 +59,9 @@ func TestRandomLoadPrograms(t *testing.T) {
 	}
 	if restarts == 0 {
 		t.Errorf("no program restarted a stream at O3: the generator no longer reaches the restart rule")
+	}
+	if early == 0 {
+		t.Errorf("no program started a stream early at O3: the generator no longer reaches the early start")
 	}
 	if pastStores == 0 {
 		t.Errorf("no program streamed a read past scalar stores at O3: the generator no longer reaches per-read step 2a")

@@ -42,6 +42,10 @@ type Graph struct {
 
 	labelBlock map[string]*Block
 	idom       []*Block // immediate dominator per block index, nil until Dominators
+	// pre and post number each block in a depth-first walk of the
+	// dominator tree (-1 for an unreachable block), so that a dominates
+	// b exactly when a's interval [pre, post] contains b's.
+	pre, post []int
 }
 
 // Build constructs the control-flow graph of f.  Unreachable trailing
@@ -150,8 +154,8 @@ func (g *Graph) NoteRemoval(b *Block) {
 func (g *Graph) LabelBlock(name string) *Block { return g.labelBlock[name] }
 
 // Dominators computes immediate dominators with the classic iterative
-// data-flow algorithm (the graphs here are tiny).  The entry block's
-// idom is itself.
+// data-flow algorithm (the graphs here are tiny), then numbers the
+// dominator tree for Dominates.  The entry block's idom is itself.
 func (g *Graph) Dominators() {
 	n := len(g.Blocks)
 	// Reverse postorder.
@@ -187,6 +191,44 @@ func (g *Graph) Dominators() {
 		}
 	}
 	g.idom = idom
+	g.numberTree()
+}
+
+// numberTree gives every reachable block its pre and post number in a
+// depth-first walk of the dominator tree.
+func (g *Graph) numberTree() {
+	n := len(g.Blocks)
+	kids := make([][]*Block, n)
+	for _, b := range g.Blocks {
+		if d := g.idom[b.Index]; d != nil && d != b {
+			kids[d.Index] = append(kids[d.Index], b)
+		}
+	}
+	g.pre, g.post = make([]int, n), make([]int, n)
+	for k := range g.pre {
+		g.pre[k], g.post[k] = -1, -1
+	}
+	type frame struct {
+		b    *Block
+		next int
+	}
+	clock := 0
+	stack := []frame{{b: g.Entry}}
+	g.pre[g.Entry.Index] = clock
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next < len(kids[top.b.Index]) {
+			c := kids[top.b.Index][top.next]
+			top.next++
+			clock++
+			g.pre[c.Index] = clock
+			stack = append(stack, frame{b: c})
+			continue
+		}
+		clock++
+		g.post[top.b.Index] = clock
+		stack = stack[:len(stack)-1]
+	}
 }
 
 func (g *Graph) intersect(idom []*Block, rpoNum []int, a, b *Block) *Block {
@@ -216,21 +258,17 @@ func (g *Graph) Idom(b *Block) *Block {
 	return g.idom[b.Index]
 }
 
-// Dominates reports whether a dominates b (reflexively).
+// Dominates reports whether a dominates b (reflexively): two compares
+// of the dominator tree's numbering.
 func (g *Graph) Dominates(a, b *Block) bool {
 	if g.idom == nil {
 		panic("cfg: Dominators not computed")
 	}
-	for {
-		if a == b {
-			return true
-		}
-		next := g.idom[b.Index]
-		if next == nil || next == b {
-			return false
-		}
-		b = next
+	if a == b {
+		return true
 	}
+	pa, pb := g.pre[a.Index], g.pre[b.Index]
+	return pa >= 0 && pb >= 0 && pa <= pb && g.post[b.Index] <= g.post[a.Index]
 }
 
 // ReversePostorder returns the blocks reachable from entry in reverse

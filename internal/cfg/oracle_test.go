@@ -148,3 +148,78 @@ func TestLivenessOracle(t *testing.T) {
 		}
 	}
 }
+
+// refDominates is the idom-chain walk Dominates replaced: a dominates b
+// when a is met walking up from b.
+func refDominates(g *cfg.Graph, a, b *cfg.Block) bool {
+	for {
+		if a == b {
+			return true
+		}
+		next := g.Idom(b)
+		if next == nil || next == b {
+			return false
+		}
+		b = next
+	}
+}
+
+// checkDominance compares Dominates with the idom-chain walk on every
+// pair of blocks of f.
+func checkDominance(t *testing.T, where string, f *rtl.Func) {
+	t.Helper()
+	g, err := cfg.Build(f)
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	g.Dominators()
+	for _, a := range g.Blocks {
+		for _, b := range g.Blocks {
+			if got, want := g.Dominates(a, b), refDominates(g, a, b); got != want {
+				t.Fatalf("%s: Dominates(B%d, B%d) = %v, idom walk says %v\n%s", where, a.Index, b.Index, got, want, g)
+			}
+		}
+	}
+}
+
+// TestDominatesOracle checks the numbered dominator tree against the
+// idom-chain walk on the suite's expanded and O3 code and on a function
+// with unreachable blocks.
+func TestDominatesOracle(t *testing.T) {
+	for _, p := range append(bench.Programs(), bench.Livermore5(2000)) {
+		for _, lvl := range []int{-1, 3} {
+			var rp *rtl.Program
+			var err error
+			if lvl < 0 {
+				rp, err = bench.CompileNone(p)
+			} else {
+				rp, err = bench.Compile(p, lvl)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range rp.Funcs {
+				checkDominance(t, fmt.Sprintf("%s/%s level %d", p.Name, f.Name, lvl), f)
+			}
+		}
+	}
+	rp, err := rtl.Parse(`.func t
+r31 := (r2 < r3)
+jumpTr L2
+jump L3
+L1:
+r4 := 1
+L2:
+r4 := 2
+jump L2
+L4:
+jump L1
+L3:
+ret
+.end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDominance(t, "unreachable", rp.Func("t"))
+}

@@ -299,7 +299,10 @@ func applyAssignment(f *rtl.Func, assignment map[rtl.Reg]rtl.Reg) {
 // spill rewrites every access of r through a stack slot: a load before
 // each use, a store after each def.
 func spill(f *rtl.Func, r rtl.Reg) error {
-	regions := streamRegions(f, r.Class)
+	regions, err := streamRegions(f, r.Class)
+	if err != nil {
+		return err
+	}
 	oldFrame := f.Frame
 	addr := newSlot(f)
 	for n := 0; n < len(f.Code); n++ {
@@ -378,7 +381,10 @@ func saveAroundCalls(f *rtl.Func, iv *intervalSet, saved map[rtl.Reg]bool) error
 	}
 	var regions [rtl.NumClasses]fifoRegions
 	for c := range regions {
-		regions[c] = streamRegions(f, rtl.Class(c))
+		var err error
+		if regions[c], err = streamRegions(f, rtl.Class(c)); err != nil {
+			return err
+		}
 	}
 	code := make([]*rtl.Instr, 0, len(f.Code))
 	var reloads []*rtl.Instr
@@ -468,13 +474,37 @@ func (fr fifoRegions) shift(from, by int) {
 	fr[rtl.FIFO1].shift(from, by)
 }
 
-// streamRegions returns, per FIFO number, the spans from each stream
-// instruction of the class to the matching jump-not-done (or function
-// end) — the region in which stack traffic must avoid that FIFO.
-func streamRegions(f *rtl.Func, c rtl.Class) fifoRegions {
+// streamRegions returns, per FIFO number, the spans in which stack
+// traffic must avoid that FIFO: from each finite stream instruction of
+// the class to the next jump-not-done (or the function's end), and for
+// an infinite stream the instructions that can run while it is active,
+// those reachable from its stream-in without passing a stop of its
+// FIFO (streamReach).
+func streamRegions(f *rtl.Func, c rtl.Class) (fifoRegions, error) {
 	out := fifoRegions{rtl.FIFO0: nil, rtl.FIFO1: nil}
+	var g *cfg.Graph
 	for n, i := range f.Code {
 		if (i.Kind != rtl.KStreamIn && i.Kind != rtl.KStreamOut) || i.MemClass != c {
+			continue
+		}
+		if i.Kind == rtl.KStreamIn && infinite(i) {
+			if g == nil {
+				var err error
+				if g, err = cfg.Build(f); err != nil {
+					return nil, err
+				}
+			}
+			var live []int
+			streamReach(g, n, i.FIFO, func(k int) { live = append(live, k) })
+			slices.Sort(live)
+			for _, k := range live {
+				ss := out[i.FIFO.N]
+				if len(ss) > 0 && ss[len(ss)-1].hi >= k-1 {
+					ss[len(ss)-1].hi = max(ss[len(ss)-1].hi, k)
+				} else {
+					out[i.FIFO.N] = append(ss, span{k, k})
+				}
+			}
 			continue
 		}
 		hi := len(f.Code) - 1
@@ -487,7 +517,7 @@ func streamRegions(f *rtl.Func, c rtl.Class) fifoRegions {
 		}
 		out[i.FIFO.N] = append(out[i.FIFO.N], span{n, hi})
 	}
-	return out
+	return out, nil
 }
 
 // patchFrame updates (or inserts) the prologue/epilogue stack-pointer

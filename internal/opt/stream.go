@@ -31,9 +31,10 @@ import (
 // Innermost loops are streamed first.  A loop whose inner loops all lie
 // in one arm is then streamed by the restart rule (streamLoopRestart):
 // its stream stops at the arm's entry and starts again at its exit.
-// Returns whether anything changed.
+// Once the loops are done, infinite streams start as early as is safe
+// (early.go).  Returns whether anything changed.
 func Streams(f *rtl.Func, minTrip int64) (bool, error) {
-	return walkLoops(f, "Streams", true,
+	changed, err := walkLoops(f, "Streams", true,
 		func(w *loopWalk, l *cfg.Loop) bool {
 			return !slices.ContainsFunc(w.loops, func(in *cfg.Loop) bool { return in.Parent == l }) &&
 				streamLoop(w.f, w.g, l, minTrip)
@@ -42,6 +43,11 @@ func Streams(f *rtl.Func, minTrip int64) (bool, error) {
 			arm := findRestartArm(w.g, l, w.loops)
 			return arm != nil && streamLoopRestart(w.f, w.g, l, arm, minTrip)
 		})
+	if err != nil {
+		return changed, err
+	}
+	early, err := startStreamsEarly(f)
+	return changed || early, err
 }
 
 // DeadIVs implements the paper's step 2j: after streaming replaces the
@@ -837,9 +843,17 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 		return false
 	}
 
-	// Rewrite the body: delete loads, retarget dequeues.
+	// Rewrite the body: delete loads, retarget dequeues.  A stream the
+	// guard fold applies to is issued from the guard's load instead of
+	// the preheader.
+	folds := map[int][2]*rtl.Instr{}
 	var deletions []int
-	for _, a := range allocs {
+	for k, a := range allocs {
+		if a.post && !a.ivi.regStep {
+			if ld, deq := guardLoad(ctx, a.ref, a.fifoN); ld != nil {
+				folds[k] = [2]*rtl.Instr{ld, deq}
+			}
+		}
 		newFifo := rtl.Reg{Class: a.ref.class, N: a.fifoN}
 		oldFifo := rtl.Reg{Class: a.ref.class, N: rtl.FIFO0}
 		deq := f.Code[a.ref.dataIdx]
@@ -860,12 +874,30 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 	}
 	var seq []*rtl.Instr
 	var stopped []rtl.Reg
-	for _, a := range allocs {
+	for k, a := range allocs {
 		trip := &tripInfo{
 			iv: a.ref.lin.iv, step: a.ivi.step, stepReg: a.ivi.stepReg,
 			regStep: a.ivi.regStep, stepX: a.ivi.stepExpr(),
 		}
 		strideExpr := buildStride(f, &seq, a.ref.lin.cee, trip)
+		note := "stream in (infinite)"
+		if a.past {
+			note += " past scalar stores"
+		}
+		si := &rtl.Instr{
+			Kind:     rtl.KStreamIn,
+			FIFO:     rtl.Reg{Class: a.ref.class, N: a.fifoN},
+			Count:    rtl.I(-1),
+			Stride:   strideExpr,
+			MemSize:  a.ref.size,
+			MemClass: a.ref.class,
+			Note:     note,
+		}
+		stopped = append(stopped, si.FIFO)
+		if fold, ok := folds[k]; ok {
+			foldGuard(f, fold[0], fold[1], si)
+			continue
+		}
 		addr := buildLinExpr(ctx, &seq, a.ref.lin, a.ref.lin.iv, a.ref.lin.off, a.ref.class)
 		if a.post {
 			addr = rtl.B(rtl.Add, addr, strideExpr)
@@ -873,24 +905,10 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 		baseReg := f.NewVirt(rtl.Int)
 		ba := rtl.NewAssign(baseReg, addr)
 		ba.Note = "stream base"
-		seq = append(seq, ba)
-		note := "stream in (infinite)"
-		if a.past {
-			note += " past scalar stores"
-		}
-		seq = append(seq, &rtl.Instr{
-			Kind:     rtl.KStreamIn,
-			FIFO:     rtl.Reg{Class: a.ref.class, N: a.fifoN},
-			Base:     rtl.RX(baseReg),
-			Count:    rtl.I(-1),
-			Stride:   strideExpr,
-			MemSize:  a.ref.size,
-			MemClass: a.ref.class,
-			Note:     note,
-		})
-		stopped = append(stopped, rtl.Reg{Class: a.ref.class, N: a.fifoN})
+		si.Base = rtl.RX(baseReg)
+		seq = append(seq, ba, si)
 	}
-	f.Insert(hdr, seq...)
+	f.Insert(f.FindLabel(hdrLabel), seq...)
 
 	// Stream stops at every exit (paper step 2i).
 	insertStops(f, stops, stopped, "stop infinite stream")
