@@ -70,3 +70,55 @@ func TestEarlyStreams(t *testing.T) {
 		})
 	}
 }
+
+// TestEarlyStreamsUnderPressure: a partition round keeps 24 values
+// live across both scans, more than the int pool holds, so the
+// allocator spills.  Inside the first scan both int FIFOs carry
+// streams once the second scan's starts early, and a spill there would
+// have no FIFO for its stack traffic: the allocator must spill values
+// the scans do not touch instead of failing the compilation.
+func TestEarlyStreamsUnderPressure(t *testing.T) {
+	const vals = 24
+	var b strings.Builder
+	var names []string
+	for k := range vals {
+		names = append(names, fmt.Sprintf("v%d", k))
+	}
+	fmt.Fprintf(&b, "int data[64];\nint part(int *a, int lo, int hi) {\n    int i, j, t, pivot, s, %s;\n", strings.Join(names, ", "))
+	for k := range vals {
+		fmt.Fprintf(&b, "    v%d = a[%d] + %d;\n", k, k, k)
+	}
+	b.WriteString("    pivot = a[(lo + hi) / 2];\n    i = lo;\n    j = hi;\n    s = 0;\n    while (i <= j) {\n")
+	b.WriteString("        while (a[i] < pivot) i++;\n        while (a[j] > pivot) j--;\n")
+	b.WriteString("        if (i <= j) {\n            t = a[i];\n            a[i] = a[j];\n            a[j] = t;\n            i++;\n            j--;\n        }\n")
+	fmt.Fprintf(&b, "        s = s + i + %s;\n    }\n    return s;\n}\n", strings.Join(names, " + "))
+	b.WriteString("int main(void) {\n    int k;\n    for (k = 0; k < 64; k++) data[k] = (k * 37) % 101;\n    puti(part(data, 0, 63));\n    return 0;\n}\n")
+
+	a := make([]int64, 64)
+	for k := range a {
+		a[k] = int64(k * 37 % 101)
+	}
+	var sum int64
+	for k := range vals {
+		sum += a[k] + int64(k)
+	}
+	pivot, i, j, s := a[31], 0, 63, int64(0)
+	for i <= j {
+		for a[i] < pivot {
+			i++
+		}
+		for a[j] > pivot {
+			j--
+		}
+		if i <= j {
+			a[i], a[j] = a[j], a[i]
+			i++
+			j--
+		}
+		s += int64(i) + sum
+	}
+	listings := checkLoadProgram(t, "pressure", b.String(), fmt.Sprint(s))
+	if !strings.Contains(listings[3], "started early") || !strings.Contains(listings[3], "s64r") {
+		t.Errorf("O3 does not both spill and start a stream early:\n%s", listings[3])
+	}
+}

@@ -350,10 +350,10 @@ func RandomLoadProgram(r *rand.Rand) (src, want string) {
 // range: p[lo - 1] = pivot - 1 stops the down scan, p[hi + 1..hi + 6]
 // = pivot + 1 stops the up scan and lets a down scan started as far as
 // i + 5 pass, and with Both q[hi + 1] = 0 keeps the sum at least the
-// pivot there.
-// So the scans stay inside p[lo - 1..hi + 6], each round that goes on
-// moves i up, and the callee returns the sum of 3i + j after each
-// round.  p and q must hold at least hi + 7 elements.
+// pivot there.  So the scans stay inside p[lo - 1..hi + 6], each round
+// that goes on moves i up, and the callee returns the sum of 3i + j
+// after each round.  p and q must hold at least hi + 7 elements, and
+// with Both they must be different arrays.
 type Partition struct {
 	Between int   // 0: nothing, 1: the store to p[j], 2: j = i + 5
 	C       int64 // the store's decrement

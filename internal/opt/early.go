@@ -173,7 +173,8 @@ func infinite(si *rtl.Instr) bool {
 // H dominates si's block S, lies in the same loops, and every path
 // from it reaches S; the code in between (H's after the insertion
 // point, the blocks on the paths, S's before si) must not store, call
-// or redefine the base's registers.  The stream keeps its FIFO when
+// or redefine the base's registers, and must touch fewer registers of
+// the stream's class than the allocator's pool holds.  The stream keeps its FIFO when
 // that code leaves the FIFO alone, and otherwise takes the other one
 // of its class, provided neither that code nor the stream's own run
 // (streamReach) uses it and each of the stream's stops is entered only
@@ -253,6 +254,22 @@ func startEarly(f *rtl.Func, g *cfg.Graph, loops []*cfg.Loop, si *rtl.Instr) boo
 		if slices.ContainsFunc(span, func(n int) bool {
 			return writesMemory(f.Code[n]) || redefinesAny(f.Code[n], regs)
 		}) {
+			break
+		}
+		// Where another stream holds the other FIFO, a spill has no FIFO
+		// left, so the allocator must keep every register this code
+		// touches in its pool (pinnedRegs, regalloc.go).
+		touched := map[rtl.Reg]bool{}
+		note := func(r rtl.Reg) {
+			if r.IsVirtual() && r.Class == cur.Class {
+				touched[r] = true
+			}
+		}
+		for _, n := range span {
+			cfg.InstrUses(f.Code[n], note)
+			cfg.InstrDefs(f.Code[n], note)
+		}
+		if len(touched) >= len(pools[cur.Class]) {
 			break
 		}
 		ff, ok := fifoFor(span)
@@ -389,8 +406,8 @@ func exprRegs(e rtl.Expr) []rtl.Reg {
 	return regs
 }
 
-// writesMemory reports whether the instruction may write memory or
-// transfer control out of the function's code.
+// writesMemory reports whether the instruction may write memory: a
+// store, a stream-out or a call.
 func writesMemory(i *rtl.Instr) bool {
 	switch i.Kind {
 	case rtl.KStore, rtl.KStreamOut, rtl.KCall:

@@ -78,7 +78,11 @@ func RegAlloc(f *rtl.Func) error {
 			continue
 		}
 		// Try to assign.
-		victim, assignment := linearScan(iv)
+		pinned, err := pinnedRegs(f)
+		if err != nil {
+			return err
+		}
+		victim, assignment := linearScan(iv, pinned)
 		if victim == nil {
 			if err := saveAroundCalls(f, iv, saved); err != nil {
 				return err
@@ -233,9 +237,9 @@ func blockWeights(g *cfg.Graph) []int {
 }
 
 // linearScan attempts a full assignment; on failure it returns the
-// register chosen for spilling (the live interval with the furthest
-// end).
-func linearScan(iv *intervalSet) (victim *rtl.Reg, assignment map[rtl.Reg]rtl.Reg) {
+// register chosen for spilling: the live interval with the furthest
+// end, among those not pinned when there are any.
+func linearScan(iv *intervalSet, pinned map[rtl.Reg]bool) (victim *rtl.Reg, assignment map[rtl.Reg]rtl.Reg) {
 	assignment = map[rtl.Reg]rtl.Reg{}
 	type activeEntry struct {
 		interval
@@ -262,7 +266,7 @@ func linearScan(iv *intervalSet) (victim *rtl.Reg, assignment map[rtl.Reg]rtl.Re
 			// Spill the interval ending last (current or an active one).
 			worst := cur
 			for _, a := range active[c] {
-				if a.end > worst.end {
+				if p, q := pinned[a.reg], pinned[worst.reg]; p == q && a.end > worst.end || q && !p {
 					worst = a.interval
 				}
 			}
@@ -518,6 +522,36 @@ func streamRegions(f *rtl.Func, c rtl.Class) (fifoRegions, error) {
 		out[i.FIFO.N] = append(out[i.FIFO.N], span{n, hi})
 	}
 	return out, nil
+}
+
+// pinnedRegs returns the virtual registers read or written where both
+// FIFOs of their class carry streams (streamRegions).  Spilling one
+// would put stack traffic there, with no FIFO left to carry it, so the
+// allocator spills another register when it can.
+func pinnedRegs(f *rtl.Func) (map[rtl.Reg]bool, error) {
+	pinned := map[rtl.Reg]bool{}
+	for c := range rtl.NumClasses {
+		cls := rtl.Class(c)
+		fr, err := streamRegions(f, cls)
+		if err != nil {
+			return nil, err
+		}
+		if len(fr[rtl.FIFO0]) == 0 || len(fr[rtl.FIFO1]) == 0 {
+			continue
+		}
+		note := func(r rtl.Reg) {
+			if r.IsVirtual() && r.Class == cls {
+				pinned[r] = true
+			}
+		}
+		for n, i := range f.Code {
+			if fr[rtl.FIFO0].contains(n) && fr[rtl.FIFO1].contains(n) {
+				cfg.InstrUses(i, note)
+				cfg.InstrDefs(i, note)
+			}
+		}
+	}
+	return pinned, nil
 }
 
 // patchFrame updates (or inserts) the prologue/epilogue stack-pointer

@@ -821,16 +821,17 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 	}
 	type alloc struct {
 		cand
-		fifoN int
+		fifoN      int
+		guard, deq *rtl.Instr // the guard fold's load and its dequeue
 	}
 	var allocs []alloc
 	for cl, cs := range byClass {
 		if len(cs) == totalLoads[cl] && len(cs) <= 2 {
 			for n, c := range cs {
-				allocs = append(allocs, alloc{c, rtl.FIFO0 + n})
+				allocs = append(allocs, alloc{cand: c, fifoN: rtl.FIFO0 + n})
 			}
 		} else {
-			allocs = append(allocs, alloc{cs[0], rtl.FIFO1})
+			allocs = append(allocs, alloc{cand: cs[0], fifoN: rtl.FIFO1})
 		}
 	}
 	if len(allocs) == 0 {
@@ -846,13 +847,10 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 	// Rewrite the body: delete loads, retarget dequeues.  A stream the
 	// guard fold applies to is issued from the guard's load instead of
 	// the preheader.
-	folds := map[int][2]*rtl.Instr{}
 	var deletions []int
 	for k, a := range allocs {
 		if a.post && !a.ivi.regStep {
-			if ld, deq := guardLoad(ctx, a.ref, a.fifoN); ld != nil {
-				folds[k] = [2]*rtl.Instr{ld, deq}
-			}
+			allocs[k].guard, allocs[k].deq = guardLoad(ctx, a.ref, a.fifoN)
 		}
 		newFifo := rtl.Reg{Class: a.ref.class, N: a.fifoN}
 		oldFifo := rtl.Reg{Class: a.ref.class, N: rtl.FIFO0}
@@ -874,7 +872,7 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 	}
 	var seq []*rtl.Instr
 	var stopped []rtl.Reg
-	for k, a := range allocs {
+	for _, a := range allocs {
 		trip := &tripInfo{
 			iv: a.ref.lin.iv, step: a.ivi.step, stepReg: a.ivi.stepReg,
 			regStep: a.ivi.regStep, stepX: a.ivi.stepExpr(),
@@ -894,8 +892,8 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 			Note:     note,
 		}
 		stopped = append(stopped, si.FIFO)
-		if fold, ok := folds[k]; ok {
-			foldGuard(f, fold[0], fold[1], si)
+		if a.guard != nil {
+			foldGuard(f, a.guard, a.deq, si)
 			continue
 		}
 		addr := buildLinExpr(ctx, &seq, a.ref.lin, a.ref.lin.iv, a.ref.lin.off, a.ref.class)
