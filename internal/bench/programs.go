@@ -400,8 +400,11 @@ int main(void) {
 // every access inside the sort goes through a pointer parameter, whose
 // region the partitioning step cannot name.  The scan loops
 // (while (a[i] < pivot) i++) store nothing, so their reads stream on
-// the infinite path; the exchange writes a[i] and a[j], so its reads
-// stay scalar (the paper measured 1%).
+// the infinite path.  Each stream starts from the element its guard
+// loads, so the guard's compare dequeues it, and the j scan's stream
+// starts beside the i scan's at the top of the partition loop, on the
+// other FIFO.  The exchange writes a[i] and a[j], so its reads stay
+// scalar (the paper measured 1%).
 var Quicksort = Program{
 	Name: "quicksort",
 	Source: `
