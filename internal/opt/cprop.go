@@ -135,7 +135,9 @@ func localCopyProp(f *rtl.Func) (bool, error) {
 				case rtl.Imm:
 					value[d] = src
 				case rtl.RegX:
-					if !src.Reg.IsZero() && !src.Reg.IsFIFO() {
+					// A self-copy d := d says nothing about d: recording
+					// it would "rewrite" every later use of d to itself.
+					if !src.Reg.IsZero() && !src.Reg.IsFIFO() && src.Reg != d {
 						value[d] = src
 					}
 				}

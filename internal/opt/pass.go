@@ -46,11 +46,12 @@ type Context struct {
 	// Workers bounds the per-function worker pool of Pipeline.Run.
 	// Zero means GOMAXPROCS.
 	Workers int
-	// Sandbox contains pass faults (sandbox.go): each non-required pass
-	// runs against a snapshot of the function, and a panic, invariant
-	// violation, budget overrun or fixpoint non-convergence rolls the
-	// function back, records a Degraded diagnostic and disables the
-	// pass for that function instead of failing the compilation.
+	// Sandbox contains pass faults (sandbox.go): a panic, invariant
+	// violation or budget overrun of a non-required pass, or a
+	// fixpoint group's non-convergence, rolls the function back to its
+	// state before that invocation or group, records a Degraded
+	// diagnostic and disables the pass for that function instead of
+	// failing the compilation.
 	Sandbox bool
 	// PassBudget is the wall-clock budget for one pass invocation under
 	// the sandbox.  Zero means DefaultPassBudget.
@@ -72,6 +73,9 @@ type Context struct {
 	// disabled marks passes (or bracketed fixpoint groups) the sandbox
 	// switched off for the current function.
 	disabled map[string]bool
+	// journal holds the sandbox's snapshot of the function and the
+	// pass invocations kept since, for rollback by replay.
+	journal journal
 
 	stats *Stats
 }

@@ -63,9 +63,9 @@ func runFixpoint(s Step, f *rtl.Func, ctx *Context) (bool, error) {
 	if ctx.Sandbox && ctx.disabled[name] {
 		return false, nil
 	}
-	var snap *rtl.Func
+	mark := 0
 	if ctx.Sandbox {
-		snap = f.Clone()
+		mark = ctx.mark(f)
 	}
 	any := false
 	rounds := 0
@@ -95,7 +95,7 @@ func runFixpoint(s Step, f *rtl.Func, ctx *Context) (bool, error) {
 	// oscillating (two passes undoing each other): roll the whole group
 	// back and disable it for this function.
 	if ctx.Sandbox && !converged {
-		f.Restore(snap)
+		ctx.rollback(f, mark)
 		ctx.degrade(name, fmt.Sprintf("did not converge within %d rounds", max))
 		ctx.stats.recordGroup(name, false, rounds)
 		return false, nil
@@ -105,15 +105,23 @@ func runFixpoint(s Step, f *rtl.Func, ctx *Context) (bool, error) {
 }
 
 // runPass executes one pass invocation.  Under the sandbox (the
-// default, see sandbox.go), non-required passes are snapshotted,
-// contained and rolled back on any fault; required passes — and every
-// pass when the sandbox is off — run bare, so their failures abort the
-// compilation of the function.
+// default, see sandbox.go), non-required passes are contained and
+// rolled back on any fault; required passes — and every pass when the
+// sandbox is off — run bare, so their failures abort the compilation
+// of the function.  The sandbox logs a required pass that succeeded
+// too: a rollback after it must replay it.
 func runPass(p Pass, f *rtl.Func, ctx *Context) (bool, error) {
-	if ctx.Sandbox && !requiredPasses[p.Name()] {
+	if !ctx.Sandbox {
+		return runInstrumented(p, f, ctx)
+	}
+	if !requiredPasses[p.Name()] {
 		return runSandboxed(p, f, ctx)
 	}
-	return runInstrumented(p, f, ctx)
+	changed, err := runInstrumented(p, f, ctx)
+	if err == nil {
+		ctx.keep(p)
+	}
+	return changed, err
 }
 
 // runInstrumented executes one pass invocation with instrumentation:
@@ -166,6 +174,7 @@ type Pipeline struct {
 // parameters and instrumentation.
 func (pl Pipeline) RunFunc(f *rtl.Func, ctx *Context) error {
 	ctx.stats.Funcs++
+	defer func() { ctx.journal = journal{} }()
 	if ctx.Debug != nil {
 		fmt.Fprintf(ctx.Debug, "==== %s: before %s pipeline ====\n%s", f.Name, pl.Name, f.Listing())
 	}

@@ -167,3 +167,50 @@ func TestSandboxOffPropagatesPanic(t *testing.T) {
 	}()
 	_ = (Pipeline{Name: "test", Steps: []Step{{Pass: boom}}}).RunFunc(f, ctx)
 }
+
+// TestSandboxRollsBackToFaultingInvocation checks that a rollback keeps
+// the work of every invocation before the fault — sandboxed and
+// required passes alike — and undoes only the faulting one, both for a
+// single pass and for a fixpoint group.
+func TestSandboxRollsBackToFaultingInvocation(t *testing.T) {
+	grow := func(name string) Pass {
+		return NewPass(name, func(f *rtl.Func, _ *Context) (bool, error) {
+			f.Code = append([]*rtl.Instr{rtl.NewLabel("L" + name)}, f.Code...)
+			return true, nil
+		})
+	}
+	boom := NewPass("boom", func(f *rtl.Func, _ *Context) (bool, error) {
+		f.Append(&rtl.Instr{Kind: rtl.KRet})
+		panic("boom")
+	})
+	churn := NewPass("churn", func(f *rtl.Func, _ *Context) (bool, error) {
+		f.Append(&rtl.Instr{Kind: rtl.KRet})
+		return true, nil
+	})
+	kept := []Step{{Pass: grow("A")}, {Pass: grow("Legalize")}, {Pass: grow("B")}}
+	want := mutableFunc()
+	for _, s := range kept {
+		s.Pass.Run(want, nil)
+	}
+	for _, tc := range []struct {
+		name  string
+		fault Step
+		pass  string
+	}{
+		{"pass", Step{Pass: boom}, "boom"},
+		{"group", Step{Name: "g", Fixpoint: []Pass{churn}, MaxRounds: 3}, "[g]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := mutableFunc()
+			ctx := sandboxCtx()
+			pl := Pipeline{Name: "test", Steps: append(append([]Step(nil), kept...), tc.fault)}
+			if err := pl.RunFunc(f, ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := f.Listing(); got != want.Listing() {
+				t.Errorf("rolled back to\n%s\nwant the state before the fault:\n%s", got, want.Listing())
+			}
+			wantDegraded(t, ctx, tc.pass, "")
+		})
+	}
+}

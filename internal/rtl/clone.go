@@ -6,10 +6,11 @@ package rtl
 // by convention (transformations replace operands via MapExprs rather
 // than editing nodes in place), the same convention Instr.Clone relies
 // on.  Clone is the snapshot primitive of the optimizer's pass sandbox:
-// the pipeline clones a function before each pass so a faulty
-// transformation can be rolled back.  The copies live in one slab of
-// instructions, so a snapshot allocates once for the code rather than
-// once per instruction.
+// the sandbox clones a function once, before its first sandboxed pass,
+// and rolls a faulty transformation back by restoring a copy of that
+// snapshot and replaying the passes kept since.  The copies live in one
+// slab of instructions, so a snapshot allocates once for the code
+// rather than once per instruction.
 func (f *Func) Clone() *Func {
 	c := *f
 	c.Code = make([]*Instr, len(f.Code))
