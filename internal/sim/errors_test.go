@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -141,5 +142,52 @@ jump L1
 	}
 	if dl := new(DeadlockError); errors.As(err, &dl) {
 		t.Error("live loop misclassified as deadlock")
+	}
+}
+
+// TestDeadlockBehindFullStream: a stream fills its FIFO and stalls for
+// good while the IFU waits for a second stream control unit.  The
+// translated engine batches the stream's cycles, and the batch must end
+// in time for the watchdog: both engines report the same deadlock at
+// the same cycle with the same statistics.
+func TestDeadlockBehindFullStream(t *testing.T) {
+	src := `
+.entry main
+.data w 64 align=4
+.func main
+r5 := _w
+sin32r r0, r5, -1, 4
+sin32r r1, r5, -1, 4
+halt
+.end
+`
+	var msgs [2]string
+	var stats [2]Stats
+	for _, eng := range []Engine{EngineReference, EngineTranslated} {
+		cfg := DefaultConfig()
+		cfg.NumSCU = 1
+		cfg.MaxCycles = 1 << 20
+		cfg.Engine = eng
+		p, err := rtl.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := Link(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(img, cfg)
+		stats[eng], err = m.Run()
+		var dl *DeadlockError
+		if !errors.As(err, &dl) {
+			t.Fatalf("%s engine: got %v, want a deadlock", eng, err)
+		}
+		msgs[eng] = err.Error()
+	}
+	if msgs[0] != msgs[1] {
+		t.Errorf("engines report different deadlocks:\nreference:  %s\ntranslated: %s", msgs[0], msgs[1])
+	}
+	if !reflect.DeepEqual(stats[0], stats[1]) {
+		t.Errorf("engines leave different statistics:\nreference:  %+v\ntranslated: %+v", stats[0], stats[1])
 	}
 }

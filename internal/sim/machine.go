@@ -185,15 +185,18 @@ type Machine struct {
 	unitCauseIdle    [2]bool
 
 	// pooled marks a machine handed out by Acquire; Release refuses
-	// machines built directly by New.
+	// machines built directly by New.  inPool is set while the machine
+	// sits in its pool, so a second Release of one acquire is a no-op
+	// instead of a second entry that two later acquires would share.
 	pooled bool
+	inPool bool
 }
 
 // normalizeConfig resolves the configuration New actually builds with:
 // when the image's global data would collide with the configured stack,
 // the stack is relocated above the data and memory grows to fit.  The
-// machine pool keys on the normalized form so two requests for the same
-// image land in the same pool regardless of pre-adjustment values.
+// machine pool keys on the normalized memory size, the size New
+// actually allocates.
 func normalizeConfig(img *Image, cfg Config) Config {
 	if img.DataEnd+65536 > cfg.StackTop {
 		cfg.StackTop = ((img.DataEnd + 65536 + 4095) &^ 4095) + 1<<20
@@ -210,15 +213,7 @@ func normalizeConfig(img *Image, cfg Config) Config {
 func New(img *Image, cfg Config) *Machine {
 	cfg = normalizeConfig(img, cfg)
 	m := &Machine{cfg: cfg, img: img, lastRetired: -1}
-	// Runs headed for the translated engine (the default) attach their
-	// translation here and share its decode cache — for a cached image,
-	// machine construction skips decoding entirely.
-	if cfg.TraceSink == nil && cfg.Engine == EngineTranslated {
-		m.tr = translationFor(img, cfg)
-		m.dec = m.tr.dec
-	} else {
-		m.dec = decodeImage(img, cfg)
-	}
+	m.bind()
 	m.mem = make([]byte, cfg.MemSize)
 	for _, c := range img.Init {
 		copy(m.mem[c.addr:], c.data)
@@ -254,6 +249,20 @@ func New(img *Image, cfg Config) *Machine {
 		m.retired = make([]int64, len(img.Code))
 	}
 	return m
+}
+
+// bind attaches the decode tables for the machine's image and
+// configuration.  Runs headed for the translated engine (the default)
+// attach their translation and share its decode cache — for a cached
+// image, binding skips decoding entirely; the others decode the image.
+func (m *Machine) bind() {
+	if m.cfg.TraceSink == nil && m.cfg.Engine == EngineTranslated {
+		m.tr = translationFor(m.img, m.cfg)
+		m.dec = m.tr.dec
+	} else {
+		m.tr = nil
+		m.dec = decodeImage(m.img, m.cfg)
+	}
 }
 
 // account charges one cycle of unit u to the cause.  d carries the

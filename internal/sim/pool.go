@@ -1,48 +1,45 @@
 package sim
 
 import (
-	"crypto/sha256"
 	"sync"
 
 	"wmstream/internal/rtl"
 )
 
-// The machine pool.  A serving process runs the same handful of images
-// over and over; building a Machine per request allocates its memory
-// image, rings and telemetry arrays each time, which shows up as GC
-// churn under load.  Acquire hands out a recycled machine — same image,
-// same structural configuration — reset to power-on state, and Release
-// returns it.  A rearmed machine is bit-identical to a fresh one (the
-// pool tests assert it): rearm resets every mutable field New
-// initializes and rewrites the memory image, keeping only the
-// allocations (memory buffer, ring buffers, telemetry arrays) and the
-// shared decode/translation tables.
+// The machine pool.  WM is fixed hardware that runs any program, and
+// the pool treats a Machine the same way: building one allocates its
+// memory image, rings and telemetry arrays, which shows up as GC churn
+// under load, so Acquire hands out a recycled machine of the same
+// allocation shape, binds the requested image to it and resets it to
+// power-on state, and Release returns it.  A rearmed machine is
+// bit-identical to a fresh one whatever image or behaviour settings it
+// ran before (the pool tests assert it): rearm resets every mutable
+// field New initializes, clears the whole memory and replays the
+// image's initialized data, keeping only the allocations (memory
+// buffer, ring buffers, telemetry arrays).  The image's decode and
+// translation tables are shared process-wide, so binding a different
+// image costs a translation-cache lookup.
 //
 // Runs that attach a per-cycle observer (Config.TraceSink) or the
 // profiler bypass the pool: their machines carry run-specific state
 // (recorder, retirement counts) that is not worth recycling.
 
-// poolKey identifies interchangeable machines: the image identity plus
-// every configuration field that shapes allocations or behavior.  The
-// per-run attachments (Ctx, Output) are excluded — Acquire reattaches
-// them — and the observer attachments (TraceSink, Profile) bypass the
-// pool entirely.
+// poolKey is a machine's allocation shape: the configuration fields
+// New sizes an allocation from, taken after normalizeConfig (which may
+// grow memory for an image with large data).  Nothing else keys the
+// pool — not the image, and not the fields that only change behaviour
+// (latencies, ports, stack top, cycle limits, engine), which the run
+// loop reads from the machine's configuration and rearm rebinds — so
+// machinePools holds one entry per distinct shape however many
+// programs a process runs.  The per-run attachments (Ctx, Output) are
+// reattached by Acquire, and the observer attachments (TraceSink,
+// Profile) bypass the pool entirely.
 type poolKey struct {
-	fp            [sha256.Size]byte
-	memLatency    int
-	memPorts      int
-	fifoDepth     int
-	ccDepth       int
-	queueDepth    int
-	numSCU        int
-	divLatency    int
-	mathLatency   int
-	cvtLatency    int
-	stackTop      int64
-	memSize       int
-	maxCycles     int64
-	watchdogSlack int
-	engine        Engine
+	memSize    int
+	numSCU     int
+	fifoDepth  int
+	ccDepth    int
+	queueDepth int
 }
 
 var machinePools sync.Map // poolKey -> *sync.Pool of *Machine
@@ -52,44 +49,37 @@ func poolable(cfg Config) bool {
 	return cfg.TraceSink == nil && !cfg.Profile
 }
 
-func keyFor(img *Image, cfg Config) poolKey {
-	return poolKey{
-		fp:            img.Fingerprint(),
-		memLatency:    cfg.MemLatency,
-		memPorts:      cfg.MemPorts,
-		fifoDepth:     cfg.FIFODepth,
-		ccDepth:       cfg.CCDepth,
-		queueDepth:    cfg.QueueDepth,
-		numSCU:        cfg.NumSCU,
-		divLatency:    cfg.DivLatency,
-		mathLatency:   cfg.MathLatency,
-		cvtLatency:    cfg.CvtLatency,
-		stackTop:      cfg.StackTop,
-		memSize:       cfg.MemSize,
-		maxCycles:     cfg.MaxCycles,
-		watchdogSlack: cfg.WatchdogSlack,
-		engine:        cfg.Engine,
+// poolFor returns the pool of machines shaped like the normalized
+// configuration, creating it on first use.
+func poolFor(cfg Config) *sync.Pool {
+	key := poolKey{
+		memSize:    cfg.MemSize,
+		numSCU:     cfg.NumSCU,
+		fifoDepth:  cfg.FIFODepth,
+		ccDepth:    cfg.CCDepth,
+		queueDepth: cfg.QueueDepth,
 	}
+	p, ok := machinePools.Load(key)
+	if !ok {
+		p, _ = machinePools.LoadOrStore(key, &sync.Pool{})
+	}
+	return p.(*sync.Pool)
 }
 
 // Acquire returns a machine for the image and configuration, recycled
-// from the pool when one is available and the configuration permits
-// (no per-cycle observers), freshly built otherwise.  Pass the machine
-// to Release when the run is finished; releasing is optional (an
-// abandoned machine is simply collected).
+// from the pool when one of the same shape is available and the
+// configuration permits (no per-cycle observers), freshly built
+// otherwise.  Pass the machine to Release when the run is finished;
+// releasing is optional (an abandoned machine is simply collected).
 func Acquire(img *Image, cfg Config) *Machine {
 	if !poolable(cfg) {
 		return New(img, cfg)
 	}
 	norm := normalizeConfig(img, cfg)
-	key := keyFor(img, norm)
-	p, ok := machinePools.Load(key)
-	if !ok {
-		p, _ = machinePools.LoadOrStore(key, &sync.Pool{})
-	}
-	if v := p.(*sync.Pool).Get(); v != nil {
+	if v := poolFor(norm).Get(); v != nil {
 		m := v.(*Machine)
-		m.rearm(norm)
+		m.inPool = false
+		m.rearm(img, norm)
 		return m
 	}
 	m := New(img, norm)
@@ -98,29 +88,40 @@ func Acquire(img *Image, cfg Config) *Machine {
 }
 
 // Release returns a machine obtained from Acquire to its pool.  Calling
-// it with a machine built by New (or one Acquire declined to pool) is a
-// no-op.  The machine must not be used after Release.
+// it with a machine built by New (or one Acquire declined to pool), or
+// a second time for the same acquire, is a no-op.  The machine must
+// not be used after Release.
 func Release(m *Machine) {
-	if m == nil || !m.pooled {
+	if m == nil || !m.pooled || m.inPool {
 		return
 	}
 	// Terminal observers were the caller's; drop them so the pooled
 	// machine retains no references into the finished request.
 	m.cfg.Ctx = nil
 	m.cfg.Output = nil
-	key := keyFor(m.img, m.cfg)
-	if p, ok := machinePools.Load(key); ok {
-		p.(*sync.Pool).Put(m)
-	}
+	m.inPool = true
+	poolFor(m.cfg).Put(m)
 }
 
-// rearm resets a recycled machine to New's power-on state under the
-// (structurally identical) configuration, reusing every allocation.
-func (m *Machine) rearm(cfg Config) {
+// rearm resets a recycled machine to New's power-on state for the image
+// under a configuration of the same shape, reusing every allocation.
+// The decode and translation tables are rebound only when they would
+// differ: another program, another engine, or other values of the
+// latencies decode bakes in.
+func (m *Machine) rearm(img *Image, cfg Config) {
+	rebind := (img != m.img && img.Fingerprint() != m.img.Fingerprint()) ||
+		cfg.Engine != m.cfg.Engine ||
+		cfg.DivLatency != m.cfg.DivLatency ||
+		cfg.MathLatency != m.cfg.MathLatency ||
+		cfg.CvtLatency != m.cfg.CvtLatency
+	m.img = img
 	m.cfg = cfg
+	if rebind {
+		m.bind()
+	}
 
 	m.now = 0
-	m.pc = m.img.Entry
+	m.pc = img.Entry
 	m.halted = false
 	m.ifuWait = 0
 
@@ -181,7 +182,7 @@ func (m *Machine) rearm(cfg Config) {
 	for i := range m.mem {
 		m.mem[i] = 0
 	}
-	for _, c := range m.img.Init {
+	for _, c := range img.Init {
 		copy(m.mem[c.addr:], c.data)
 	}
 }

@@ -2,9 +2,50 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strconv"
+	"sync"
 	"testing"
+
+	"wmstream/internal/rtl"
 )
+
+// distinctImage links a small program that differs for every k >= 1:
+// its data size and contents, and the bound of a loop summing 1..k,
+// whose total it prints.
+func distinctImage(tb testing.TB, k int) *Image {
+	tb.Helper()
+	data := make([]byte, 4*(k%7+1))
+	binary.LittleEndian.PutUint32(data, uint32(k))
+	src := `
+.entry main
+.data v ` + strconv.Itoa(len(data)) + ` align=4 init=` + hexOf(data) + `
+.func main
+r2 := 0
+r3 := 1
+L1:
+r2 := (r2 + r3)
+r3 := (r3 + 1)
+r31 := (r3 <= ` + strconv.Itoa(k) + `)
+jumpTr L1
+puti r2
+halt
+.end
+`
+	p, err := rtl.Parse(src)
+	if err != nil {
+		tb.Fatalf("parse: %v", err)
+	}
+	img, err := Link(p)
+	if err != nil {
+		tb.Fatalf("link: %v", err)
+	}
+	return img
+}
+
+// distinctOutput is what distinctImage(k) prints.
+func distinctOutput(k int) string { return strconv.Itoa(k * (k + 1) / 2) }
 
 // TestPoolBitIdentity runs the same program on a fresh machine, a
 // pooled machine, and a machine recycled through Release/Acquire, and
@@ -157,7 +198,30 @@ func TestPoolAllocs(t *testing.T) {
 			t.Fatalf("fresh run: %v", err)
 		}
 	})
-	t.Logf("allocs/run: pooled=%.0f fresh=%.0f", pooled, fresh)
+	// Two images alternating on one shape: every acquire rebinds the
+	// machine, from the translation cache, so rebinding must not
+	// re-translate or re-decode.
+	imgs := [2]*Image{img, distinctImage(t, 9)}
+	for _, im := range imgs {
+		m := Acquire(im, cfg)
+		if _, err := m.Run(); err != nil {
+			t.Fatalf("warmup: %v", err)
+		}
+		Release(m)
+	}
+	turn := 0
+	alternating := testing.AllocsPerRun(5, func() {
+		m := Acquire(imgs[turn%2], cfg)
+		turn++
+		if _, err := m.Run(); err != nil {
+			t.Fatalf("alternating run: %v", err)
+		}
+		Release(m)
+	})
+	t.Logf("allocs/run: pooled=%.0f alternating=%.0f fresh=%.0f", pooled, alternating, fresh)
+	if alternating > 32 {
+		t.Errorf("pooled run alternating two images allocates %.0f times, want <= 32", alternating)
+	}
 	// The pooled path should be nearly allocation-free; 32 leaves
 	// headroom for runtime noise while still failing if pooling breaks.
 	if pooled > 32 {
@@ -165,5 +229,154 @@ func TestPoolAllocs(t *testing.T) {
 	}
 	if pooled >= fresh {
 		t.Errorf("pooling saves nothing: pooled=%.0f fresh=%.0f", pooled, fresh)
+	}
+}
+
+// poolKeysWhere returns the pool keys that satisfy keep.
+func poolKeysWhere(keep func(poolKey) bool) []poolKey {
+	var keys []poolKey
+	machinePools.Range(func(k, _ any) bool {
+		if keep(k.(poolKey)) {
+			keys = append(keys, k.(poolKey))
+		}
+		return true
+	})
+	return keys
+}
+
+// TestPoolKeyedByShape: the pool is keyed by allocation shape alone.
+// Twenty programs under configurations that differ only in behaviour
+// fields share one key; a different FIFO depth adds one more.  The
+// FIFO depths 5 and 6 are used by no other test, so the keys holding
+// them are this test's.
+func TestPoolKeyedByShape(t *testing.T) {
+	base := DefaultConfig()
+	base.FIFODepth = 5
+	for k := 1; k <= 20; k++ {
+		cfg := base
+		cfg.MemLatency += k % 4
+		cfg.MemPorts = 1 + k%2
+		cfg.StackTop -= int64(k%3) << 12
+		cfg.MaxCycles -= int64(k)
+		cfg.WatchdogSlack += k
+		// The settings decode depends on change every few programs,
+		// so most acquires rebind for the image alone.
+		cfg.DivLatency += k / 4
+		cfg.MathLatency += k / 8
+		cfg.CvtLatency += k / 6
+		cfg.Engine = Engine(k / 10)
+		var out bytes.Buffer
+		cfg.Output = &out
+		m := Acquire(distinctImage(t, k), cfg)
+		if _, err := m.Run(); err != nil {
+			t.Fatalf("program %d: %v", k, err)
+		}
+		if got, want := out.String(), distinctOutput(k); got != want {
+			t.Errorf("program %d printed %q, want %q", k, got, want)
+		}
+		Release(m)
+	}
+	depth := func(d int) func(poolKey) bool {
+		return func(k poolKey) bool { return k.fifoDepth == d }
+	}
+	if keys := poolKeysWhere(depth(5)); len(keys) != 1 {
+		t.Fatalf("twenty programs on one shape left %d pool keys, want 1: %+v", len(keys), keys)
+	}
+
+	cfg := base
+	cfg.FIFODepth = 6
+	Release(Acquire(distinctImage(t, 1), cfg))
+	if keys := poolKeysWhere(depth(6)); len(keys) != 1 {
+		t.Errorf("a second FIFO depth left %d pool keys of its own, want 1: %+v", len(keys), keys)
+	}
+}
+
+// TestPoolDoubleRelease: releasing one acquire twice puts the machine
+// in its pool once, so the next two acquires get distinct machines.
+func TestPoolDoubleRelease(t *testing.T) {
+	img := distinctImage(t, 4)
+	cfg := DefaultConfig()
+	cfg.QueueDepth = 5 // a shape no other test uses
+	m := Acquire(img, cfg)
+	if _, err := m.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	Release(m)
+	Release(m)
+	a := Acquire(img, cfg)
+	b := Acquire(img, cfg)
+	if a == b {
+		t.Fatal("two acquires after a double release share one machine")
+	}
+	for _, m := range []*Machine{a, b} {
+		var out bytes.Buffer
+		m.cfg.Output = &out
+		if _, err := m.Run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if got, want := out.String(), distinctOutput(4); got != want {
+			t.Errorf("printed %q, want %q", got, want)
+		}
+	}
+	Release(a)
+	Release(b)
+}
+
+// TestPoolConcurrentImages: goroutines acquiring machines for
+// different programs from one shape's pool each get a machine bound to
+// their own program.
+func TestPoolConcurrentImages(t *testing.T) {
+	imgs := make([]*Image, 8)
+	for k := range imgs {
+		imgs[k] = distinctImage(t, k+1)
+	}
+	cfg := DefaultConfig()
+	cfg.CCDepth = 5 // a shape no other test uses
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 25; n++ {
+				k := (g + n) % len(imgs)
+				var out bytes.Buffer
+				c := cfg
+				c.Output = &out
+				c.Engine = Engine(n % 2)
+				m := Acquire(imgs[k], c)
+				if _, err := m.Run(); err != nil {
+					t.Errorf("program %d: %v", k+1, err)
+					return
+				}
+				if got, want := out.String(), distinctOutput(k+1); got != want {
+					t.Errorf("program %d printed %q, want %q", k+1, got, want)
+				}
+				Release(m)
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// BenchmarkPoolUniqueImages acquires, runs and releases a machine for
+// each of 50 distinct small programs on one shape, the pattern of a
+// server whose simulated programs are nearly all run once; B/op is the
+// cost the pool leaves per program.
+func BenchmarkPoolUniqueImages(b *testing.B) {
+	imgs := make([]*Image, 50)
+	for k := range imgs {
+		imgs[k] = distinctImage(b, k+1)
+	}
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, img := range imgs {
+			m := Acquire(img, cfg)
+			if _, err := m.Run(); err != nil {
+				b.Fatal(err)
+			}
+			Release(m)
+		}
 	}
 }

@@ -154,10 +154,14 @@ func (m *Machine) scanNextEvent() int64 {
 // pinned in their observed stall states for the whole window, so they
 // are bulk-charged to the observed causes, including for a cycle that
 // faults partway (the reference charges every unit on a faulting cycle
-// too).
-func (m *Machine) batchSCU(dLoad, dBranch, dIFU, limit int64) error {
+// too).  Like an idle skip, the window ends by the watchdog deadline
+// of the last progress seen when it opens: a stream that fills its
+// FIFO and then stalls for good makes no further progress inside the
+// window, and the cycles after it must reach the watchdog.
+func (m *Machine) batchSCU(dLoad, dBranch, dIFU, slack, limit int64) error {
 	k := minI64(m.scuHorizon(), m.cfg.MaxCycles-m.now)
 	k = minI64(k, limit-m.now)
+	k = minI64(k, m.lastProgress+int64(m.cfg.MemLatency)+slack-m.now)
 	if k <= 0 {
 		return nil
 	}

@@ -224,7 +224,7 @@ func (m *Machine) runTranslated(limit int64) (bool, error) {
 		dBranch := m.stats.BranchStalls - branchStalls
 		dIFU := m.stats.IFUStallFull - ifuFull
 		if m.scuProgress {
-			if err := m.batchSCU(dLoad, dBranch, dIFU, limit); err != nil {
+			if err := m.batchSCU(dLoad, dBranch, dIFU, slack, limit); err != nil {
 				return false, err
 			}
 		} else {
