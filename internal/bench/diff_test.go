@@ -3,12 +3,15 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wmstream/internal/rtl"
 	"wmstream/internal/sim"
+	"wmstream/internal/telemetry"
 )
 
 // The translated engine's correctness contract: for every program,
@@ -318,5 +321,118 @@ func TestEngineDifferentialMaxCycles(t *testing.T) {
 				t.Errorf("stats mismatch:\nreference:  %+v\ntranslated: %+v", ref.stats, got.stats)
 			}
 		})
+	}
+}
+
+// tracedResult is what a traced, profiled run shows beyond its
+// statistics: the Chrome trace bytes and the per-instruction retirement
+// counts.
+type tracedResult struct {
+	trace   []byte
+	retired []int64
+	errStr  string
+}
+
+// runTraced runs the image on the engine with a trace recorder and the
+// profiler attached, in slices of the given size (0 = uninterrupted).
+func runTraced(t *testing.T, img *sim.Image, cfg sim.Config, eng sim.Engine, slice int64) tracedResult {
+	t.Helper()
+	tr := telemetry.NewTrace()
+	cfg.Engine = eng
+	cfg.TraceSink = tr
+	cfg.Profile = true
+	if slice == 0 {
+		slice = math.MaxInt64
+	}
+	m := sim.New(img, cfg)
+	var r tracedResult
+	for {
+		done, err := m.RunSlice(slice)
+		if err != nil {
+			r.errStr = err.Error()
+		}
+		if done || err != nil {
+			break
+		}
+	}
+	var b bytes.Buffer
+	if _, err := tr.WriteTo(&b); err != nil {
+		t.Fatalf("writing trace: %v", err)
+	}
+	r.trace = b.Bytes()
+	r.retired = m.Retired()
+	return r
+}
+
+// resized returns the program with every occurrence of the array size
+// from in its source replaced by to.
+func resized(t *testing.T, p Program, from, to string) Program {
+	t.Helper()
+	if !strings.Contains(p.Source, from) {
+		t.Fatalf("%s: no %q in the source to resize", p.Name, from)
+	}
+	p.Source = strings.ReplaceAll(p.Source, from, to)
+	return p
+}
+
+// TestEngineDifferentialTrace: a traced, profiled run of the translated
+// engine, uninterrupted and in 997-cycle slices, writes the same trace
+// bytes and retirement counts as the reference engine's uninterrupted
+// run, on the default machine and on four stressed ones.  Some of the
+// stressed runs deadlock; their traces up to the watchdog must match
+// too.  Traces are held in memory, so the three long programs run on
+// smaller arrays, keeping every run under ~300k cycles.
+func TestEngineDifferentialTrace(t *testing.T) {
+	progs := []Program{
+		Banner, Cal, Dhrystone, Whetstone,
+		resized(t, IIR, "4096", "1024"),
+		resized(t, DotProduct, "4096", "1024"),
+		resized(t, Quicksort, "2000", "500"),
+		Livermore5(100),
+	}
+	machines := []struct {
+		name   string
+		adjust func(*sim.Config)
+	}{
+		{"default", func(*sim.Config) {}},
+		{"mem-ports-1", func(c *sim.Config) { c.MemPorts = 1 }},
+		{"fifo-depth-3", func(c *sim.Config) { c.FIFODepth = 3 }},
+		{"mem-latency-1", func(c *sim.Config) { c.MemLatency = 1 }},
+		{"num-scu-1", func(c *sim.Config) { c.NumSCU = 1 }},
+	}
+	for _, p := range progs {
+		for _, level := range []int{0, 3} {
+			rp, err := Compile(p, level)
+			if err != nil {
+				t.Fatalf("%s/O%d: compile: %v", p.Name, level, err)
+			}
+			img, err := sim.Link(rp)
+			if err != nil {
+				t.Fatalf("%s/O%d: link: %v", p.Name, level, err)
+			}
+			for _, mc := range machines {
+				mc := mc
+				t.Run(fmt.Sprintf("%s/O%d/%s", p.Name, level, mc.name), func(t *testing.T) {
+					t.Parallel()
+					cfg := sim.DefaultConfig()
+					mc.adjust(&cfg)
+					want := runTraced(t, img, cfg, sim.EngineReference, 0)
+					t.Logf("%d-byte trace, error %q", len(want.trace), want.errStr)
+					for _, slice := range []int64{0, 997} {
+						got := runTraced(t, img, cfg, sim.EngineTranslated, slice)
+						if got.errStr != want.errStr {
+							t.Fatalf("slice %d: translated error %q, reference %q", slice, got.errStr, want.errStr)
+						}
+						if !bytes.Equal(got.trace, want.trace) {
+							t.Errorf("slice %d: translated trace differs from the reference (%d vs %d bytes)",
+								slice, len(got.trace), len(want.trace))
+						}
+						if !reflect.DeepEqual(got.retired, want.retired) {
+							t.Errorf("slice %d: translated retirement counts differ from the reference", slice)
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -6,14 +6,16 @@ import (
 	"testing"
 
 	"wmstream/internal/sim"
+	"wmstream/internal/telemetry"
 )
 
 // FuzzEngines compiles arbitrary Mini-C at every optimization level and
 // runs whatever compiles through both simulation engines with a tight
-// cycle budget, cross-checking every observable: statistics (including
-// per-unit telemetry), program output, and error text.  Any divergence
-// is a translated-engine soundness bug — its compiled closures, idle
-// skips and SCU batches must all be invisible.
+// cycle budget, traced and profiled, cross-checking every observable:
+// statistics (including per-unit telemetry), program output, error
+// text, trace bytes and retirement counts.  Any divergence is a
+// translated-engine soundness bug — its compiled closures, idle skips
+// and SCU batches must all be invisible.
 func FuzzEngines(f *testing.F) {
 	for _, p := range append(Programs(), Livermore5(32)) {
 		f.Add(p.Source)
@@ -33,22 +35,28 @@ func FuzzEngines(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			exec := func(eng sim.Engine) (sim.Stats, string, string) {
+			exec := func(eng sim.Engine) (sim.Stats, string, string, string, []int64) {
 				cfg := sim.DefaultConfig()
 				cfg.MaxCycles = 50_000
 				cfg.WatchdogSlack = 200
 				cfg.Engine = eng
-				var out bytes.Buffer
+				cfg.TraceSink = telemetry.NewTrace()
+				cfg.Profile = true
+				var out, trace bytes.Buffer
 				cfg.Output = &out
-				stats, rerr := sim.New(img, cfg).Run()
+				m := sim.New(img, cfg)
+				stats, rerr := m.Run()
 				es := ""
 				if rerr != nil {
 					es = rerr.Error()
 				}
-				return stats, out.String(), es
+				if _, err := cfg.TraceSink.WriteTo(&trace); err != nil {
+					t.Fatalf("writing trace: %v", err)
+				}
+				return stats, out.String(), es, trace.String(), m.Retired()
 			}
-			refStats, refOut, refErr := exec(sim.EngineReference)
-			gotStats, gotOut, gotErr := exec(sim.EngineTranslated)
+			refStats, refOut, refErr, refTrace, refRetired := exec(sim.EngineReference)
+			gotStats, gotOut, gotErr, gotTrace, gotRetired := exec(sim.EngineTranslated)
 			if refErr != gotErr {
 				t.Fatalf("O%d: engines disagree on error:\nreference:  %s\ntranslated: %s",
 					lvl, refErr, gotErr)
@@ -59,6 +67,12 @@ func FuzzEngines(f *testing.F) {
 			}
 			if refOut != gotOut {
 				t.Fatalf("O%d: engines disagree on output: %q vs %q", lvl, refOut, gotOut)
+			}
+			if refTrace != gotTrace {
+				t.Fatalf("O%d: engines disagree on the trace (%d vs %d bytes)", lvl, len(refTrace), len(gotTrace))
+			}
+			if !reflect.DeepEqual(refRetired, gotRetired) {
+				t.Fatalf("O%d: engines disagree on retirement counts", lvl)
 			}
 		}
 	})

@@ -25,52 +25,6 @@ import (
 // matrix in internal/bench holds the translated engine bit-identical
 // to the reference interpreter.
 
-// superblock is a translation unit: a maximal straight-line run of
-// instructions entered only at its head.  Blocks start at the image
-// entry and at every branch target, and are extended across
-// fall-through edges (conditional branches, stream-count branches and
-// calls all fall through), ending only at an unconditional control
-// break (jump, return, halt) or the next leader.
-type superblock struct {
-	start, end int // code index range [start, end)
-}
-
-// superblocks partitions the code array.
-func superblocks(img *Image) []superblock {
-	n := len(img.Code)
-	if n == 0 {
-		return nil
-	}
-	leader := make([]bool, n)
-	leader[0] = true
-	if img.Entry >= 0 && img.Entry < n {
-		leader[img.Entry] = true
-	}
-	for k, i := range img.Code {
-		if t := img.Target[k]; t >= 0 && t < n {
-			leader[t] = true
-		}
-		// The instruction after an unconditional break starts a block
-		// (it is reachable only as a branch target or dead code; either
-		// way it cannot extend the previous block).
-		switch i.Kind {
-		case rtl.KJump, rtl.KRet, rtl.KHalt:
-			if k+1 < n {
-				leader[k+1] = true
-			}
-		}
-	}
-	var blocks []superblock
-	start := 0
-	for k := 1; k < n; k++ {
-		if leader[k] {
-			blocks = append(blocks, superblock{start, k})
-			start = k
-		}
-	}
-	return append(blocks, superblock{start, n})
-}
-
 // evalFn is a compiled expression program: it returns the raw result
 // bits, or false after recording a machine fault (exactly like
 // Machine.evalProg, whose fault messages it reuses).

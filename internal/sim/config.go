@@ -55,8 +55,8 @@ const (
 	// engine: the image is lowered once to per-instruction Go closures
 	// (cached process-wide by image fingerprint, see translate.go) and
 	// the hot loop runs no decode, no expression interpretation and no
-	// hazard-kind dispatch.  A run with Config.TraceSink set, which
-	// needs per-cycle observation, runs on the reference engine instead.
+	// hazard-kind dispatch.  It feeds a Config.TraceSink the same
+	// events the reference engine does.
 	EngineTranslated Engine = iota
 	// EngineReference forces the plain cycle-by-cycle interpreter, the
 	// specification the translated engine is tested against.

@@ -21,7 +21,7 @@ const maxZeroCostOps = 64
 // any zero-cost op counts as issued even when a later op in the same
 // cycle stalled.
 func (m *Machine) stepIFU() {
-	m.account(unitIFU, m.ifuCycle(), nil)
+	m.account(unitIFU, m.ifuCycle(), -1)
 }
 
 func (m *Machine) ifuCycle() telemetry.Cause {

@@ -150,8 +150,6 @@ type Machine struct {
 	// rec streams events into cfg.TraceSink; nil when tracing is off,
 	// so the hot path pays one nil check.
 	rec *recorder
-	// counterScratch is the reusable gauge buffer for sampleCounters.
-	counterScratch []int64
 	// retired counts issue events per code index for the source-level
 	// profiler; nil unless cfg.Profile.
 	retired []int64
@@ -241,43 +239,56 @@ func New(img *Image, cfg Config) *Machine {
 	}
 	m.cycleCause = make([]telemetry.Cause, len(m.unitCounts))
 	m.evalStack = make([]uint64, 0, 16)
-	if cfg.TraceSink != nil {
-		m.rec = newRecorder(cfg.TraceSink, m.unitCounts)
-		m.counterScratch = make([]int64, numCounters)
-	}
-	if cfg.Profile {
-		m.retired = make([]int64, len(img.Code))
-	}
+	m.attach()
 	return m
 }
 
-// bind attaches the decode tables for the machine's image and
-// configuration.  Runs headed for the translated engine (the default)
-// attach their translation and share its decode cache — for a cached
-// image, binding skips decoding entirely; the others decode the image.
-func (m *Machine) bind() {
-	if m.cfg.TraceSink == nil && m.cfg.Engine == EngineTranslated {
-		m.tr = translationFor(m.img, m.cfg)
-		m.dec = m.tr.dec
-	} else {
-		m.tr = nil
-		m.dec = decodeImage(m.img, m.cfg)
+// attach sets up the observers the configuration asks for, or clears
+// them: a trace recorder on Config.TraceSink and the profiler's
+// per-instruction retirement counts.  New and the pool's rearm share it.
+func (m *Machine) attach() {
+	m.rec, m.retired = nil, nil
+	if m.cfg.TraceSink != nil {
+		m.rec = newRecorder(m.cfg.TraceSink, m.unitCounts)
+	}
+	if m.cfg.Profile {
+		m.retired = make([]int64, len(m.img.Code))
 	}
 }
 
-// account charges one cycle of unit u to the cause.  d carries the
-// issuing instruction for execution units (nil elsewhere); the recorder
-// names the trace span after it.
-func (m *Machine) account(u int, c telemetry.Cause, d *dispatched) {
+// bind attaches the decode tables for the machine's image and
+// configuration.  The reference engine decodes the image; the
+// translated engine (the default) attaches its translation and shares
+// its decode cache — for a cached image, binding skips decoding
+// entirely.
+func (m *Machine) bind() {
+	if m.cfg.Engine == EngineReference {
+		m.tr = nil
+		m.dec = decodeImage(m.img, m.cfg)
+	} else {
+		m.tr = translationFor(m.img, m.cfg)
+		m.dec = m.tr.dec
+	}
+}
+
+// account charges one cycle of unit u to the cause.  idx is the code
+// index of an execution unit's head instruction (-1 elsewhere); the
+// recorder names an issued cycle's span after it.
+func (m *Machine) account(u int, c telemetry.Cause, idx int) {
 	m.unitCounts[u].Add(c)
 	m.cycleCause[u] = c
 	if m.rec != nil {
-		var name string
-		if d != nil {
-			name = m.img.Code[d.idx].String()
-		}
-		m.rec.record(u, c, name, m.now)
+		m.record(u, c, idx)
 	}
+}
+
+// record hands unit u's cycle to the trace recorder (see account).
+func (m *Machine) record(u int, c telemetry.Cause, idx int) {
+	var name string
+	if idx >= 0 && c == telemetry.CauseIssued {
+		name = m.img.Code[idx].String()
+	}
+	m.rec.record(u, c, name, m.now)
 }
 
 // profTick credits one retirement to the instruction at code index idx
@@ -325,9 +336,7 @@ func (m *Machine) RunSlice(budget int64) (bool, error) {
 		done bool
 		err  error
 	)
-	// The trace recorder observes every cycle, so it forces the
-	// reference engine regardless of the requested engine.
-	if m.rec != nil || m.cfg.Engine == EngineReference {
+	if m.cfg.Engine == EngineReference {
 		done, err = m.runRef(limit)
 	} else {
 		done, err = m.runTranslated(limit)
@@ -475,36 +484,26 @@ func (m *Machine) maxCyclesTrap() error {
 	}
 }
 
-// numCounters is the number of occupancy gauges sampleCounters feeds
-// (must match counterNames in trace.go).
-const numCounters = 13
-
 // sampleCounters feeds the occupancy gauges (FIFOs, CC queues, unit
-// queues, memory write queue) to the trace recorder once per cycle.
-// The scratch buffer is preallocated; this path never allocates.
+// queues, memory write queue) to the trace recorder once per cycle, in
+// counterNames order.
 func (m *Machine) sampleCounters() {
-	s := m.counterScratch
-	k := 0
+	r, now := m.rec, m.now
 	for c := 0; c < 2; c++ {
 		for n := 0; n < 2; n++ {
-			s[k] = int64(m.inFIFO[c][n].n)
-			k++
+			r.counter(2*c+n, int64(m.inFIFO[c][n].n), now)
 		}
 	}
 	for c := 0; c < 2; c++ {
 		for n := 0; n < 2; n++ {
-			s[k] = int64(m.outFIFO[c][n].n)
-			k++
+			r.counter(4+2*c+n, int64(m.outFIFO[c][n].n), now)
 		}
 	}
-	s[k] = int64(m.ccFIFO[0].n)
-	s[k+1] = int64(m.ccFIFO[1].n)
-	s[k+2] = int64(m.queues[0].n)
-	s[k+3] = int64(m.queues[1].n)
-	s[k+4] = int64(m.writeQueue.n)
-	for id, v := range s {
-		m.rec.counter(id, v, m.now)
-	}
+	r.counter(8, int64(m.ccFIFO[0].n), now)
+	r.counter(9, int64(m.ccFIFO[1].n), now)
+	r.counter(10, int64(m.queues[0].n), now)
+	r.counter(11, int64(m.queues[1].n), now)
+	r.counter(12, int64(m.writeQueue.n), now)
 }
 
 // Mem returns the memory image (for tests to inspect results).
@@ -608,17 +607,17 @@ func (m *Machine) stepSCUs() {
 	for k, s := range m.scus {
 		u := unitSCU0 + k
 		if !s.active || s.remaining == 0 {
-			m.account(u, telemetry.CauseIdle, nil)
+			m.account(u, telemetry.CauseIdle, -1)
 			continue
 		}
 		if m.portsLeft == 0 {
-			m.account(u, telemetry.CauseMemPort, nil)
+			m.account(u, telemetry.CauseMemPort, -1)
 			continue
 		}
 		if s.input {
 			q := &m.inFIFO[s.class][s.fifoN]
 			if q.n >= m.cfg.FIFODepth {
-				m.account(u, telemetry.CauseFIFOFull, nil)
+				m.account(u, telemetry.CauseFIFOFull, -1)
 				continue
 			}
 			// A stream read waits while a scalar store to its element
@@ -637,7 +636,7 @@ func (m *Machine) stepSCUs() {
 			// zero rather than faulting (the hardware would fault
 			// lazily, on consumption).
 			if m.storeConflict(s.base, s.size, -1) || m.outputStreamConflict(s.base, s.size) {
-				m.account(u, telemetry.CauseStreamBusy, nil)
+				m.account(u, telemetry.CauseStreamBusy, -1)
 				continue
 			}
 			var val uint64
@@ -658,7 +657,7 @@ func (m *Machine) stepSCUs() {
 		} else {
 			q := &m.outFIFO[s.class][s.fifoN]
 			if q.n == 0 {
-				m.account(u, telemetry.CauseFIFOEmpty, nil)
+				m.account(u, telemetry.CauseFIFOEmpty, -1)
 				continue
 			}
 			val := q.pop()
@@ -667,7 +666,7 @@ func (m *Machine) stepSCUs() {
 			}
 			m.stats.MemWrites++
 		}
-		m.account(u, telemetry.CauseIssued, nil)
+		m.account(u, telemetry.CauseIssued, -1)
 		m.portsLeft--
 		s.base += s.stride
 		if s.remaining > 0 { // negative count = infinite stream

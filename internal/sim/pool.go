@@ -18,11 +18,9 @@ import (
 // image's initialized data, keeping only the allocations (memory
 // buffer, ring buffers, telemetry arrays).  The image's decode and
 // translation tables are shared process-wide, so binding a different
-// image costs a translation-cache lookup.
-//
-// Runs that attach a per-cycle observer (Config.TraceSink) or the
-// profiler bypass the pool: their machines carry run-specific state
-// (recorder, retirement counts) that is not worth recycling.
+// image costs a translation-cache lookup.  Traced and profiled runs
+// pool like any other: the observers are attached from the
+// configuration on acquire and dropped on release.
 
 // poolKey is a machine's allocation shape: the configuration fields
 // New sizes an allocation from, taken after normalizeConfig (which may
@@ -31,9 +29,8 @@ import (
 // (latencies, ports, stack top, cycle limits, engine), which the run
 // loop reads from the machine's configuration and rearm rebinds — so
 // machinePools holds one entry per distinct shape however many
-// programs a process runs.  The per-run attachments (Ctx, Output) are
-// reattached by Acquire, and the observer attachments (TraceSink,
-// Profile) bypass the pool entirely.
+// programs a process runs.  The per-run attachments (Ctx, Output,
+// TraceSink, Profile) are reattached by Acquire.
 type poolKey struct {
 	memSize    int
 	numSCU     int
@@ -43,11 +40,6 @@ type poolKey struct {
 }
 
 var machinePools sync.Map // poolKey -> *sync.Pool of *Machine
-
-// poolable reports whether the configuration admits recycling.
-func poolable(cfg Config) bool {
-	return cfg.TraceSink == nil && !cfg.Profile
-}
 
 // poolFor returns the pool of machines shaped like the normalized
 // configuration, creating it on first use.
@@ -67,14 +59,10 @@ func poolFor(cfg Config) *sync.Pool {
 }
 
 // Acquire returns a machine for the image and configuration, recycled
-// from the pool when one of the same shape is available and the
-// configuration permits (no per-cycle observers), freshly built
+// from the pool when one of the same shape is available, freshly built
 // otherwise.  Pass the machine to Release when the run is finished;
 // releasing is optional (an abandoned machine is simply collected).
 func Acquire(img *Image, cfg Config) *Machine {
-	if !poolable(cfg) {
-		return New(img, cfg)
-	}
 	norm := normalizeConfig(img, cfg)
 	if v := poolFor(norm).Get(); v != nil {
 		m := v.(*Machine)
@@ -88,17 +76,18 @@ func Acquire(img *Image, cfg Config) *Machine {
 }
 
 // Release returns a machine obtained from Acquire to its pool.  Calling
-// it with a machine built by New (or one Acquire declined to pool), or
-// a second time for the same acquire, is a no-op.  The machine must
-// not be used after Release.
+// it with a machine built by New, or a second time for the same
+// acquire, is a no-op.  The machine must not be used after Release.
 func Release(m *Machine) {
 	if m == nil || !m.pooled || m.inPool {
 		return
 	}
-	// Terminal observers were the caller's; drop them so the pooled
+	// The attachments were the caller's; drop them so the pooled
 	// machine retains no references into the finished request.
 	m.cfg.Ctx = nil
 	m.cfg.Output = nil
+	m.cfg.TraceSink = nil
+	m.rec, m.retired = nil, nil
 	m.inPool = true
 	poolFor(m.cfg).Put(m)
 }
@@ -119,6 +108,7 @@ func (m *Machine) rearm(img *Image, cfg Config) {
 	if rebind {
 		m.bind()
 	}
+	m.attach()
 
 	m.now = 0
 	m.pc = img.Entry

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"wmstream/internal/rtl"
+	"wmstream/internal/telemetry"
 )
 
 // distinctImage links a small program that differs for every k >= 1:
@@ -90,7 +92,7 @@ func TestPoolBitIdentity(t *testing.T) {
 			acfg.Output = &out1
 			m := Acquire(img, acfg)
 			if !m.pooled {
-				t.Fatalf("Acquire returned an unpooled machine for a poolable config")
+				t.Fatalf("Acquire returned an unpooled machine")
 			}
 			run(m, &out1, "first acquire")
 			Release(m)
@@ -105,17 +107,75 @@ func TestPoolBitIdentity(t *testing.T) {
 	}
 }
 
-// TestPoolBypassesObservers: configurations with per-cycle observers
-// never pool (their machines carry run-specific state).
-func TestPoolBypassesObservers(t *testing.T) {
+// TestPoolTracedRuns: observed runs pool like any other.  On each
+// engine, a traced and profiled run on a machine whose last runs were
+// other programs, untraced, leaves the trace bytes and retirement
+// counts a machine from New leaves; an untraced run after it reports
+// no retirement counts and adds nothing to its trace.
+func TestPoolTracedRuns(t *testing.T) {
 	img := checkpointImage(t)
-	cfg := DefaultConfig()
-	cfg.Profile = true
-	m := Acquire(img, cfg)
-	if m.pooled {
-		t.Error("profiled machine was pooled")
+	for _, eng := range []Engine{EngineTranslated, EngineReference} {
+		t.Run(eng.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Engine = eng
+			cfg.QueueDepth = 6 // a shape no other test uses
+			traced := func(build func(*Image, Config) *Machine) (*Machine, *telemetry.Trace, string) {
+				t.Helper()
+				tcfg := cfg
+				tcfg.TraceSink = telemetry.NewTrace()
+				tcfg.Profile = true
+				m := build(img, tcfg)
+				if _, err := m.Run(); err != nil {
+					t.Fatalf("traced run: %v", err)
+				}
+				return m, tcfg.TraceSink, traceText(t, tcfg.TraceSink)
+			}
+			fresh, _, want := traced(New)
+
+			var dirty *Machine
+			for k := 1; k <= 2; k++ {
+				dirty = Acquire(distinctImage(t, k), cfg)
+				if _, err := dirty.Run(); err != nil {
+					t.Fatalf("untraced program %d: %v", k, err)
+				}
+				Release(dirty)
+			}
+			m, tr, got := traced(Acquire)
+			if m != dirty {
+				t.Log("the pool dropped the dirtied machine")
+			}
+			if got != want {
+				t.Errorf("pooled trace differs from New's (%d vs %d bytes)", len(got), len(want))
+			}
+			if !reflect.DeepEqual(m.Retired(), fresh.Retired()) {
+				t.Errorf("pooled retirement counts differ from New's")
+			}
+			events := tr.Events()
+			Release(m)
+
+			u := Acquire(img, cfg)
+			if _, err := u.Run(); err != nil {
+				t.Fatalf("untraced run: %v", err)
+			}
+			if u.Retired() != nil {
+				t.Error("untraced run after a profiled one has retirement counts")
+			}
+			if tr.Events() != events || traceText(t, tr) != got {
+				t.Error("untraced run after a traced one added to its trace")
+			}
+			Release(u)
+		})
 	}
-	Release(m) // must be a no-op, not a panic
+}
+
+// traceText renders the trace as its JSON text.
+func traceText(t *testing.T, tr *telemetry.Trace) string {
+	t.Helper()
+	var b strings.Builder
+	if _, err := tr.WriteTo(&b); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	return b.String()
 }
 
 // TestPoolRecycledCheckpoint: a rearmed machine restores and resumes a

@@ -171,6 +171,9 @@ func (m *Machine) batchSCU(dLoad, dBranch, dIFU, slack, limit int64) error {
 		m.portsLeft = m.cfg.MemPorts
 		m.stepSCUs()
 		done++
+		if m.rec != nil {
+			m.sampleCounters()
+		}
 		if m.err != nil {
 			break
 		}

@@ -86,11 +86,18 @@ func TestAttributionSumsToCycles(t *testing.T) {
 	}
 }
 
-// TestTraceSchema checks the shape of the Chrome trace: valid JSON, a
-// named process, one named track per unit, well-formed spans, and
-// counter samples restricted to the documented counter set.
+// TestTraceSchema checks the shape of the Chrome trace on each engine:
+// valid JSON, a named process, one named track per unit, well-formed
+// spans, and counter samples restricted to the documented counter set.
 func TestTraceSchema(t *testing.T) {
+	for _, eng := range []Engine{EngineTranslated, EngineReference} {
+		t.Run(eng.String(), func(t *testing.T) { checkTraceSchema(t, eng) })
+	}
+}
+
+func checkTraceSchema(t *testing.T, eng Engine) {
 	cfg := DefaultConfig()
+	cfg.Engine = eng
 	cfg.TraceSink = telemetry.NewTrace()
 	_, stats, _ := run(t, cfg, streamTelemetrySrc())
 
@@ -158,22 +165,22 @@ func TestTraceSchema(t *testing.T) {
 	}
 }
 
-// TestTraceDeterminism: the same program twice produces byte-identical
-// trace files — the property that makes traces diffable.
+// TestTraceDeterminism: the same program run twice on each engine
+// produces one byte-identical trace file — the property that makes
+// traces diffable.
 func TestTraceDeterminism(t *testing.T) {
-	render := func() string {
+	render := func(eng Engine) string {
 		cfg := DefaultConfig()
+		cfg.Engine = eng
 		cfg.TraceSink = telemetry.NewTrace()
 		run(t, cfg, streamTelemetrySrc())
-		var b strings.Builder
-		if _, err := cfg.TraceSink.WriteTo(&b); err != nil {
-			t.Fatalf("WriteTo: %v", err)
-		}
-		return b.String()
+		return traceText(t, cfg.TraceSink)
 	}
-	a, b := render(), render()
-	if a != b {
-		t.Errorf("two identical runs produced different traces (%d vs %d bytes)", len(a), len(b))
+	want := render(EngineReference)
+	for _, eng := range []Engine{EngineReference, EngineTranslated, EngineTranslated} {
+		if got := render(eng); got != want {
+			t.Errorf("%s run produced a different trace (%d vs %d bytes)", eng, len(got), len(want))
+		}
 	}
 }
 

@@ -21,22 +21,22 @@ import (
 //
 // The engine is bit-identical to the reference interpreter — same
 // Stats, same output bytes, same memory image, same telemetry cycle
-// attribution, same faults at the same cycles — which the differential
-// matrix in internal/bench enforces.  Runs that must observe every
-// cycle (a trace recorder attached) fall back to the reference engine
-// in RunSlice; everything else (traps, deadlock detection, slice
-// boundaries, checkpoint save/restore) behaves identically here.
+// attribution, same trace events, same faults at the same cycles —
+// which the differential matrix in internal/bench enforces.  It feeds
+// the trace recorder wherever it writes a unit's cycle cause; the
+// recorder coalesces runs of one cause and emits a counter only when
+// it changes, so the cycles a fast-forward covers (no cause or
+// occupancy changes inside them) need no calls.
 
 // translation is the compiled form of one image under one set of baked
 // latency parameters.
 type translation struct {
-	dec    []decoded // decode cache, shared with the machines (read-only)
-	issue  []issueFn // unit-side step per code index (dispatched kinds only)
-	ifu    []ifuFn   // IFU-side step per code index
-	blocks int       // superblocks formed (introspection)
+	dec   []decoded // decode cache, shared with the machines (read-only)
+	issue []issueFn // unit-side step per code index (dispatched kinds only)
+	ifu   []ifuFn   // IFU-side step per code index
 }
 
-// translate lowers every superblock of the image.
+// translate lowers every instruction of the image.
 func translate(img *Image, cfg Config) *translation {
 	dec := decodeImage(img, cfg)
 	tr := &translation{
@@ -44,16 +44,12 @@ func translate(img *Image, cfg Config) *translation {
 		issue: make([]issueFn, len(img.Code)),
 		ifu:   make([]ifuFn, len(img.Code)),
 	}
-	for _, b := range superblocks(img) {
-		tr.blocks++
-		for k := b.start; k < b.end; k++ {
-			i := img.Code[k]
-			d := &dec[k]
-			if !ifuResident(i.Kind) {
-				tr.issue[k] = makeIssue(k, i, d)
-			}
-			tr.ifu[k] = makeIFU(k, i, img.Target[k], d, len(img.Code))
+	for k, i := range img.Code {
+		d := &dec[k]
+		if !ifuResident(i.Kind) {
+			tr.issue[k] = makeIssue(k, i, d)
 		}
+		tr.ifu[k] = makeIFU(k, i, img.Target[k], d, len(img.Code))
 	}
 	return tr
 }
@@ -176,14 +172,6 @@ func SetTranslationCacheCap(n int) {
 // unchopped window would have, so the bulk accounting stays linear
 // across the cut.
 func (m *Machine) runTranslated(limit int64) (bool, error) {
-	if m.tr == nil {
-		m.tr = translationFor(m.img, m.cfg)
-	}
-	// Another engine may have run the previous slice (a recorder can
-	// force the reference engine) and rewritten cycleCause; make the
-	// first idle cycle of each covered slot re-establish its cause.
-	m.scuCauseIdle = false
-	m.unitCauseIdle = [2]bool{}
 	slack := m.watchdogSlack()
 	done := m.cancelDone()
 	lastCheck := m.now
@@ -211,6 +199,9 @@ func (m *Machine) runTranslated(limit int64) (bool, error) {
 		m.scuProgress = false
 		m.otherProgress = false
 		m.stepT()
+		if m.rec != nil {
+			m.sampleCounters()
+		}
 		if m.err != nil {
 			return false, m.err
 		}
@@ -254,6 +245,9 @@ func (m *Machine) stepT() {
 	c := m.ifuCycleT()
 	m.unitCounts[unitIFU].Add(c)
 	m.cycleCause[unitIFU] = c
+	if m.rec != nil {
+		m.record(unitIFU, c, -1)
+	}
 }
 
 // stepSCUsT runs the SCUs, bulk-charging the all-idle case (no active
@@ -276,6 +270,9 @@ func (m *Machine) stepSCUsT() {
 	if !m.scuCauseIdle {
 		for u := unitSCU0; u < len(m.unitCounts); u++ {
 			m.cycleCause[u] = telemetry.CauseIdle
+			if m.rec != nil {
+				m.record(u, telemetry.CauseIdle, -1)
+			}
 		}
 		m.scuCauseIdle = true
 	}
@@ -289,7 +286,9 @@ func (m *Machine) stepUnitT(c int) {
 	q := &m.queues[c]
 	if q.n == 0 {
 		// Empty queue: defer the Idle charge; write the cause once per
-		// idle stretch (idleSkip and batchSCU read cycleCause).
+		// idle stretch (idleSkip and batchSCU read cycleCause).  The
+		// trace recorder needs no call: a queue empties only by
+		// issuing, and an issued cycle leaves no trace run open.
 		if !m.unitCauseIdle[c] {
 			m.cycleCause[unitIEU+c] = telemetry.CauseIdle
 			m.unitCauseIdle[c] = true
@@ -299,13 +298,17 @@ func (m *Machine) stepUnitT(c int) {
 	}
 	u := unitIEU + c
 	d := q.at(0)
-	cause := m.tr.issue[d.idx](m, d.seq)
+	idx := d.idx // the issue function pops d
+	cause := m.tr.issue[idx](m, d.seq)
 	if cause == telemetry.CauseFIFOEmpty {
 		m.stats.LoadStalls++
 	}
 	m.unitCauseIdle[c] = false
 	m.unitCounts[u].Add(cause)
 	m.cycleCause[u] = cause
+	if m.rec != nil {
+		m.record(u, cause, idx)
+	}
 }
 
 // ifuCycleT is ifuCycle through the IFU table.  The zero-cost budget,

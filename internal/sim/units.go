@@ -96,7 +96,7 @@ func (m *Machine) stepUnit(c rtl.Class) {
 	u := unitIEU + int(c)
 	q := &m.queues[c]
 	if q.n == 0 {
-		m.account(u, telemetry.CauseIdle, nil)
+		m.account(u, telemetry.CauseIdle, -1)
 		return
 	}
 	d := q.at(0)
@@ -105,14 +105,14 @@ func (m *Machine) stepUnit(c rtl.Class) {
 		if cause == telemetry.CauseFIFOEmpty {
 			m.stats.LoadStalls++
 		}
-		m.account(u, cause, nil)
+		m.account(u, cause, -1)
 		return
 	}
 	// Copy out before executing: execute can push into this queue's
 	// ring only via the IFU (it cannot), but at(0)'s pointer must not
 	// outlive the pop in any case.
 	dv := q.pop()
-	m.account(u, telemetry.CauseIssued, &dv)
+	m.account(u, telemetry.CauseIssued, dv.idx)
 	m.execute(&dv, c)
 	m.progress()
 }

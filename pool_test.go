@@ -7,10 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wmstream/internal/bench"
 	"wmstream/internal/sim"
+	"wmstream/internal/telemetry"
 )
 
 // poolRun is what a run leaves: statistics (with the per-unit cycle
@@ -94,9 +96,9 @@ func recycle(t *testing.T, dirty func() *sim.Machine, img *sim.Image, cfg sim.Co
 // latency baked into decode changing between acquires; then one
 // program runs under changing decode latencies and engines.  Every run
 // must leave the statistics, per-unit attribution, output and memory a
-// fresh sim.New machine leaves.  A machine that deadlocked or was
-// canceled mid-run, and one restored from another program's
-// checkpoint, must do the same.
+// fresh sim.New machine leaves.  A machine that deadlocked, was
+// canceled mid-run or ran traced, and one restored from another
+// program's checkpoint, must do the same.
 func TestPoolCrossImage(t *testing.T) {
 	progs := linkSuite(t)
 	variants := []func(*sim.Config){
@@ -230,6 +232,34 @@ func TestPoolCrossImage(t *testing.T) {
 		cancel()
 		if _, err := m.Run(); !errors.Is(err, context.Canceled) {
 			t.Fatalf("canceled bubblesort/O0: got %v, want context.Canceled", err)
+		}
+		return m
+	}, sim.DefaultConfig())
+
+	// A traced, profiled run on a machine that ran other programs
+	// untraced leaves the trace and retirement counts New's leaves.
+	after("traced cal/O3", func(cfg sim.Config) *sim.Machine {
+		traced := func(build func(*sim.Image, sim.Config) *sim.Machine) (*sim.Machine, string) {
+			tcfg := cfg
+			tcfg.TraceSink = telemetry.NewTrace()
+			tcfg.Profile = true
+			m := build(byName["cal/O3"], tcfg)
+			if _, err := m.Run(); err != nil {
+				t.Fatalf("traced cal/O3: %v", err)
+			}
+			var b strings.Builder
+			if _, err := tcfg.TraceSink.WriteTo(&b); err != nil {
+				t.Fatal(err)
+			}
+			return m, b.String()
+		}
+		fresh, want := traced(sim.New)
+		m, got := traced(sim.Acquire)
+		if got != want {
+			t.Errorf("traced cal/O3: pooled trace differs from New's (%d vs %d bytes)", len(got), len(want))
+		}
+		if !reflect.DeepEqual(m.Retired(), fresh.Retired()) {
+			t.Error("traced cal/O3: pooled retirement counts differ from New's")
 		}
 		return m
 	}, sim.DefaultConfig())

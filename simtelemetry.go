@@ -191,37 +191,90 @@ func RunWithTelemetry(p *Program, m Machine, o SimOptions) (SimResult, error) {
 // the simulation promptly, and the telemetry collected up to that
 // point is still returned.
 func RunWithTelemetryContext(ctx context.Context, p *Program, m Machine, o SimOptions) (SimResult, error) {
-	img, err := p.image()
-	if err != nil {
-		return SimResult{}, err
-	}
-	cfg, err := simConfig(m)
-	if err != nil {
-		return SimResult{}, err
-	}
-	cfg.Ctx = ctx
-	var out bytes.Buffer
-	cfg.Output = &out
 	var tr *telemetry.Trace
 	if o.TraceJSON != nil {
 		tr = telemetry.NewTrace()
 		if o.CompileStats != nil {
 			emitCompileSpans(tr, o.CompileStats)
 		}
-		cfg.TraceSink = tr
 	}
+	r, rerr := simulate(ctx, p, m, o, tr)
+	if !r.started {
+		return SimResult{}, rerr
+	}
+	res := SimResult{
+		Result:    r.result(),
+		unitTable: telemetry.FormatUnits(r.stats.Units),
+	}
+	for _, u := range r.stats.Units {
+		res.Units = append(res.Units, breakdown(u))
+	}
+	if o.Profile {
+		img, _ := p.image()
+		res.Profile = buildProfile(img, r.retired, p.rtl.Source)
+	}
+	if tr != nil {
+		if _, werr := tr.WriteTo(o.TraceJSON); werr != nil && rerr == nil {
+			rerr = fmt.Errorf("writing trace: %w", werr)
+		}
+	}
+	return res, rerr
+}
+
+// simulation is what simulate leaves of a run.
+type simulation struct {
+	stats   sim.Stats
+	output  string
+	retired []int64 // per-instruction retirement counts, when profiled
+	started bool    // false when the run never began
+}
+
+func (r simulation) result() Result {
+	return Result{
+		Cycles:       r.stats.Cycles,
+		Instructions: r.stats.Instructions,
+		MemReads:     r.stats.MemReads,
+		MemWrites:    r.stats.MemWrites,
+		StreamElems:  r.stats.StreamElems,
+		Output:       r.output,
+	}
+}
+
+// simulate is the run body of RunContext and RunWithTelemetryContext:
+// it links the program, maps the machine knobs, captures the output
+// and runs a pooled machine through the execution core, with the
+// resume, checkpoint, budget and progress settings of o.  tr, when
+// non-nil, receives the machine's trace; o.Profile collects the
+// retirement counts.  A run that never began (the program does not
+// link, the engine is unknown, the checkpoint does not restore)
+// returns started=false.
+func simulate(ctx context.Context, p *Program, m Machine, o SimOptions, tr *telemetry.Trace) (simulation, error) {
+	var r simulation
+	img, err := p.image()
+	if err != nil {
+		return r, err
+	}
+	cfg, err := simConfig(m)
+	if err != nil {
+		return r, err
+	}
+	cfg.Ctx = ctx
+	var out bytes.Buffer
+	cfg.Output = &out
+	cfg.TraceSink = tr
 	cfg.Profile = o.Profile
-	// Pooled when no per-cycle observer is attached (sim.Acquire
-	// declines tracing/profiling configs itself).
+	// Machines come from the recycling pool: a serving process reuses
+	// memory and telemetry arrays instead of reallocating them per
+	// request.
 	machine := sim.Acquire(img, cfg)
 	defer sim.Release(machine)
 	if o.ResumeState != nil {
 		priorOut, state, derr := decodeCheckpoint(o.ResumeState)
 		if derr != nil {
-			return SimResult{}, &ResumeError{Err: derr}
+			return r, &ResumeError{Err: derr}
 		}
 		if err := machine.RestoreState(state); err != nil {
-			return SimResult{}, &ResumeError{Err: err}
+			return r, &ResumeError{Err: err}
 		}
 		// Replay the output the interrupted run already produced, so
 		// the spliced run's Output is byte-identical to an
@@ -236,7 +289,8 @@ func RunWithTelemetryContext(ctx context.Context, p *Program, m Machine, o SimOp
 			return o.OnCheckpoint(encodeCheckpoint(out.Bytes(), state), p)
 		}
 	}
-	stats, rerr := exec.Run(ctx, machine, exec.Options{
+	r.started = true
+	r.stats, err = exec.Run(ctx, machine, exec.Options{
 		MaxWall:         o.MaxWall,
 		OnProgress:      o.Progress,
 		ProgressEvery:   o.ProgressEvery,
@@ -244,29 +298,9 @@ func RunWithTelemetryContext(ctx context.Context, p *Program, m Machine, o SimOp
 		OnCheckpoint:    onCkpt,
 		FinalCheckpoint: o.FinalCheckpoint,
 	})
-	res := SimResult{
-		Result: Result{
-			Cycles:       stats.Cycles,
-			Instructions: stats.Instructions,
-			MemReads:     stats.MemReads,
-			MemWrites:    stats.MemWrites,
-			StreamElems:  stats.StreamElems,
-			Output:       out.String(),
-		},
-		unitTable: telemetry.FormatUnits(stats.Units),
-	}
-	for _, u := range stats.Units {
-		res.Units = append(res.Units, breakdown(u))
-	}
-	if o.Profile {
-		res.Profile = buildProfile(img, machine.Retired(), p.rtl.Source)
-	}
-	if tr != nil {
-		if _, werr := tr.WriteTo(o.TraceJSON); werr != nil && rerr == nil {
-			rerr = fmt.Errorf("writing trace: %w", werr)
-		}
-	}
-	return res, rerr
+	r.output = out.String()
+	r.retired = machine.Retired()
+	return r, err
 }
 
 func breakdown(u telemetry.Unit) UnitBreakdown {

@@ -17,7 +17,6 @@
 package wmstream
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -328,13 +327,12 @@ type Machine struct {
 	WatchdogSlack int   // no-progress cycles beyond MemLatency before a deadlock is declared
 	MaxCycles     int64 // simulated-cycle bound before a runaway run traps (0 = default)
 	// Engine selects the simulation loop: "", "auto" and "translated"
-	// name the translated engine (used whenever tracing permits),
-	// "reference" the plain cycle-by-cycle interpreter.  Both engines
-	// produce identical results; the knob exists so cross-engine
-	// identity (including checkpoint/resume across engines) can be
-	// asserted from the outside, and so benchmarks can pin a loop.
-	// Runs fail with an error naming the valid engines for any other
-	// name.
+	// name the translated engine, "reference" the plain cycle-by-cycle
+	// interpreter.  Both engines produce identical results, traces
+	// included; the knob exists so cross-engine identity (including
+	// checkpoint/resume across engines) can be asserted from the
+	// outside, and so benchmarks can pin a loop.  Runs fail with an
+	// error naming the valid engines for any other name.
 	Engine string
 }
 
@@ -439,32 +437,9 @@ func Run(p *Program, m Machine) (Result, error) {
 // (which errors.Is-matches context.Canceled / context.DeadlineExceeded
 // rather than the simulator's own DeadlockError/TrapError).
 func RunContext(ctx context.Context, p *Program, m Machine) (Result, error) {
-	img, err := p.image()
+	r, err := simulate(ctx, p, m, SimOptions{}, nil)
 	if err != nil {
-		return Result{}, err
+		return Result{Output: r.output}, err
 	}
-	cfg, err := simConfig(m)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg.Ctx = ctx
-	var out bytes.Buffer
-	cfg.Output = &out
-	// Machines come from the recycling pool: a serving process running
-	// the same image repeatedly reuses memory and telemetry arrays
-	// instead of reallocating them per request.
-	machine := sim.Acquire(img, cfg)
-	defer sim.Release(machine)
-	stats, err := exec.Run(ctx, machine, exec.Options{})
-	if err != nil {
-		return Result{Output: out.String()}, err
-	}
-	return Result{
-		Cycles:       stats.Cycles,
-		Instructions: stats.Instructions,
-		MemReads:     stats.MemReads,
-		MemWrites:    stats.MemWrites,
-		StreamElems:  stats.StreamElems,
-		Output:       out.String(),
-	}, nil
+	return r.result(), nil
 }
