@@ -24,6 +24,11 @@ const listingsGolden = "testdata/listings.golden"
 // covers beside the suite.
 const goldenRandomSeeds = 100
 
+// goldenLoadSeeds is how many RandomLoadProgram seeds the listing
+// golden covers at O0-O3: enough to reach the restart rule, the kept
+// carry, early-started streams and reads streamed past scalar stores.
+const goldenLoadSeeds = 24
+
 // goldenPrograms is the listing golden's input set: the Table II suite,
 // Livermore 5 and goldenRandomSeeds random programs.
 func goldenPrograms() []Program {
@@ -35,9 +40,25 @@ func goldenPrograms() []Program {
 	return progs
 }
 
+// goldenLoadPrograms is the listing golden's set compiled at O0-O3
+// only: goldenLoadSeeds RandomLoadProgram seeds and the side-exit
+// programs, whose finite streams stop at a break or return.
+func goldenLoadPrograms() []Program {
+	var progs []Program
+	for seed := 0; seed < goldenLoadSeeds; seed++ {
+		src, _ := RandomLoadProgram(rand.New(rand.NewSource(int64(seed))))
+		progs = append(progs, Program{Name: fmt.Sprintf("load%d", seed), Source: src})
+	}
+	for _, p := range sideExitPrograms {
+		progs = append(progs, Program{Name: "sideexit-" + p.name, Source: p.src})
+	}
+	return progs
+}
+
 // listingDigests compiles every golden program at O0-O3 and through
-// the scalar pipeline with recurrence off and on, and returns the
-// SHA-256 of each debug listing keyed by "program/config".
+// the scalar pipeline with recurrence off and on, and every golden
+// load program at O0-O3, and returns the SHA-256 of each debug listing
+// keyed by "program/config".
 func listingDigests(t *testing.T) map[string]string {
 	t.Helper()
 	digest := func(rp *rtl.Program) string {
@@ -45,7 +66,7 @@ func listingDigests(t *testing.T) map[string]string {
 		return hex.EncodeToString(sum[:])
 	}
 	out := map[string]string{}
-	for _, p := range goldenPrograms() {
+	levels := func(p Program) {
 		for lvl := 0; lvl <= 3; lvl++ {
 			rp, err := Compile(p, lvl)
 			if err != nil {
@@ -53,6 +74,12 @@ func listingDigests(t *testing.T) map[string]string {
 			}
 			out[fmt.Sprintf("%s/O%d", p.Name, lvl)] = digest(rp)
 		}
+	}
+	for _, p := range goldenLoadPrograms() {
+		levels(p)
+	}
+	for _, p := range goldenPrograms() {
+		levels(p)
 		for _, rec := range []bool{false, true} {
 			rp, err := CompileNone(p)
 			if err != nil {
