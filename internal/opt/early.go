@@ -119,25 +119,14 @@ func guardLoad(ctx *loopCtx, r *memRef, fifoN int) (ld, deq *rtl.Instr) {
 	return nil, nil
 }
 
-// foldGuard replaces the guard's load ld with the stream-in si, issued
-// from ld's address, and moves ld's dequeue deq to si's FIFO.
-func foldGuard(f *rtl.Func, ld, deq, si *rtl.Instr) {
-	from := rtl.Reg{Class: ld.MemClass, N: ld.FIFO.N}
-	deq.MapExprs(func(e rtl.Expr) rtl.Expr { return rtl.SubstReg(e, from, rtl.RX(si.FIFO)) })
-	seq := []*rtl.Instr{si}
-	if x, ok := ld.Addr.(rtl.RegX); ok {
-		si.Base = x
-	} else {
-		base := f.NewVirt(rtl.Int)
-		ba := rtl.NewAssign(base, ld.Addr)
-		ba.Note = "stream base"
-		si.Base = rtl.RX(base)
-		seq = []*rtl.Instr{ba, si}
-	}
-	si.Note += ", guard dequeues"
+// foldGuard replaces the guard's load ld with start, which starts the
+// stream from ld's address, and moves ld's dequeue deq to the stream's
+// FIFO.
+func foldGuard(f *rtl.Func, ld, deq *rtl.Instr, start []*rtl.Instr) {
+	retarget(deq, rtl.Reg{Class: ld.MemClass, N: ld.FIFO.N}, start[len(start)-1].FIFO)
 	at := slices.Index(f.Code, ld)
 	f.Remove(at)
-	f.Insert(at, seq...)
+	f.Insert(at, start...)
 }
 
 // startStreamsEarly applies the early start to every infinite
@@ -149,16 +138,21 @@ func startStreamsEarly(f *rtl.Func) (bool, error) {
 			sins = append(sins, i)
 		}
 	}
-	changed := false
+	// The graph is rebuilt only after a move changed the code.
+	changed, stale := false, true
+	var g *cfg.Graph
+	var loops []*cfg.Loop
 	for _, si := range sins {
-		g, err := cfg.Build(f)
-		if err != nil {
-			return changed, err
+		if stale {
+			var err error
+			if g, err = cfg.Build(f); err != nil {
+				return changed, err
+			}
+			g.Dominators()
+			loops = g.NaturalLoops()
 		}
-		g.Dominators()
-		if startEarly(f, g, g.NaturalLoops(), si) {
-			changed = true
-		}
+		stale = startEarly(f, g, loops, si)
+		changed = changed || stale
 	}
 	return changed, nil
 }

@@ -1,9 +1,6 @@
 package opt
 
 import (
-	"slices"
-	"sort"
-
 	"wmstream/internal/cfg"
 	"wmstream/internal/rtl"
 )
@@ -28,6 +25,16 @@ import (
 // than scalar code with a 4-iteration inner loop in the arm and 26%
 // slower with a single store (DESIGN.md §3a), so the rule applies only
 // to arms that hold every inner loop of the loop.
+//
+// The rule is the stream planner's third path (plan.go).  Its reads
+// pass the shared candidate test and its own: outside the arm, dequeued
+// before the arm can begin, no write outside the arm to their region.
+// Step 2e counts only the accesses outside the arm and gives no stream
+// a FIFO the arm's own streams use.  What is the rule's alone is where
+// its streams stop, the arm's entry, and the restart at the arm's exit,
+// with the jump that skips it when no trips are left.  Each restart
+// reuses the stream's origin, its address at index zero, so the
+// restarted base is the origin plus the index term (addrAt).
 
 // restartArm is a single-entry, single-exit region of a loop body:
 // entry dominates every block of it, exit is its only block with an
@@ -116,9 +123,9 @@ func armAt(g *cfg.Graph, l *cfg.Loop, e *cfg.Block) *restartArm {
 }
 
 // streamLoopRestart applies the restart rule to l, whose inner loops
-// all lie in arm.  Reads it streams run on every iteration, step with
-// the loop's counted induction variable, precede the arm, and share a
-// region with no write outside it.
+// all lie in arm.  Reads it streams pass the planner's candidate test,
+// step with the loop's counted induction variable, precede the arm,
+// and share a region with no write outside it.
 func streamLoopRestart(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, arm *restartArm, minTrip int64) bool {
 	ctx := analyzeLoop(f, g, l)
 	if ctx.hasCall || len(l.Exits) != 1 || len(l.Latches) != 1 || l.Exits[0] != l.Latches[0] {
@@ -142,7 +149,7 @@ func streamLoopRestart(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, arm *restartArm, 
 	// Stream instructions may sit only in the arm, where the stop has
 	// ended the restarted stream; their FIFOs are not the restarted
 	// stream's, so the stop cannot end them.
-	var used [rtl.NumClasses][2]bool
+	var used fifoSet
 	for b := range l.Blocks {
 		for n := b.Start; n < b.End; n++ {
 			switch i := f.Code[n]; i.Kind {
@@ -158,89 +165,41 @@ func streamLoopRestart(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, arm *restartArm, 
 	if !ok {
 		return false
 	}
+	// Step 2e counts only the accesses outside the arm: inside it the
+	// stream is stopped and scalar loads may use FIFO0.
 	outside := func(r *memRef) bool { return !arm.blocks[g.BlockOf(r.accIdx)] }
-	var cands []*memRef
-	post := map[*memRef]bool{}
-	loadsOutside := map[rtl.Class]int{}
+	var out []*memRef
 	for _, r := range refs {
-		if r.write || !outside(r) {
-			continue
-		}
-		loadsOutside[r.class]++
-		if !r.every || !r.lin.hasIV() || r.lin.iv != trip.iv || !trip.regStep && r.lin.cee*trip.step == 0 {
-			continue
-		}
-		if !dequeuedBeforeArm(ctx, r, arm.entry) || writtenOutside(refs, r, outside) {
-			continue
-		}
-		after, ok := afterIncrement(ctx, ctx.ivs[trip.iv].defIdx, r.accIdx)
-		if !ok {
-			continue
-		}
-		post[r] = after
-		cands = append(cands, r)
-	}
-	// FIFO allocation, the finite path's discipline over the FIFOs no
-	// stream of the arm uses: FIFO0 carries a stream only when every
-	// load of the class outside the arm streams (inside it the stream
-	// is stopped and scalar loads may use FIFO0).
-	alloc := map[*memRef]int{}
-	var ordered []*memRef
-	for c := range rtl.NumClasses {
-		cls := rtl.Class(c)
-		var free []int
-		for n := rtl.FIFO0; n <= rtl.FIFO1; n++ {
-			if !used[cls][n] {
-				free = append(free, n)
-			}
-		}
-		var cs []*memRef
-		for _, r := range cands {
-			if r.class == cls {
-				cs = append(cs, r)
-			}
-		}
-		if len(cs) != loadsOutside[cls] || len(cs) > len(free) {
-			free = slices.DeleteFunc(free, func(n int) bool { return n == rtl.FIFO0 })
-		}
-		for k := 0; k < len(cs) && k < len(free); k++ {
-			alloc[cs[k]] = free[k]
-			ordered = append(ordered, cs[k])
+		if outside(r) {
+			out = append(out, r)
 		}
 	}
-	if len(ordered) == 0 {
-		return false
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].accIdx < ordered[j].accIdx })
-	hdr := ctx.hdrLabelIdx
-	if ctx.loopLabel() == "" {
+	streams := allocFIFOs(ctx.streamCandidates(out, func(r *memRef) bool {
+		return !r.write && r.lin.iv == trip.iv &&
+			dequeuedBeforeArm(ctx, r, arm.entry) && !writtenOutside(refs, r, outside)
+	}), countAccesses(out), used)
+	if len(streams) == 0 || ctx.loopLabel() == "" {
 		return false
 	}
 
-	// Preheader: count and stream-ins, as on the finite path.  Each
-	// stream's origin (its address at index zero) and stride are
-	// loop-invariant registers the restarts reuse.
+	// Preheader: the count and the stream-ins.  Each stream's origin
+	// and stride are loop-invariant registers the restarts reuse.
 	var pre []*rtl.Instr
 	count := clampCount(f, &pre, buildCount(f, &pre, trip), trip)
-	origin := map[*memRef]rtl.Expr{}
-	stride := map[*memRef]rtl.Expr{}
-	for _, r := range ordered {
-		stride[r] = buildStride(f, &pre, r.lin.cee, trip)
-		origin[r] = buildLinExpr(ctx, &pre, linform{base: r.lin.base}, trip.iv, r.lin.off, r.class)
-		if _, isImm := origin[r].(rtl.Imm); !isImm {
+	origin := make([]rtl.Expr, len(streams))
+	stride := make([]rtl.Expr, len(streams))
+	var stopped []rtl.Reg
+	for k, s := range streams {
+		stride[k] = buildStride(f, &pre, s.ref.lin.cee, s.ivi)
+		origin[k] = buildLinExpr(ctx, &pre, linform{base: s.ref.lin.base}, trip.iv, s.ref.lin.off, s.ref.class)
+		if _, isImm := origin[k].(rtl.Imm); !isImm {
 			o := f.NewVirt(rtl.Int)
-			pre = append(pre, rtl.NewAssign(o, origin[r]))
-			origin[r] = rtl.RX(o)
+			pre = append(pre, rtl.NewAssign(o, origin[k]))
+			origin[k] = rtl.RX(o)
 		}
-		pre = append(pre, streamInAt(f, r, alloc[r], rtl.RX(trip.iv), origin[r], stride[r],
-			boolInt(post[r]), count, "stream in, stopped around arm writes")...)
-	}
-	// Arm entry: stop every restarted stream before the arm's first
-	// instruction.
-	var stops []*rtl.Instr
-	for _, r := range ordered {
-		stops = append(stops, &rtl.Instr{Kind: rtl.KStreamStop, FIFO: rtl.Reg{Class: r.class, N: alloc[r]},
-			Note: "stop stream before arm writes"})
+		pre = append(pre, newStream(f, s, s.addrAt(rtl.RX(trip.iv), origin[k], stride[k]), count, stride[k],
+			"stream in, stopped around arm writes")...)
+		stopped = append(stopped, s.fifo())
 	}
 	// Arm exit: the trips left after this one, and each stream again
 	// from the next iteration's element unless none are left.
@@ -257,64 +216,30 @@ func streamLoopRestart(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, arm *restartArm, 
 	restart = append(restart,
 		rtl.NewAssign(rtl.R31, rtl.B(rtl.Gt, left, rtl.I(0))),
 		rtl.NewCondJump(f.Code[arm.join.Start].Name, false, rtl.Int))
-	for _, r := range ordered {
-		restart = append(restart, streamInAt(f, r, alloc[r], next, origin[r], stride[r],
-			boolInt(post[r]), left, "restart stream")...)
+	for k, s := range streams {
+		restart = append(restart, newStream(f, s, s.addrAt(next, origin[k], stride[k]), left, stride[k], "restart stream")...)
 	}
 
-	// Retarget the dequeues, then edit the code from the bottom up so
-	// the recorded indices stay valid.
-	type edit struct {
-		at     int
-		remove bool
-		ins    []*rtl.Instr
-	}
 	exitAt := arm.exit.End
 	if f.Code[exitAt-1].Kind == rtl.KJump {
 		exitAt--
 	}
-	entryAt := arm.entry.Start
-	if f.Code[entryAt].Kind == rtl.KLabel {
-		entryAt++
-	}
-	edits := []edit{{at: exitAt, ins: restart}, {at: entryAt, ins: stops}, {at: hdr, ins: pre}}
-	for _, r := range ordered {
-		from, to := rtl.Reg{Class: r.class, N: rtl.FIFO0}, rtl.Reg{Class: r.class, N: alloc[r]}
-		f.Code[r.dataIdx].MapExprs(func(e rtl.Expr) rtl.Expr { return rtl.SubstReg(e, from, rtl.RX(to)) })
-		edits = append(edits, edit{at: r.accIdx, remove: true})
-	}
-	sort.SliceStable(edits, func(i, j int) bool { return edits[i].at > edits[j].at })
-	for _, e := range edits {
-		if e.remove {
-			f.Remove(e.at)
-		} else {
-			f.Insert(e.at, e.ins...)
-		}
-	}
+	entry := f.Code[arm.entry.Start]
+	rewriteStreams(f, streams, edit{at: exitAt, ins: restart}, edit{at: ctx.hdrLabelIdx, ins: pre})
+	// Arm entry: stop every restarted stream before the arm's first
+	// instruction.
+	insertStops(f, []stopSite{{entry, entry.Kind == rtl.KLabel}}, stopped, "stop stream before arm writes")
 	return true
 }
 
-// streamInAt returns the base computation and stream-in for r's
-// stream from the element r reads when the induction variable holds iv,
-// k strides on.
-func streamInAt(f *rtl.Func, r *memRef, fifoN int, iv, origin, stride rtl.Expr, k int, count rtl.Expr, note string) []*rtl.Instr {
-	addr := rtl.B(rtl.Add, ivTerm(iv, r.lin.cee), origin)
-	for range k {
+// addrAt returns the address of the element s reads when the induction
+// variable holds iv, from origin, s's address at index zero.
+func (s *streamRef) addrAt(iv, origin, stride rtl.Expr) rtl.Expr {
+	addr := rtl.B(rtl.Add, ivTerm(iv, s.ref.lin.cee), origin)
+	if s.after {
 		addr = rtl.B(rtl.Add, addr, stride)
 	}
-	base := f.NewVirt(rtl.Int)
-	ba := rtl.NewAssign(base, addr)
-	ba.Note = "stream base"
-	return []*rtl.Instr{ba, {
-		Kind:     rtl.KStreamIn,
-		FIFO:     rtl.Reg{Class: r.class, N: fifoN},
-		Base:     rtl.RX(base),
-		Count:    count,
-		Stride:   stride,
-		MemSize:  r.size,
-		MemClass: r.class,
-		Note:     note,
-	}}
+	return addr
 }
 
 // dequeuedBeforeArm reports whether r's element has left the FIFO
@@ -356,11 +281,4 @@ func writtenOutside(refs []*memRef, r *memRef, outside func(*memRef) bool) bool 
 		}
 	}
 	return false
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

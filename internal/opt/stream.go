@@ -2,7 +2,6 @@ package opt
 
 import (
 	"slices"
-	"sort"
 
 	"wmstream/internal/cfg"
 	"wmstream/internal/rtl"
@@ -22,15 +21,32 @@ import (
 //	          recurrence remains through it (readStreams), so a read
 //	          streams past writes that trail it; a partition holding
 //	          reads keeps its writes scalar;
-//	Step 2i   replace the loop test with jump-on-stream-not-exhausted;
+//	Step 2e   FIFO allocation: FIFO0 carries a stream only when no
+//	          scalar access of its class and direction is left;
+//	Step 2i   replace the loop test with jump-on-stream-not-exhausted,
+//	          or, when the count is unknown, stream with an infinite
+//	          count and stop the streams at every exit;
 //	Step 2j   the induction variable dies and dead-code elimination
 //	          (rerun by the driver) removes its increment;
 //	Step 3    strength reduction of whatever addressing remains is a
 //	          separate pass (StrengthReduce).
 //
-// Innermost loops are streamed first.  A loop whose inner loops all lie
-// in one arm is then streamed by the restart rule (streamLoopRestart):
-// its stream stops at the arm's entry and starts again at its exit.
+// One planner (plan.go) does step 2 for three kinds of loop: the
+// candidate test (streamCandidates), step 2e (allocFIFOs), the stream
+// instructions (newStream) and the body rewrite (rewriteStreams).  Each
+// path adds its own admission rule, its count and where its streams
+// stop:
+//
+//   - streamLoop, an innermost loop with a computable count: reads and
+//     writes stream with that count, jnd replaces the loop test, and
+//     input streams stop at side exits;
+//   - streamLoopInfinite, an innermost loop whose count is unknown:
+//     reads stream with count -1 and stop at every exit;
+//   - streamLoopRestart, a loop whose inner loops all lie in one arm,
+//     after the innermost loops: reads stream with the loop's count,
+//     stop at the arm's entry and start again at its exit with the
+//     trips left.
+//
 // Once the loops are done, infinite streams start as early as is safe
 // (early.go).  Returns whether anything changed.
 func Streams(f *rtl.Func, minTrip int64) (bool, error) {
@@ -398,209 +414,53 @@ func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
 	if !ok {
 		return false
 	}
-	parts := ctx.buildPartitions(refs)
-	postIncr := map[*memRef]bool{}
-	pastStores := map[*memRef]bool{} // reads streamed ahead of scalar stores
-
-	// Choose streamable references (paper step 2).
-	var candidates []*memRef
-	totalLoads := map[rtl.Class]int{}
-	totalStores := map[rtl.Class]int{}
-	for _, r := range refs {
-		if r.write {
-			totalStores[r.class]++
-		} else {
-			totalLoads[r.class]++
+	part := safeParts(ctx.buildPartitions(refs))
+	streams := allocFIFOs(ctx.streamCandidates(refs, func(r *memRef) bool {
+		p := part[r]
+		switch {
+		case p == nil || r.lin.iv != trip.iv:
+			return false
+		case r.write: // step 2a: beside reads, writes stay scalar
+			return len(sideTargets) == 0 && !slices.ContainsFunc(p.refs, func(r *memRef) bool { return !r.write })
 		}
-	}
-	for _, p := range parts {
-		if p.unsafe {
-			continue
-		}
-		hasRead := slices.ContainsFunc(p.refs, func(r *memRef) bool { return !r.write })
-		hasWrite := p.hasWrite()
-		for _, r := range p.refs {
-			if !r.every {
-				continue // step 2c: not executed every iteration
-			}
-			if r.write && (hasRead || len(sideTargets) > 0) {
-				continue // step 2a: beside reads, writes stay scalar
-			}
-			if !r.lin.hasIV() || r.lin.iv != trip.iv {
-				continue
-			}
-			// analyzeTrip proved a register step of trip.iv upward.
-			if !r.write && !readStreams(ctx, p, r, true) {
-				continue // step 2a: a memory recurrence remains through r
-			}
-			// A reference after the increment sees the stepped value;
-			// its stream base shifts by one stride.  Ambiguous ordering
-			// disqualifies the reference.
-			after, ok := afterIncrement(ctx, ctx.ivs[trip.iv].defIdx, r.accIdx)
-			if !ok {
-				continue
-			}
-			postIncr[r] = after
-			if !trip.regStep && r.lin.cee*trip.step == 0 {
-				continue
-			}
-			candidates = append(candidates, r)
-			pastStores[r] = !r.write && hasWrite
-		}
-	}
-	if len(candidates) == 0 {
-		return false
-	}
-
-	// Step 2e: allocate FIFOs.  Each class has two FIFOs per direction,
-	// but FIFO0 doubles as the path for ordinary scalar loads/stores,
-	// so it can only carry a stream when *no* scalar access of the same
-	// class and direction remains in the loop afterwards.  With C
-	// streamable candidates out of T total references: if C == T and
-	// C <= 2, all stream (FIFO0 + FIFO1); otherwise scalar traffic
-	// keeps FIFO0 and exactly one candidate streams on FIFO1.
-	type dirClass struct {
-		write bool
-		class rtl.Class
-	}
-	byDC := map[dirClass][]*memRef{}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].accIdx < candidates[j].accIdx })
-	for _, r := range candidates {
-		key := dirClass{r.write, r.class}
-		byDC[key] = append(byDC[key], r)
-	}
-	alloc := map[*memRef]int{}
-	for key, cands := range byDC {
-		total := totalLoads[key.class]
-		if key.write {
-			total = totalStores[key.class]
-		}
-		if len(cands) == total && len(cands) <= 2 {
-			for n, r := range cands {
-				alloc[r] = rtl.FIFO0 + n
-			}
-			continue
-		}
-		// Scalar traffic (or overflow candidates) keeps FIFO0.
-		alloc[cands[0]] = rtl.FIFO1
-	}
-	if len(alloc) == 0 {
-		return false
-	}
-
-	// All streamed references share the loop's iteration count, so the
-	// loop test can be replaced only if every streamed ref has the
-	// count.  (They do by construction: r.every and same iv.)
-
-	// --- apply the transformation -----------------------------------
-
+		// Step 2a: no memory recurrence remains through r; analyzeTrip
+		// proved a register step of trip.iv upward.
+		return readStreams(ctx, p, r, true)
+	}), countAccesses(refs), fifoSet{})
 	hdrLabel := ctx.loopLabel()
-	if hdrLabel == "" {
+	if len(streams) == 0 || hdrLabel == "" {
 		return false
 	}
 
-	// Rewrite the body.  Collect deletions, apply descending.  The jnd
-	// branch tests the first allocated stream (inputs preferred),
-	// chosen deterministically by body position.
-	var deletions []int
-	var jndFIFO rtl.Reg
-	jndSet, jndIsInput := false, false
-	var allocOrder []*memRef
-	for r := range alloc {
-		allocOrder = append(allocOrder, r)
-	}
-	sort.Slice(allocOrder, func(i, j int) bool { return allocOrder[i].accIdx < allocOrder[j].accIdx })
-	for _, r := range allocOrder {
-		fifoN := alloc[r]
-		newFifo := rtl.Reg{Class: r.class, N: fifoN}
-		oldFifo := rtl.Reg{Class: r.class, N: rtl.FIFO0}
-		if r.write {
-			enq := f.Code[r.dataIdx]
-			enq.Dst = newFifo
-			deletions = append(deletions, r.accIdx)
-			if !jndSet {
-				jndFIFO, jndSet = newFifo, true
-			}
-		} else {
-			deq := f.Code[r.dataIdx]
-			deq.MapExprs(func(e rtl.Expr) rtl.Expr {
-				return rtl.SubstReg(e, oldFifo, rtl.RX(newFifo))
-			})
-			deletions = append(deletions, r.accIdx)
-			if !jndIsInput {
-				jndFIFO, jndSet, jndIsInput = newFifo, true, true
-			}
-		}
-	}
-
-	// Step 2i: replace the latch compare + conditional jump with jnd.
-	f.Code[trip.jmpIdx] = &rtl.Instr{Kind: rtl.KJumpNotDone, FIFO: jndFIFO, Target: hdrLabel}
-	deletions = append(deletions, trip.cmpIdx)
-
-	sort.Sort(sort.Reverse(sort.IntSlice(deletions)))
-	for _, d := range deletions {
-		f.Remove(d)
-	}
-
-	// Preheader code: count computation and the stream instructions.
-	hdr := f.FindLabel(hdrLabel)
-	if hdr < 0 {
-		return false
-	}
+	// Preheader: the count, then each stream from its first element.
 	var seq []*rtl.Instr
 	var stopped []rtl.Reg
-	countExpr := buildCount(f, &seq, trip)
-	// Clamp to >= 1 (bottom-tested loops execute at least once even
-	// when the guard is absent, e.g. do-while).
-	countExpr = clampCount(f, &seq, countExpr, trip)
+	count := clampCount(f, &seq, buildCount(f, &seq, trip), trip)
+	for _, s := range streams {
+		note := "stream out"
+		if !s.ref.write {
+			note = "stream in"
+			if part[s.ref].hasWrite() {
+				note += " past scalar stores"
+			}
+			stopped = append(stopped, s.fifo())
+		}
+		stride := buildStride(f, &seq, s.ref.lin.cee, s.ivi)
+		seq = append(seq, newStream(f, s, ctx.entryAddr(&seq, s, stride), count, stride, note)...)
+	}
 
-	// Sort stream emissions by original instruction order for stable
-	// output.
-	type emission struct {
-		ref   *memRef
-		fifoN int
-	}
-	var ems []emission
-	for r, n := range alloc {
-		ems = append(ems, emission{r, n})
-	}
-	sort.Slice(ems, func(i, j int) bool { return ems[i].ref.accIdx < ems[j].ref.accIdx })
-	for _, em := range ems {
-		r := em.ref
-		strideExpr := buildStride(f, &seq, r.lin.cee, trip)
-		addr := buildLinExpr(ctx, &seq, r.lin, trip.iv, r.lin.off, r.class)
-		if postIncr[r] {
-			addr = rtl.B(rtl.Add, addr, strideExpr)
-		}
-		baseReg := f.NewVirt(rtl.Int)
-		ba := rtl.NewAssign(baseReg, addr)
-		ba.Note = "stream base"
-		seq = append(seq, ba)
-		kind := rtl.KStreamIn
-		note := "stream in"
-		if pastStores[r] {
-			note += " past scalar stores"
-		}
-		if r.write {
-			kind = rtl.KStreamOut
-			note = "stream out"
-		}
-		si := &rtl.Instr{
-			Kind:     kind,
-			FIFO:     rtl.Reg{Class: r.class, N: em.fifoN},
-			Base:     rtl.RX(baseReg),
-			Count:    countExpr,
-			Stride:   strideExpr,
-			MemSize:  r.size,
-			MemClass: r.class,
-			Note:     note,
-		}
-		seq = append(seq, si)
-		if !r.write {
-			stopped = append(stopped, si.FIFO)
+	// Step 2i: jnd replaces the latch compare and jump.  Every stream
+	// has the loop's count; jnd tests the first input stream, or the
+	// first output stream when there is none.
+	jnd := streams[0]
+	for _, s := range streams {
+		if !s.ref.write {
+			jnd = s
+			break
 		}
 	}
-	f.Insert(hdr, seq...)
+	f.Code[trip.jmpIdx] = &rtl.Instr{Kind: rtl.KJumpNotDone, FIFO: jnd.fifo(), Target: hdrLabel}
+	rewriteStreams(f, streams, edit{at: trip.cmpIdx, remove: true}, edit{at: ctx.hdrLabelIdx, ins: seq})
 	insertStops(f, stops, stopped, "stop stream at side exit")
 	return true
 }
@@ -707,21 +567,22 @@ func buildCountFrom(f *rtl.Func, seq *[]*rtl.Instr, trip *tripInfo, from rtl.Exp
 }
 
 // buildStride returns the byte stride of one reference as an
-// expression: cee times the loop step, emitting a scaling instruction
-// into the preheader when the step is a run-time register.
-func buildStride(f *rtl.Func, seq *[]*rtl.Instr, cee int64, trip *tripInfo) rtl.Expr {
-	if !trip.regStep {
-		return rtl.I(cee * trip.step)
+// expression: cee times the step of its induction variable ivi,
+// emitting a scaling instruction into the preheader when the step is a
+// run-time register.
+func buildStride(f *rtl.Func, seq *[]*rtl.Instr, cee int64, ivi ivInfo) rtl.Expr {
+	if !ivi.regStep {
+		return rtl.I(cee * ivi.step)
 	}
 	if cee == 1 {
-		return rtl.RX(trip.stepReg)
+		return rtl.RX(ivi.stepReg)
 	}
 	t := f.NewVirt(rtl.Int)
 	var e rtl.Expr
 	if sh := log2i64(cee); sh >= 0 {
-		e = rtl.B(rtl.Shl, rtl.RX(trip.stepReg), rtl.I(int64(sh)))
+		e = rtl.B(rtl.Shl, rtl.RX(ivi.stepReg), rtl.I(int64(sh)))
 	} else {
-		e = rtl.B(rtl.Mul, rtl.RX(trip.stepReg), rtl.I(cee))
+		e = rtl.B(rtl.Mul, rtl.RX(ivi.stepReg), rtl.I(cee))
 	}
 	ins := rtl.NewAssign(t, e)
 	ins.Note = "stream stride"
@@ -766,147 +627,43 @@ func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bo
 	if !ok || len(stops) == 0 {
 		return false
 	}
-
-	totalLoads := map[rtl.Class]int{}
-	for _, r := range refs {
-		if !r.write {
-			totalLoads[r.class]++
-		}
-	}
-	type cand struct {
-		ref  *memRef
-		ivi  ivInfo
-		post bool
-		past bool // the partition keeps scalar stores
-	}
-	var cands []cand
-	for _, p := range ctx.buildPartitions(refs) {
-		if p.unsafe {
-			continue
-		}
-		hasWrite := p.hasWrite()
-		for _, r := range p.refs {
-			if r.write || !r.every || !r.lin.hasIV() {
-				continue // writes never stream on the infinite path
-			}
-			// No loop test bounds a register step here, so its sign
-			// is unknown.
-			if !readStreams(ctx, p, r, false) {
-				continue // step 2a
-			}
-			ivi, ok := ctx.ivs[r.lin.iv]
-			if !ok {
-				continue
-			}
-			post, ok := afterIncrement(ctx, ivi.defIdx, r.accIdx)
-			if !ok {
-				continue
-			}
-			c := cand{ref: r, ivi: ivi, post: post, past: hasWrite}
-			if !ivi.regStep && r.lin.cee*ivi.step == 0 {
-				continue
-			}
-			cands = append(cands, c)
-		}
-	}
-	if len(cands) == 0 {
-		return false
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].ref.accIdx < cands[j].ref.accIdx })
-
-	// FIFO allocation (inputs only), same discipline as the finite path.
-	byClass := map[rtl.Class][]cand{}
-	for _, c := range cands {
-		byClass[c.ref.class] = append(byClass[c.ref.class], c)
-	}
-	type alloc struct {
-		cand
-		fifoN      int
-		guard, deq *rtl.Instr // the guard fold's load and its dequeue
-	}
-	var allocs []alloc
-	for cl, cs := range byClass {
-		if len(cs) == totalLoads[cl] && len(cs) <= 2 {
-			for n, c := range cs {
-				allocs = append(allocs, alloc{cand: c, fifoN: rtl.FIFO0 + n})
-			}
-		} else {
-			allocs = append(allocs, alloc{cand: cs[0], fifoN: rtl.FIFO1})
-		}
-	}
-	if len(allocs) == 0 {
-		return false
-	}
-	sort.Slice(allocs, func(i, j int) bool { return allocs[i].ref.accIdx < allocs[j].ref.accIdx })
-
-	hdrLabel := ctx.loopLabel()
-	if hdrLabel == "" {
+	part := safeParts(ctx.buildPartitions(refs))
+	streams := allocFIFOs(ctx.streamCandidates(refs, func(r *memRef) bool {
+		// Step 2a, where no loop test bounds a register step.
+		return !r.write && part[r] != nil && readStreams(ctx, part[r], r, false)
+	}), countAccesses(refs), fifoSet{})
+	if len(streams) == 0 || ctx.loopLabel() == "" {
 		return false
 	}
 
-	// Rewrite the body: delete loads, retarget dequeues.  A stream the
-	// guard fold applies to is issued from the guard's load instead of
-	// the preheader.
-	var deletions []int
-	for k, a := range allocs {
-		if a.post && !a.ivi.regStep {
-			allocs[k].guard, allocs[k].deq = guardLoad(ctx, a.ref, a.fifoN)
-		}
-		newFifo := rtl.Reg{Class: a.ref.class, N: a.fifoN}
-		oldFifo := rtl.Reg{Class: a.ref.class, N: rtl.FIFO0}
-		deq := f.Code[a.ref.dataIdx]
-		deq.MapExprs(func(e rtl.Expr) rtl.Expr {
-			return rtl.SubstReg(e, oldFifo, rtl.RX(newFifo))
-		})
-		deletions = append(deletions, a.ref.accIdx)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(deletions)))
-	for _, d := range deletions {
-		f.Remove(d)
-	}
-
-	// Preheader: infinite stream-ins.
-	hdr := f.FindLabel(hdrLabel)
-	if hdr < 0 {
-		return false
+	// Preheader: infinite stream-ins.  A stream the guard fold applies
+	// to is issued from the guard's load instead.
+	type fold struct {
+		ld, deq *rtl.Instr
+		start   []*rtl.Instr
 	}
 	var seq []*rtl.Instr
 	var stopped []rtl.Reg
-	for _, a := range allocs {
-		trip := &tripInfo{
-			iv: a.ref.lin.iv, step: a.ivi.step, stepReg: a.ivi.stepReg,
-			regStep: a.ivi.regStep, stepX: a.ivi.stepExpr(),
-		}
-		strideExpr := buildStride(f, &seq, a.ref.lin.cee, trip)
+	var folds []fold
+	for _, s := range streams {
+		stopped = append(stopped, s.fifo())
 		note := "stream in (infinite)"
-		if a.past {
+		if part[s.ref].hasWrite() {
 			note += " past scalar stores"
 		}
-		si := &rtl.Instr{
-			Kind:     rtl.KStreamIn,
-			FIFO:     rtl.Reg{Class: a.ref.class, N: a.fifoN},
-			Count:    rtl.I(-1),
-			Stride:   strideExpr,
-			MemSize:  a.ref.size,
-			MemClass: a.ref.class,
-			Note:     note,
+		stride := buildStride(f, &seq, s.ref.lin.cee, s.ivi)
+		if s.after && !s.ivi.regStep {
+			if ld, deq := guardLoad(ctx, s.ref, s.fifoN); ld != nil {
+				folds = append(folds, fold{ld, deq, newStream(f, s, ld.Addr, rtl.I(-1), stride, note+", guard dequeues")})
+				continue
+			}
 		}
-		stopped = append(stopped, si.FIFO)
-		if a.guard != nil {
-			foldGuard(f, a.guard, a.deq, si)
-			continue
-		}
-		addr := buildLinExpr(ctx, &seq, a.ref.lin, a.ref.lin.iv, a.ref.lin.off, a.ref.class)
-		if a.post {
-			addr = rtl.B(rtl.Add, addr, strideExpr)
-		}
-		baseReg := f.NewVirt(rtl.Int)
-		ba := rtl.NewAssign(baseReg, addr)
-		ba.Note = "stream base"
-		si.Base = rtl.RX(baseReg)
-		seq = append(seq, ba, si)
+		seq = append(seq, newStream(f, s, ctx.entryAddr(&seq, s, stride), rtl.I(-1), stride, note)...)
 	}
-	f.Insert(f.FindLabel(hdrLabel), seq...)
+	rewriteStreams(f, streams, edit{at: ctx.hdrLabelIdx, ins: seq})
+	for _, fd := range folds {
+		foldGuard(f, fd.ld, fd.deq, fd.start)
+	}
 
 	// Stream stops at every exit (paper step 2i).
 	insertStops(f, stops, stopped, "stop infinite stream")
