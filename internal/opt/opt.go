@@ -95,27 +95,6 @@ func OptimizeScalar(p *rtl.Program, recurrence bool) error {
 	return ScalarPipeline(recurrence).Run(p, ctx)
 }
 
-// standardFixpoint iterates the cheap scalar optimizations until
-// nothing changes (bounded, they converge fast).  It is the plain-
-// function form of the "[standard]" fixpoint group of the pipelines.
-func standardFixpoint(f *rtl.Func) error {
-	for round := 0; round < 20; round++ {
-		changed := Fold(f)
-		for _, pass := range []func(*rtl.Func) (bool, error){CopyProp, SinkCopies, CSE, DeadCode} {
-			c, err := pass(f)
-			if err != nil {
-				return err
-			}
-			changed = c || changed
-		}
-		changed = CleanBranches(f) || changed
-		if !changed {
-			return nil
-		}
-	}
-	return nil
-}
-
 // Fold applies constant folding and algebraic simplification to every
 // instruction.  A compare keeps its top-level relational operator (the
 // condition-code enqueue is a side effect folding must not erase);
@@ -205,10 +184,6 @@ func DeadCode(f *rtl.Func) (bool, error) {
 	f.Code = out
 	return true, nil
 }
-
-// StandardFixpointForTest exposes the standard-optimization fixpoint
-// for white-box tests and experiment debugging.
-func StandardFixpointForTest(f *rtl.Func) error { return standardFixpoint(f) }
 
 // AllIVAddrs is the scalar-machine strength-reduction predicate: every
 // induction-variable address benefits from a derived pointer.
