@@ -249,7 +249,7 @@ func New(img *Image, cfg Config) *Machine {
 func (m *Machine) attach() {
 	m.rec, m.retired = nil, nil
 	if m.cfg.TraceSink != nil {
-		m.rec = newRecorder(m.cfg.TraceSink, m.unitCounts)
+		m.rec = newRecorder(m.cfg.TraceSink, m.unitCounts, m.img.Code)
 	}
 	if m.cfg.Profile {
 		m.retired = make([]int64, len(m.img.Code))
@@ -286,7 +286,7 @@ func (m *Machine) account(u int, c telemetry.Cause, idx int) {
 func (m *Machine) record(u int, c telemetry.Cause, idx int) {
 	var name string
 	if idx >= 0 && c == telemetry.CauseIssued {
-		name = m.img.Code[idx].String()
+		name = m.rec.name(idx)
 	}
 	m.rec.record(u, c, name, m.now)
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "wmstream/internal/telemetry"
+import (
+	"wmstream/internal/rtl"
+	"wmstream/internal/telemetry"
+)
 
 // recorder streams the per-cycle accounting into a telemetry.Trace as
 // Chrome trace events.  Each functional unit gets one span track:
@@ -20,6 +23,9 @@ type recorder struct {
 
 	units []recUnit
 	last  []int64 // previously emitted counter values, -1 = none
+
+	code  []*rtl.Instr
+	names []string // span names by code index, formatted on first issue
 }
 
 type recUnit struct {
@@ -37,12 +43,14 @@ var counterNames = []string{
 	"mem.writeq",
 }
 
-func newRecorder(t *telemetry.Trace, units []telemetry.Unit) *recorder {
+func newRecorder(t *telemetry.Trace, units []telemetry.Unit, code []*rtl.Instr) *recorder {
 	r := &recorder{
 		trace: t,
 		base:  t.Cursor(),
 		units: make([]recUnit, len(units)),
 		last:  make([]int64, len(counterNames)),
+		code:  code,
+		names: make([]string, len(code)),
 	}
 	t.ProcessName(telemetry.PidSim, "wm machine")
 	for n, u := range units {
@@ -53,6 +61,14 @@ func newRecorder(t *telemetry.Trace, units []telemetry.Unit) *recorder {
 		r.last[n] = -1
 	}
 	return r
+}
+
+// name returns the span name of the instruction at code index idx.
+func (r *recorder) name(idx int) string {
+	if r.names[idx] == "" {
+		r.names[idx] = r.code[idx].String()
+	}
+	return r.names[idx]
 }
 
 // record charges unit u's cycle `now` to the cause.  name, when
