@@ -388,7 +388,7 @@ func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
 	if trip == nil {
 		// Paper step 1: "If it is impossible to determine, set
 		// loop_count to infinity" — the infinite-stream path.
-		return streamLoopInfinite(f, g, l, ctx)
+		return streamLoopInfinite(f, l, ctx)
 	}
 	if trip.known && trip.constCount < minTrip {
 		return false // paper step 1: few iterations, streams not worth it
@@ -421,7 +421,7 @@ func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
 		case p == nil || r.lin.iv != trip.iv:
 			return false
 		case r.write: // step 2a: beside reads, writes stay scalar
-			return len(sideTargets) == 0 && !slices.ContainsFunc(p.refs, func(r *memRef) bool { return !r.write })
+			return len(sideTargets) == 0 && !slices.ContainsFunc(p.refs, func(o *memRef) bool { return !o.write })
 		}
 		// Step 2a: no memory recurrence remains through r; analyzeTrip
 		// proved a register step of trip.iv upward.
@@ -617,7 +617,7 @@ func clampCount(f *rtl.Func, seq *[]*rtl.Instr, count rtl.Expr, trip *tripInfo) 
 // writes of their partition stay scalar; with no loop test bounding
 // it, a register step's sign is unknown, so a read beside a write on
 // a register-step induction variable stays scalar too.
-func streamLoopInfinite(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, ctx *loopCtx) bool {
+func streamLoopInfinite(f *rtl.Func, l *cfg.Loop, ctx *loopCtx) bool {
 	refs, ok := ctx.collectRefs()
 	if !ok {
 		return false
