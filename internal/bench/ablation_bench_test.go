@@ -178,6 +178,26 @@ func BenchmarkCompiler(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileLevels measures compilation of the suite plus
+// Livermore 5 at each optimization level, with allocations: the
+// compile work of the benchmark's suite-compile workload, one level per
+// sub-benchmark.
+func BenchmarkCompileLevels(b *testing.B) {
+	progs := append(Programs(), Livermore5(2000))
+	for lvl := 0; lvl <= 3; lvl++ {
+		b.Run(fmt.Sprintf("O%d", lvl), func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				for _, p := range progs {
+					if _, err := Compile(p, lvl); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSimulator measures simulator throughput (simulated
 // instructions per second) on the quicksort benchmark.
 func BenchmarkSimulator(b *testing.B) {

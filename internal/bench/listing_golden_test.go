@@ -41,8 +41,9 @@ func goldenPrograms() []Program {
 }
 
 // goldenLoadPrograms is the listing golden's set compiled at O0-O3
-// only: goldenLoadSeeds RandomLoadProgram seeds and the side-exit
-// programs, whose finite streams stop at a break or return.
+// only: goldenLoadSeeds RandomLoadProgram seeds, the side-exit
+// programs, whose finite streams stop at a break or return, and the
+// scalar-traffic program, whose streams leave FIFO0 to scalar accesses.
 func goldenLoadPrograms() []Program {
 	var progs []Program
 	for seed := 0; seed < goldenLoadSeeds; seed++ {
@@ -52,7 +53,7 @@ func goldenLoadPrograms() []Program {
 	for _, p := range sideExitPrograms {
 		progs = append(progs, Program{Name: "sideexit-" + p.name, Source: p.src})
 	}
-	return progs
+	return append(progs, Program{Name: "scalar-traffic", Source: scalarTrafficSrc})
 }
 
 // listingDigests compiles every golden program at O0-O3 and through

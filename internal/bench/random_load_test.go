@@ -193,6 +193,97 @@ int main(void) {
 `, "696", false},
 }
 
+// scalarTrafficSrc has loops with one or two stream candidates of a
+// class and direction beside a scalar access of the same class and
+// direction: a read at an index computed from loaded data, taken on
+// some iterations only, and a store on some iterations only.  Step 2e
+// must keep FIFO0 for that scalar traffic and stream on FIFO1 alone, so
+// the second loop streams one of its two candidates and loads the
+// other.  A stream on FIFO0 there would interleave with the scalar
+// loads' data, or with the scalar store's.
+const scalarTrafficSrc = `
+int a[64], b[64], c[64], d[64];
+int n = 64;
+
+int main(void) {
+    int i, s, t, u;
+    for (i = 0; i < n; i++) {
+        a[i] = 3 * i + 1;
+        b[i] = i - 7;
+    }
+    s = 0;
+    t = 0;
+    for (i = 0; i < n; i++) {
+        s = s + a[i];
+        if (s % 3 == 0)
+            t = t + b[s % 64];
+    }
+    u = 0;
+    for (i = 0; i < n; i++) {
+        u = u + a[i] * b[i];
+        if (u % 5 == 1)
+            t = t + a[(u + 640) % 64];
+    }
+    for (i = 0; i < n; i++) {
+        d[i] = b[i] + 1;
+        if (a[i] % 4 == 0)
+            c[i] = i;
+    }
+    for (i = 0; i < n; i++)
+        t = t + c[i] + d[i];
+    puti(s);
+    putchar(32);
+    puti(t);
+    putchar(32);
+    puti(u);
+    return 0;
+}
+`
+
+// scalarTrafficWant computes scalarTrafficSrc's output in Go.
+func scalarTrafficWant() string {
+	const n = 64
+	var a, b, c, d [n]int
+	for i := range n {
+		a[i], b[i] = 3*i+1, i-7
+	}
+	s, t, u := 0, 0, 0
+	for i := range n {
+		s += a[i]
+		if s%3 == 0 {
+			t += b[s%64]
+		}
+	}
+	for i := range n {
+		u += a[i] * b[i]
+		if u%5 == 1 {
+			t += a[(u+640)%64]
+		}
+	}
+	for i := range n {
+		d[i] = b[i] + 1
+		if a[i]%4 == 0 {
+			c[i] = i
+		}
+	}
+	for i := range n {
+		t += c[i] + d[i]
+	}
+	return fmt.Sprintf("%d %d %d", s, t, u)
+}
+
+// TestScalarTrafficKeepsFIFO0 runs scalarTrafficSrc at O0-O3 on both
+// engines against its Go-computed output, and requires O3 to stream in
+// and out on FIFO1 while scalar loads and a scalar store stay on FIFO0.
+func TestScalarTrafficKeepsFIFO0(t *testing.T) {
+	listings := checkLoadProgram(t, "scalar-traffic", scalarTrafficSrc, scalarTrafficWant())
+	for _, want := range []string{"sin32r r1", "sout32r r1", "l32r r0, ((", "s32r r0, (("} {
+		if !strings.Contains(listings[3], want) {
+			t.Errorf("O3 listing has no %q:\n%s", want, listings[3])
+		}
+	}
+}
+
 // TestSideExitStreams runs the side-exit programs at O0-O3 on both
 // engines, and requires O3 to stream the searching loops and stop their
 // streams at the side exit.

@@ -1,13 +1,71 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
+	"wmstream/internal/opt"
 	"wmstream/internal/rtl"
 	"wmstream/internal/sim"
 )
+
+// TestRegAllocStopsAtDeadline checks that register allocation honours
+// the compilation's deadline between its spill rounds, not only at the
+// pass boundaries.  WideInvariantLoop(300) at O3 reaches RegAlloc with
+// far more values live in its loop than a register pool holds, so the
+// allocator spills one register per round for hundreds of rounds.  The
+// rest of the O3 pipeline from RegAlloc on, run under a deadline of a
+// twentieth of its uninterrupted time, must fail with an error wrapping
+// context.DeadlineExceeded well before the uninterrupted run would end.
+func TestRegAllocStopsAtDeadline(t *testing.T) {
+	rp, err := CompileNone(WideInvariantLoop(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := opt.WMPipeline(opt.Level(3))
+	k := slices.IndexFunc(pl.Steps, func(s opt.Step) bool { return s.Pass != nil && s.Pass.Name() == "RegAlloc" })
+	if k < 0 {
+		t.Fatal("no RegAlloc step in the O3 pipeline")
+	}
+	head, tail := pl, pl
+	head.Steps, tail.Steps = pl.Steps[:k], pl.Steps[k:]
+	if err := head.Run(rp, opt.NewContext(opt.Level(3))); err != nil {
+		t.Fatal(err)
+	}
+	clone := func() *rtl.Program {
+		q := *rp
+		q.Funcs = nil
+		for _, f := range rp.Funcs {
+			q.Funcs = append(q.Funcs, f.Clone())
+		}
+		return &q
+	}
+	start := time.Now()
+	if err := tail.Run(clone(), opt.NewContext(opt.Level(3))); err != nil {
+		t.Fatal(err)
+	}
+	whole := time.Since(start)
+
+	ctx, cancel := context.WithTimeout(context.Background(), whole/20)
+	defer cancel()
+	octx := opt.NewContext(opt.Level(3))
+	octx.Ctx = ctx
+	start = time.Now()
+	err = tail.Run(clone(), octx)
+	took := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want one wrapping context.DeadlineExceeded", err)
+	}
+	if took > whole/2 {
+		t.Errorf("allocation under a %v deadline stopped after %v; uninterrupted it takes %v", whole/20, took, whole)
+	}
+	t.Logf("uninterrupted %v, stopped after %v: %v", whole, took, err)
+}
 
 // TestRandomCallPrograms runs RandomCallProgram's programs at O0-O3 on
 // both engines against the output the generator computed in Go.  Every

@@ -150,3 +150,102 @@ func TestRegSetZeroValue(t *testing.T) {
 		t.Errorf("zero value after Add = %v", z)
 	}
 }
+
+// checkTable asserts that m reads as ref for every register of both
+// classes up to N 199, past the end of any table the test builds, and
+// that ForEach visits the entries in register order with ref's values.
+func checkTable(t *testing.T, seed int64, step int, m *RegMap[int], ref map[rtl.Reg]int) {
+	t.Helper()
+	for n := 0; n < 200; n++ {
+		for c := rtl.Class(0); c < rtl.NumClasses; c++ {
+			r := rtl.Reg{Class: c, N: n}
+			if got := m.Get(r); got != ref[r] {
+				t.Fatalf("seed %d step %d: Get(%v) = %d, want %d", seed, step, r, got, ref[r])
+			}
+		}
+	}
+	next, nonzero := 0, 0
+	m.ForEach(func(r rtl.Reg, v int) {
+		if i := 2*r.N + int(r.Class); i != next {
+			t.Fatalf("seed %d step %d: ForEach visited %v at position %d", seed, step, r, next)
+		}
+		next++
+		if v != ref[r] {
+			t.Fatalf("seed %d step %d: ForEach gave %v = %d, want %d", seed, step, r, v, ref[r])
+		}
+		if v != 0 {
+			nonzero++
+		}
+	})
+	want := 0
+	for _, v := range ref {
+		if v != 0 {
+			want++
+		}
+	}
+	if nonzero != want {
+		t.Fatalf("seed %d step %d: ForEach saw %d nonzero entries, want %d", seed, step, nonzero, want)
+	}
+}
+
+// TestRegMapMatchesMap drives a RegMap and a map through the same
+// random writes, increments and single-entry resets, and compares them
+// after every step.  Even seeds start from the zero value; odd seeds
+// take a table a pool sized for a function, whose next virtual
+// register, allocated afterwards, lies past the table's end and is
+// written like any other.  randReg covers the FIFO, zero and other
+// physical registers.  Resetting the registers ever set must leave
+// every entry zero, and a pooled table must come back empty.
+func TestRegMapMatchesMap(t *testing.T) {
+	var pool RegMapPool[int]
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		f := rtl.NewFunc("f")
+		for range rng.Intn(40) {
+			f.NewVirt(rtl.Class(rng.Intn(rtl.NumClasses)))
+		}
+		m := &RegMap[int]{}
+		if seed%2 == 1 {
+			m = pool.Get(f)
+		}
+		late := f.NewVirt(rtl.Class(seed % rtl.NumClasses))
+		ref := map[rtl.Reg]int{}
+		var set []rtl.Reg
+		// Both classes of one number are distinct entries.
+		for _, n := range []int{rtl.FIFO0, rtl.ZeroReg, late.N} {
+			m.Set(rtl.Reg{Class: rtl.Int, N: n}, 1)
+			m.Set(rtl.Reg{Class: rtl.Float, N: n}, 2)
+			ref[rtl.Reg{Class: rtl.Int, N: n}], ref[rtl.Reg{Class: rtl.Float, N: n}] = 1, 2
+			set = append(set, rtl.Reg{Class: rtl.Int, N: n}, rtl.Reg{Class: rtl.Float, N: n})
+		}
+		checkTable(t, seed, -1, m, ref)
+		for step := 0; step < 300; step++ {
+			r := randReg(rng)
+			if rng.Intn(8) == 0 {
+				r = late
+			}
+			switch rng.Intn(4) {
+			case 0:
+				v := rng.Intn(5) - 2
+				m.Set(r, v)
+				ref[r] = v
+				set = append(set, r)
+			case 1:
+				*m.At(r) += 3
+				ref[r] += 3
+				set = append(set, r)
+			case 2:
+				m.Reset([]rtl.Reg{r})
+				delete(ref, r)
+			}
+			checkTable(t, seed, step, m, ref)
+		}
+		m.Reset(set)
+		checkTable(t, seed, 300, m, map[rtl.Reg]int{})
+		if seed%2 == 1 {
+			m.Set(rtl.F(150), 7)
+			pool.Put(m)
+			checkTable(t, seed, 301, pool.Get(f), map[rtl.Reg]int{})
+		}
+	}
+}

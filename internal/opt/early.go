@@ -92,7 +92,7 @@ func guardLoad(ctx *loopCtx, r *memRef, fifoN int) (ld, deq *rtl.Instr) {
 		if !allIn(gb.Start, n, func(k int) bool { return !pending(k) }) {
 			continue
 		}
-		addr, ok := blockExpr(f, gb, n, i.Addr, func(r rtl.Reg) bool { _, iv := ctx.ivs[r]; return iv })
+		addr, ok := blockExpr(f, gb, n, i.Addr, ctx.isIV)
 		if !ok {
 			continue
 		}
@@ -253,17 +253,17 @@ func startEarly(f *rtl.Func, g *cfg.Graph, loops []*cfg.Loop, si *rtl.Instr) boo
 		// Where another stream holds the other FIFO, a spill has no FIFO
 		// left, so the allocator must keep every register this code
 		// touches in its pool (pinnedRegs, regalloc.go).
-		touched := map[rtl.Reg]bool{}
+		var touched cfg.RegSet
 		note := func(r rtl.Reg) {
 			if r.IsVirtual() && r.Class == cur.Class {
-				touched[r] = true
+				touched.Add(r)
 			}
 		}
 		for _, n := range span {
 			cfg.InstrUses(f.Code[n], note)
 			cfg.InstrDefs(f.Code[n], note)
 		}
-		if len(touched) >= len(pools[cur.Class]) {
+		if touched.Len() >= len(pools[cur.Class]) {
 			break
 		}
 		ff, ok := fifoFor(span)

@@ -26,6 +26,7 @@ type ivInfo struct {
 	stepReg rtl.Reg
 	regStep bool
 	defIdx  int
+	ok      bool // set in every loopCtx.ivs entry of an induction variable
 }
 
 // stepExpr returns the per-iteration increment as an expression.
@@ -42,39 +43,131 @@ type loopCtx struct {
 	g    *cfg.Graph
 	loop *cfg.Loop
 
-	ivs      map[rtl.Reg]ivInfo
-	defCount map[rtl.Reg]int
-	defIdx   map[rtl.Reg][]int
-	funcDefs map[rtl.Reg][]int // every definition in the function, built on demand by regionOf
+	*loopTables
 	// symRegs maps a symbolic base term ("_a") to a register that may
 	// hold it on entry to the loop (noteSymbolReg), for buildLinExpr.
 	symRegs map[string]symReg
 	hasCall bool
 	hasIO   bool
 	stream  bool // loop already contains stream instructions
-	// hoisted holds the definitions LICM moves to the end of the
-	// preheader in this visit (licm.go); their registers count as
-	// invariant, defined there.
-	hoisted map[rtl.Reg]*rtl.Instr
 
 	hdrLabelIdx int // index of the header's label instruction
 }
 
-// analyzeLoop builds a loopCtx.  The loop must already have a
-// preheader (walkLoops inserts them).
-func analyzeLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) *loopCtx {
-	ctx := &loopCtx{
-		f: f, g: g, loop: l,
-		ivs:      map[rtl.Reg]ivInfo{},
-		defCount: map[rtl.Reg]int{},
-		defIdx:   map[rtl.Reg][]int{},
+// loopTables holds a loop analysis' register-indexed tables.  One loop
+// driver run keeps one set and hands it to every loopCtx it makes, so
+// an analysis clears only the entries the previous one set (each table
+// lists its registers) instead of allocating tables of function size
+// for every loop.  A loopCtx is therefore valid only until the next
+// analyzeLoop of the same run.  At the end of the run the set goes back
+// to loopTablePool, empty, for the next run.
+type loopTables struct {
+	// defIdx locates each register's definitions in the loop; defs
+	// lists the registers defined there, in order of first definition.
+	defIdx cfg.RegMap[[]int]
+	defs   []rtl.Reg
+	// ivs describes the basic induction variables, listed in ivRegs in
+	// the order of defs.
+	ivs    cfg.RegMap[ivInfo]
+	ivRegs []rtl.Reg
+	// funcDefs locates every definition in the function, built on
+	// demand by regionOf for the registers in funcRegs.
+	funcDefs  cfg.RegMap[[]int]
+	funcRegs  []rtl.Reg
+	funcBuilt bool
+	// hoisted holds the definitions LICM moves to the end of the
+	// preheader in this visit (licm.go); their registers, listed in
+	// hoistedRegs, count as invariant, defined there.
+	hoisted     cfg.RegMap[*rtl.Instr]
+	hoistedRegs []rtl.Reg
+	// trace is regionTracer's state, for the registers in traced.
+	trace  cfg.RegMap[traceState]
+	traced []rtl.Reg
+	// feeds maps a register to the loads whose address it feeds,
+	// directly or through definitions in the loop; storeFeed holds the
+	// registers feeding a store's address.  LICM fills both (feed) for
+	// the registers in fed.
+	feeds     cfg.RegMap[[]int]
+	storeFeed cfg.RegMap[bool]
+	fed       []rtl.Reg
+}
+
+// reset empties the tables for the next loop.  Definition lists keep
+// their storage.
+func (t *loopTables) reset() {
+	for _, r := range t.defs {
+		p := t.defIdx.At(r)
+		*p = (*p)[:0]
 	}
+	for _, r := range t.funcRegs {
+		p := t.funcDefs.At(r)
+		*p = (*p)[:0]
+	}
+	for _, r := range t.fed {
+		p := t.feeds.At(r)
+		*p = (*p)[:0]
+	}
+	t.storeFeed.Reset(t.fed)
+	t.ivs.Reset(t.ivRegs)
+	t.hoisted.Reset(t.hoistedRegs)
+	t.trace.Reset(t.traced)
+	t.defs, t.ivRegs, t.funcRegs, t.hoistedRegs, t.fed, t.traced = t.defs[:0], t.ivRegs[:0], t.funcRegs[:0], t.hoistedRegs[:0], t.fed[:0], t.traced[:0]
+	t.funcBuilt = false
+}
+
+// defCount returns how many instructions in the loop define r.
+func (ctx *loopCtx) defCount(r rtl.Reg) int { return len(ctx.defIdx.Get(r)) }
+
+// ivOf returns r's induction variable record, and whether r is one.
+func (ctx *loopCtx) ivOf(r rtl.Reg) (ivInfo, bool) {
+	iv := ctx.ivs.Get(r)
+	return iv, iv.ok
+}
+
+// isIV reports whether r is a basic induction variable of the loop.
+func (ctx *loopCtx) isIV(r rtl.Reg) bool { return ctx.ivs.Get(r).ok }
+
+// hoist records def, which defines r, as moving to the end of the
+// preheader.
+func (ctx *loopCtx) hoist(r rtl.Reg, def *rtl.Instr) {
+	if ctx.hoisted.Get(r) == nil {
+		ctx.hoistedRegs = append(ctx.hoistedRegs, r)
+	}
+	ctx.hoisted.Set(r, def)
+}
+
+// feed records that r feeds the address of the load at index n, or of
+// a store when n is -1.
+func (t *loopTables) feed(r rtl.Reg, n int) {
+	p := t.feeds.At(r)
+	if len(*p) == 0 && !t.storeFeed.Get(r) {
+		t.fed = append(t.fed, r)
+	}
+	if n < 0 {
+		t.storeFeed.Set(r, true)
+	} else {
+		*p = append(*p, n)
+	}
+}
+
+// analyzeLoop builds a loopCtx on the walk's tables.  The loop must
+// already have a preheader (walkLoops inserts them).
+func analyzeLoop(w *loopWalk, l *cfg.Loop) *loopCtx {
+	f, g := w.f, w.g
+	if w.tables == nil {
+		w.tables = loopTablePool.Get().(*loopTables)
+	}
+	w.tables.reset()
+	ctx := &loopCtx{f: f, g: g, loop: l, loopTables: w.tables}
 	for _, b := range l.BlockList() {
 		for n := b.Start; n < b.End; n++ {
 			i := f.Code[n]
 			if d, ok := i.Def(); ok {
-				ctx.defCount[d]++
-				ctx.defIdx[d] = append(ctx.defIdx[d], n)
+				p := ctx.defIdx.At(d)
+				if len(*p) == 0 {
+					ctx.defs = append(ctx.defs, d)
+				}
+				*p = append(*p, n)
 			}
 			switch i.Kind {
 			case rtl.KCall:
@@ -88,11 +181,11 @@ func analyzeLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) *loopCtx {
 	}
 	ctx.hdrLabelIdx = headerLabelIndex(f, l)
 	// Basic induction variables.
-	for r, cnt := range ctx.defCount {
-		if cnt != 1 || r.IsZero() || r.IsFIFO() {
+	for _, r := range ctx.defs {
+		if ctx.defCount(r) != 1 || r.IsZero() || r.IsFIFO() {
 			continue
 		}
-		idx := ctx.defIdx[r][0]
+		idx := ctx.defIdx.Get(r)[0]
 		i := f.Code[idx]
 		if i.Kind != rtl.KAssign || i.HasSideEffects() {
 			continue
@@ -105,7 +198,7 @@ func analyzeLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) *loopCtx {
 		if !lok || lx.Reg != r {
 			continue
 		}
-		info := ivInfo{defIdx: idx}
+		info := ivInfo{defIdx: idx, ok: true}
 		switch c := b.R.(type) {
 		case rtl.Imm:
 			switch b.Op {
@@ -124,7 +217,7 @@ func analyzeLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) *loopCtx {
 			if b.Op != rtl.Add || c.Reg.IsFIFO() || c.Reg.IsZero() {
 				continue
 			}
-			if ctx.defCount[c.Reg] != 0 || (ctx.hasCall && !c.Reg.IsVirtual()) {
+			if ctx.defCount(c.Reg) != 0 || (ctx.hasCall && !c.Reg.IsVirtual()) {
 				continue
 			}
 			info.regStep = true
@@ -137,7 +230,8 @@ func analyzeLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop) *loopCtx {
 		if !dominatesAllLatches(g, ctx.loop, blk) {
 			continue
 		}
-		ctx.ivs[r] = info
+		ctx.ivs.Set(r, info)
+		ctx.ivRegs = append(ctx.ivRegs, r)
 	}
 	return ctx
 }
@@ -154,7 +248,7 @@ func (ctx *loopCtx) invariant(r rtl.Reg) bool {
 	if ctx.hasCall && !r.IsVirtual() {
 		return false
 	}
-	return ctx.defCount[r] == 0 || ctx.hoisted[r] != nil
+	return ctx.defCount(r) == 0 || ctx.hoisted.Get(r) != nil
 }
 
 // --- linear address forms -------------------------------------------------
@@ -203,7 +297,7 @@ func (ctx *loopCtx) linearize(e rtl.Expr, atIdx int, depth int) linform {
 		if r.IsZero() {
 			return linform{ok: true}
 		}
-		if _, isIV := ctx.ivs[r]; isIV {
+		if ctx.isIV(r) {
 			return linform{iv: r, cee: 1, ok: true}
 		}
 		if ctx.invariant(r) {
@@ -254,7 +348,7 @@ func (ctx *loopCtx) linearize(e rtl.Expr, atIdx int, depth int) linform {
 // returns the index of that definition, -1 for one LICM is moving.
 func (ctx *loopCtx) invariantSym(r rtl.Reg) (rtl.Sym, int, bool) {
 	// Find the last definition of r before the loop header.
-	def, at := ctx.hoisted[r], -1
+	def, at := ctx.hoisted.Get(r), -1
 	for n := ctx.loop.Header.Start - 1; n >= 0 && def == nil; n-- {
 		if d, ok := ctx.f.Code[n].Def(); ok && d == r {
 			def, at = ctx.f.Code[n], n
@@ -300,10 +394,10 @@ func (ctx *loopCtx) noteSymbolReg(r rtl.Reg, sym rtl.Sym, def int) {
 // redefined in between.
 func (ctx *loopCtx) expandReg(r rtl.Reg, atIdx, depth int) linform {
 	bad := linform{}
-	if ctx.defCount[r] != 1 {
+	if ctx.defCount(r) != 1 {
 		return bad
 	}
-	defIdx := ctx.defIdx[r][0]
+	defIdx := ctx.defIdx.Get(r)[0]
 	i := ctx.f.Code[defIdx]
 	if i.Kind != rtl.KAssign || i.HasSideEffects() {
 		return bad
@@ -314,10 +408,10 @@ func (ctx *loopCtx) expandReg(r rtl.Reg, atIdx, depth int) linform {
 		return bad
 	}
 	// No register used by the definition may be redefined in between.
-	used := map[rtl.Reg]bool{r: true}
-	rtl.ExprRegs(i.Src, func(u rtl.Reg) { used[u] = true })
+	used := []rtl.Reg{r}
+	rtl.ExprRegs(i.Src, func(u rtl.Reg) { used = append(used, u) })
 	for k := defIdx + 1; k < atIdx; k++ {
-		if d, ok := ctx.f.Code[k].Def(); ok && used[d] {
+		if d, ok := ctx.f.Code[k].Def(); ok && slices.Contains(used, d) {
 			return bad
 		}
 	}
@@ -397,16 +491,22 @@ func (ctx *loopCtx) regionOf(e rtl.Expr, lin linform) string {
 	if !direct {
 		return ""
 	}
-	if ctx.funcDefs == nil {
-		ctx.funcDefs = map[rtl.Reg][]int{}
+	if !ctx.funcBuilt {
 		for n, i := range ctx.f.Code {
 			if d, ok := i.Def(); ok {
-				ctx.funcDefs[d] = append(ctx.funcDefs[d], n)
+				p := ctx.funcDefs.At(d)
+				if len(*p) == 0 {
+					ctx.funcRegs = append(ctx.funcRegs, d)
+				}
+				*p = append(*p, n)
 			}
 		}
+		ctx.funcBuilt = true
 	}
-	t := regionTracer{ctx: ctx, state: map[rtl.Reg]*traceState{}}
+	t := regionTracer{ctx: ctx}
 	s := t.expr(e, false)
+	ctx.trace.Reset(ctx.traced)
+	ctx.traced = ctx.traced[:0]
 	if !s.ok || s.syms != 1 {
 		return ""
 	}
@@ -433,8 +533,7 @@ type traceState struct {
 // variable) is provisionally assumed symbol-free; the assumption is
 // checked once all its definitions are known.
 type regionTracer struct {
-	ctx   *loopCtx
-	state map[rtl.Reg]*traceState
+	ctx *loopCtx
 }
 
 // expr traces e; noSym demands that it contain no symbol at all (it is
@@ -477,20 +576,18 @@ func (t *regionTracer) reg(r rtl.Reg) symTerms {
 	if r.IsFIFO() || !r.IsVirtual() {
 		return symTerms{}
 	}
-	st := t.state[r]
-	if st == nil {
-		st = &traceState{}
-		t.state[r] = st
-	}
-	switch {
+	tables := t.ctx.loopTables
+	switch st := tables.trace.At(r); {
 	case st.done:
 		return st.terms
 	case st.active:
 		st.assumed = true
 		return symTerms{ok: true}
+	default:
+		st.active = true
+		tables.traced = append(tables.traced, r)
 	}
-	st.active = true
-	defs := t.ctx.funcDefs[r]
+	defs := tables.funcDefs.Get(r)
 	out := symTerms{}
 	for k, n := range defs {
 		i := t.ctx.f.Code[n]
@@ -505,6 +602,8 @@ func (t *regionTracer) reg(r rtl.Reg) symTerms {
 		}
 		out = s
 	}
+	// The trace may have grown the table: look the entry up again.
+	st := tables.trace.At(r)
 	if st.assumed && out.syms != 0 {
 		out = symTerms{}
 	}

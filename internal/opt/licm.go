@@ -26,7 +26,7 @@ func LICM(f *rtl.Func) (bool, error) {
 // analysis stays exact (licm.stale).  The moved instructions reach the
 // end of the preheader in that order.
 func hoistLoop(w *loopWalk, l *cfg.Loop) bool {
-	ctx := analyzeLoop(w.f, w.g, l)
+	ctx := analyzeLoop(w, l)
 	if ctx.hdrLabelIdx < 0 {
 		return false
 	}
@@ -67,29 +67,22 @@ type licm struct {
 	loads      []int // the loop's loads, in code order
 	refs       map[int]*memRef
 	stores     []*memRef
-	// feeds maps a register to the loads whose address it feeds,
-	// directly or through definitions in the loop; storeFeed holds the
-	// registers feeding a store's address.
-	feeds     map[rtl.Reg][]int
-	storeFeed map[rtl.Reg]bool
 }
 
 func newLICM(w *loopWalk, ctx *loopCtx) *licm {
-	m := &licm{w: w, ctx: ctx, taken: map[int]bool{}, refs: map[int]*memRef{},
-		feeds: map[rtl.Reg][]int{}, storeFeed: map[rtl.Reg]bool{}}
+	m := &licm{w: w, ctx: ctx, taken: map[int]bool{}, refs: map[int]*memRef{}}
 	for _, b := range ctx.loop.BlockList() {
 		for n := b.Start; n < b.End; n++ {
 			switch i := ctx.f.Code[n]; i.Kind {
 			case rtl.KLoad:
 				m.loads = append(m.loads, n)
-				ctx.addressRegs(i.Addr, func(r rtl.Reg) { m.feeds[r] = append(m.feeds[r], n) })
+				ctx.addressRegs(i.Addr, func(r rtl.Reg) { ctx.feed(r, n) })
 			case rtl.KStore:
-				ctx.addressRegs(i.Addr, func(r rtl.Reg) { m.storeFeed[r] = true })
+				ctx.addressRegs(i.Addr, func(r rtl.Reg) { ctx.feed(r, -1) })
 			}
 		}
 	}
 	m.stores = ctx.storeRefs()
-	ctx.hoisted = map[rtl.Reg]*rtl.Instr{}
 	return m
 }
 
@@ -103,15 +96,15 @@ func (m *licm) take(n, size int) {
 	m.moves = append(m.moves, f.Code[n:n+size])
 	def := f.Code[n+size-1]
 	d := def.Dst
-	m.ctx.hoisted[d] = def
+	m.ctx.hoist(d, def)
 	m.fresh = append(m.fresh, d)
 	if size == 2 {
 		m.freshLoads = append(m.freshLoads, n)
 	}
-	for _, k := range m.feeds[d] {
+	for _, k := range m.ctx.feeds.Get(d) {
 		delete(m.refs, k) // its address reads differently now
 	}
-	if m.storeFeed[d] {
+	if m.ctx.storeFeed.Get(d) {
 		m.stores = m.ctx.storeRefs() // and so may a store's
 	}
 }
@@ -149,7 +142,7 @@ func (m *licm) apply() {
 // definition would overwrite.
 func (m *licm) hoistable(d rtl.Reg) bool {
 	ctx := m.ctx
-	if d.IsZero() || d.IsFIFO() || ctx.defCount[d] != 1 || ctx.hasCall && !d.IsVirtual() {
+	if d.IsZero() || d.IsFIFO() || ctx.defCount(d) != 1 || ctx.hasCall && !d.IsVirtual() {
 		return false
 	}
 	m.w.liveness()
@@ -226,7 +219,7 @@ func (m *licm) assigns() {
 			return
 		}
 		m.take(n, 1)
-		for _, k := range m.feeds[m.ctx.f.Code[n].Dst] {
+		for _, k := range m.ctx.feeds.Get(m.ctx.f.Code[n].Dst) {
 			if m.loadMoves(k) {
 				m.take(k, 2)
 			}
@@ -268,7 +261,7 @@ func (m *licm) stale() bool {
 			continue
 		}
 		for _, d := range regs {
-			if m.storeFeed[d] || slices.Contains(m.feeds[d], k) {
+			if m.ctx.storeFeed.Get(d) || slices.Contains(m.ctx.feeds.Get(d), k) {
 				return true
 			}
 		}
@@ -372,7 +365,7 @@ func (ctx *loopCtx) preheaderValue(ld *memRef, refs []*memRef) (rtl.Reg, bool) {
 			return rtl.Reg{}, false
 		}
 	}
-	defsAfter := map[rtl.Reg]int{}
+	var defsAfter []rtl.Reg // definitions after n, one entry each
 	for n := pre.End - 1; n >= pre.Start; n-- {
 		i := ctx.f.Code[n]
 		switch i.Kind {
@@ -386,17 +379,17 @@ func (ctx *loopCtx) preheaderValue(ld *memRef, refs []*memRef) (rtl.Reg, bool) {
 			rx, isReg := deq.Src.(rtl.RegX)
 			y := deq.Dst
 			if deq.Kind != rtl.KAssign || !isReg || rx.Reg != (rtl.Reg{Class: i.MemClass, N: i.FIFO.N}) ||
-				y.IsFIFO() || y.IsZero() || y.Class != ld.class || ctx.defCount[y] != 0 || defsAfter[y] != 1 {
+				y.IsFIFO() || y.IsZero() || y.Class != ld.class || ctx.defCount(y) != 0 || count(defsAfter, y) != 1 {
 				break
 			}
 			moved := false
-			rtl.ExprRegs(i.Addr, func(r rtl.Reg) { moved = moved || defsAfter[r] > 0 })
+			rtl.ExprRegs(i.Addr, func(r rtl.Reg) { moved = moved || slices.Contains(defsAfter, r) })
 			if !moved && sameLin(ctx.linearize(i.Addr, n, 0), ld.lin) {
 				return y, true
 			}
 		}
 		if d, ok := i.Def(); ok {
-			defsAfter[d]++
+			defsAfter = append(defsAfter, d)
 		}
 	}
 	return rtl.Reg{}, false
@@ -462,21 +455,32 @@ func (ctx *loopCtx) between(from, to int, visit func(n int) bool) bool {
 // e: one it reads, and those read by the register's definitions in the
 // loop, transitively.
 func (ctx *loopCtx) addressRegs(e rtl.Expr, fn func(rtl.Reg)) {
-	seen := map[rtl.Reg]bool{}
+	var seen []rtl.Reg
 	var walk func(r rtl.Reg)
 	walk = func(r rtl.Reg) {
-		if seen[r] {
+		if slices.Contains(seen, r) {
 			return
 		}
-		seen[r] = true
+		seen = append(seen, r)
 		fn(r)
-		for _, n := range ctx.defIdx[r] {
+		for _, n := range ctx.defIdx.Get(r) {
 			for _, u := range ctx.f.Code[n].Uses(nil) {
 				walk(u)
 			}
 		}
 	}
 	rtl.ExprRegs(e, walk)
+}
+
+// count returns how many times r occurs in rs.
+func count(rs []rtl.Reg, r rtl.Reg) int {
+	n := 0
+	for _, x := range rs {
+		if x == r {
+			n++
+		}
+	}
+	return n
 }
 
 // storeRefs returns the loop's stores and stream-outs with their

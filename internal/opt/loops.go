@@ -10,13 +10,14 @@ import (
 )
 
 // loopWalk is the state of one driver run: the function, its flow
-// graph with dominators, its natural loops, and whether liveness has
-// been computed on that graph.
+// graph with dominators, its natural loops, whether liveness has been
+// computed on that graph, and the tables its loop analyses share.
 type loopWalk struct {
-	f     *rtl.Func
-	g     *cfg.Graph
-	loops []*cfg.Loop
-	live  bool
+	f      *rtl.Func
+	g      *cfg.Graph
+	loops  []*cfg.Loop
+	live   bool
+	tables *loopTables
 }
 
 // loopVisit transforms the loop l and reports whether it changed the
@@ -32,6 +33,15 @@ func (w *loopWalk) build() error {
 	g.Dominators()
 	w.g, w.loops, w.live = g, g.NaturalLoops(), false
 	return nil
+}
+
+// release returns the run's loop tables to their pool, empty.
+func (w *loopWalk) release() {
+	if w.tables != nil {
+		w.tables.reset()
+		loopTablePool.Put(w.tables)
+		w.tables = nil
+	}
 }
 
 // liveness computes liveness on the current graph, once per graph.
@@ -60,6 +70,7 @@ func (w *loopWalk) liveness() {
 // sandbox turns into a rollback and a Degraded diagnostic.
 func walkLoops(f *rtl.Func, pass string, preheaders bool, visits ...loopVisit) (bool, error) {
 	w := &loopWalk{f: f}
+	defer w.release()
 	if err := w.build(); err != nil {
 		return false, err
 	}

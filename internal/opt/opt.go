@@ -21,6 +21,8 @@
 package opt
 
 import (
+	"sync"
+
 	"wmstream/internal/cfg"
 	"wmstream/internal/rtl"
 )
@@ -148,6 +150,15 @@ func Fold(f *rtl.Func) bool {
 	return changed
 }
 
+// Pools of the register tables that passes build on every run.
+var (
+	intTables      cfg.RegMapPool[int]
+	exprTables     cfg.RegMapPool[rtl.Expr]
+	instrTables    cfg.RegMapPool[*rtl.Instr]
+	intervalTables cfg.RegMapPool[interval]
+	loopTablePool  = sync.Pool{New: func() any { return new(loopTables) }}
+)
+
 // DeadCode removes assignments whose destination is dead and which have
 // no side effects, using global liveness.
 func DeadCode(f *rtl.Func) (bool, error) {
@@ -156,23 +167,20 @@ func DeadCode(f *rtl.Func) (bool, error) {
 		return false, err
 	}
 	g.Liveness()
-	dead := map[int]bool{}
+	dead := make([]bool, len(f.Code))
+	found := false
 	for _, b := range g.Blocks {
 		g.LiveAtEach(b, func(idx int, i *rtl.Instr, after cfg.RegSet) {
 			if i.Kind != rtl.KAssign || i.HasSideEffects() {
 				return
 			}
-			if i.Dst.IsZero() {
-				// A plain assignment to the zero register is a no-op.
-				dead[idx] = true
-				return
-			}
-			if !after.Has(i.Dst) {
-				dead[idx] = true
+			// A plain assignment to the zero register is a no-op.
+			if i.Dst.IsZero() || !after.Has(i.Dst) {
+				dead[idx], found = true, true
 			}
 		})
 	}
-	if len(dead) == 0 {
+	if !found {
 		return false, nil
 	}
 	out := f.Code[:0]

@@ -204,7 +204,11 @@ var (
 	// PassRegAlloc flips the Context into "allocated" mode so the
 	// invariant checker starts rejecting virtual registers.
 	PassRegAlloc = NewPass("RegAlloc", func(f *rtl.Func, ctx *Context) (bool, error) {
-		if err := RegAlloc(f); err != nil {
+		c := ctx.Ctx
+		if c == nil {
+			c = context.Background()
+		}
+		if err := RegAllocContext(c, f); err != nil {
 			return false, err
 		}
 		ctx.allocated = true

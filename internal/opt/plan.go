@@ -34,7 +34,7 @@ func (s *streamRef) fifo() rtl.Reg { return rtl.Reg{Class: s.ref.class, N: s.fif
 func (ctx *loopCtx) streamCandidates(refs []*memRef, admit func(*memRef) bool) []*streamRef {
 	var cands []*streamRef
 	for _, r := range refs {
-		ivi, isIV := ctx.ivs[r.lin.iv]
+		ivi, isIV := ctx.ivOf(r.lin.iv)
 		if !r.every || !r.lin.hasIV() || !isIV || !ivi.regStep && r.lin.cee*ivi.step == 0 {
 			continue
 		}

@@ -28,7 +28,7 @@ import (
 // largest iteration distance.  It returns whether anything changed.
 func Recurrences(f *rtl.Func, maxDegree int64) (bool, error) {
 	return walkLoops(f, "Recurrences", true, func(w *loopWalk, l *cfg.Loop) bool {
-		ctx := analyzeLoop(w.f, w.g, l)
+		ctx := analyzeLoop(w, l)
 		if ctx.hasCall || ctx.stream {
 			return false
 		}
@@ -115,7 +115,7 @@ func planRecurrence(ctx *loopCtx, p *partition, off, maxDegree int64) *recPlan {
 		return nil
 	}
 	iv := anchor.lin.iv
-	ivi, ok := ctx.ivs[iv]
+	ivi, ok := ctx.ivOf(iv)
 	if !ok || ivi.regStep {
 		return nil // register steps: iteration distance is not static
 	}
@@ -250,7 +250,7 @@ func plainDequeue(ctx *loopCtx, r *memRef) (rtl.Reg, bool) {
 	y := deq.Dst
 	fifo := rtl.Reg{Class: r.class, N: ctx.f.Code[r.accIdx].FIFO.N}
 	if deq.Kind != rtl.KAssign || !isReg || rx.Reg != fifo || y.IsFIFO() || y.IsZero() ||
-		y.Class != r.class || ctx.defCount[y] != 1 {
+		y.Class != r.class || ctx.defCount(y) != 1 {
 		return rtl.Reg{}, false
 	}
 	return y, true
@@ -325,10 +325,10 @@ func writesOldCarry(ctx *loopCtx, plan *recPlan, w *memRef) bool {
 	}
 	r, at := rx.Reg, w.dataIdx
 	for range 2 {
-		if r.IsFIFO() || r.IsZero() || ctx.defCount[r] != 1 {
+		if r.IsFIFO() || r.IsZero() || ctx.defCount(r) != 1 {
 			return false
 		}
-		d := ctx.defIdx[r][0]
+		d := ctx.defIdx.Get(r)[0]
 		def := ctx.f.Code[d]
 		src, isReg := def.Src.(rtl.RegX)
 		if def.Kind != rtl.KAssign || !isReg || !precedes(ctx, d, at) {

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -42,13 +44,22 @@ func poolRange(lo, hi int) []int {
 // that do not fit the pool are spilled everywhere.  Stack traffic uses
 // the secondary FIFO pair (r1/f1) so that it can never disturb the
 // queue order of ordinary loads and stores, which use r0/f0.
-func RegAlloc(f *rtl.Func) error {
-	spilled := map[rtl.Reg]bool{}
-	saved := map[rtl.Reg]bool{}
+func RegAlloc(f *rtl.Func) error { return RegAllocContext(context.Background(), f) }
+
+// RegAllocContext is RegAlloc stopped by ctx: between spill rounds it
+// returns ctx's error once ctx is done, leaving f partly spilled.  A
+// function under heavy register pressure spills one register per
+// round and rebuilds its intervals each time, so one call can outlast
+// a compilation's deadline.
+func RegAllocContext(ctx context.Context, f *rtl.Func) error {
+	var spilled, saved cfg.RegSet
 	// Each round but the last spills a register not spilled before (a
 	// respill is an error), so the virtual registers bound the rounds.
 	rounds := f.NumVirt(rtl.Int) + f.NumVirt(rtl.Float) + 1
 	for range rounds {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		iv, err := buildIntervals(f)
 		if err != nil {
 			return err
@@ -57,23 +68,22 @@ func RegAlloc(f *rtl.Func) error {
 		// everywhere, or mark it to be saved around its calls once the
 		// assignment succeeds.
 		var toSpill []rtl.Reg
-		for r, c := range iv.crossing {
-			if spilled[r] || saved[r] {
-				continue
-			}
-			if c.saveCost <= c.spillCost {
-				saved[r] = true
-			} else {
+		iv.crossing.ForEach(func(r rtl.Reg, c *crossing) {
+			switch {
+			case c == nil || spilled.Has(r) || saved.Has(r):
+			case c.saveCost <= c.spillCost:
+				saved.Add(r)
+			default:
 				toSpill = append(toSpill, r)
 			}
-		}
+		})
 		if len(toSpill) > 0 {
 			sortRegs(toSpill)
 			for _, r := range toSpill {
 				if err := spill(f, r); err != nil {
 					return err
 				}
-				spilled[r] = true
+				spilled.Add(r)
 			}
 			continue
 		}
@@ -90,14 +100,14 @@ func RegAlloc(f *rtl.Func) error {
 			applyAssignment(f, assignment)
 			return nil
 		}
-		if spilled[*victim] {
+		if spilled.Has(*victim) {
 			return fmt.Errorf("regalloc: %s respilled; pressure unresolvable", *victim)
 		}
-		delete(saved, *victim)
+		saved.Remove(*victim)
 		if err := spill(f, *victim); err != nil {
 			return err
 		}
-		spilled[*victim] = true
+		spilled.Add(*victim)
 	}
 	return fmt.Errorf("regalloc: did not converge")
 }
@@ -107,9 +117,12 @@ type interval struct {
 	start, end int
 }
 
+// intervalSet holds the virtual registers' intervals, ordered by start
+// (then register), and the crossing of each register live across a
+// call (nil for the others).
 type intervalSet struct {
 	list     []interval
-	crossing map[rtl.Reg]*crossing
+	crossing cfg.RegMap[*crossing]
 }
 
 // crossing records a virtual register live across at least one call:
@@ -130,17 +143,18 @@ func buildIntervals(f *rtl.Func) (*intervalSet, error) {
 		return nil, err
 	}
 	g.Liveness()
-	start := map[rtl.Reg]int{}
-	end := map[rtl.Reg]int{}
+	// A register's entry is unset while its reg is not the register
+	// itself (the zero entry names r0, never a virtual register).
+	spans := intervalTables.Get(f)
+	defer intervalTables.Put(spans)
 	touch := func(r rtl.Reg, pos int) {
 		if !r.IsVirtual() {
 			return
 		}
-		if s, ok := start[r]; !ok || pos < s {
-			start[r] = pos
-		}
-		if e, ok := end[r]; !ok || pos > e {
-			end[r] = pos
+		if s := spans.At(r); s.reg != r {
+			*s = interval{r, pos, pos}
+		} else {
+			s.start, s.end = min(s.start, pos), max(s.end, pos)
 		}
 	}
 	// Costs matter only when the function makes a call.  A block inside
@@ -148,9 +162,10 @@ func buildIntervals(f *rtl.Func) (*intervalSet, error) {
 	// for using a register and once for defining it, as spill rewrites
 	// it.
 	weight := blockWeights(g)
-	spillCost := map[rtl.Reg]int{}
+	spillCost := intTables.Get(f)
+	defer intTables.Put(spillCost)
 	var counted []rtl.Reg
-	crossings := map[rtl.Reg]*crossing{}
+	var crossings cfg.RegMap[*crossing]
 	for _, b := range g.Blocks {
 		g.LiveAtEach(b, func(idx int, i *rtl.Instr, after cfg.RegSet) {
 			after.ForEach(func(r rtl.Reg) {
@@ -164,13 +179,13 @@ func buildIntervals(f *rtl.Func) (*intervalSet, error) {
 				touch(r, idx)
 				if weight != nil && r.IsVirtual() && !slices.Contains(counted, r) {
 					counted = append(counted, r)
-					spillCost[r] += weight[b.Index]
+					*spillCost.At(r) += weight[b.Index]
 				}
 			})
 			cfg.InstrDefs(i, func(r rtl.Reg) {
 				touch(r, idx)
 				if weight != nil && r.IsVirtual() {
-					spillCost[r] += weight[b.Index]
+					*spillCost.At(r) += weight[b.Index]
 				}
 			})
 			if i.Kind == rtl.KCall {
@@ -178,10 +193,10 @@ func buildIntervals(f *rtl.Func) (*intervalSet, error) {
 					if !r.IsVirtual() {
 						return
 					}
-					c := crossings[r]
+					c := crossings.Get(r)
 					if c == nil {
 						c = &crossing{}
-						crossings[r] = c
+						crossings.Set(r, c)
 					}
 					c.calls = append(c.calls, i)
 					c.saveCost += 2 * weight[b.Index]
@@ -196,18 +211,19 @@ func buildIntervals(f *rtl.Func) (*intervalSet, error) {
 			}
 		})
 	}
-	for r, c := range crossings {
-		c.spillCost = spillCost[r]
-	}
-	set := &intervalSet{crossing: crossings}
-	for r, s := range start {
-		set.list = append(set.list, interval{r, s, end[r]})
-	}
-	sort.Slice(set.list, func(i, j int) bool {
-		if set.list[i].start != set.list[j].start {
-			return set.list[i].start < set.list[j].start
+	crossings.ForEach(func(r rtl.Reg, c *crossing) {
+		if c != nil {
+			c.spillCost = spillCost.Get(r)
 		}
-		return set.list[i].reg.N < set.list[j].reg.N
+	})
+	set := &intervalSet{crossing: crossings}
+	spans.ForEach(func(_ rtl.Reg, s interval) {
+		if s.reg.IsVirtual() {
+			set.list = append(set.list, s)
+		}
+	})
+	slices.SortFunc(set.list, func(a, b interval) int {
+		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.reg.N, b.reg.N), cmp.Compare(a.reg.Class, b.reg.Class))
 	})
 	return set, nil
 }
@@ -239,8 +255,9 @@ func blockWeights(g *cfg.Graph) []int {
 // linearScan attempts a full assignment; on failure it returns the
 // register chosen for spilling: the live interval with the furthest
 // end, among those not pinned when there are any.
-func linearScan(iv *intervalSet, pinned map[rtl.Reg]bool) (victim *rtl.Reg, assignment map[rtl.Reg]rtl.Reg) {
-	assignment = map[rtl.Reg]rtl.Reg{}
+// The assignment maps each virtual register to its pool register; the
+// pools hold no r0, so a zero entry means no assignment.
+func linearScan(iv *intervalSet, pinned cfg.RegSet) (victim *rtl.Reg, assignment cfg.RegMap[rtl.Reg]) {
 	type activeEntry struct {
 		interval
 		phys int
@@ -266,25 +283,25 @@ func linearScan(iv *intervalSet, pinned map[rtl.Reg]bool) (victim *rtl.Reg, assi
 			// Spill the interval ending last (current or an active one).
 			worst := cur
 			for _, a := range active[c] {
-				if p, q := pinned[a.reg], pinned[worst.reg]; p == q && a.end > worst.end || q && !p {
+				if p, q := pinned.Has(a.reg), pinned.Has(worst.reg); p == q && a.end > worst.end || q && !p {
 					worst = a.interval
 				}
 			}
 			v := worst.reg
-			return &v, nil
+			return &v, cfg.RegMap[rtl.Reg]{}
 		}
 		sort.Ints(free[c])
 		phys := free[c][0]
 		free[c] = free[c][1:]
-		assignment[cur.reg] = rtl.Reg{Class: c, N: phys}
+		assignment.Set(cur.reg, rtl.Reg{Class: c, N: phys})
 		active[c] = append(active[c], activeEntry{cur, phys})
 	}
 	return nil, assignment
 }
 
-func applyAssignment(f *rtl.Func, assignment map[rtl.Reg]rtl.Reg) {
+func applyAssignment(f *rtl.Func, assignment cfg.RegMap[rtl.Reg]) {
 	rename := func(r rtl.Reg) rtl.Reg {
-		if p, ok := assignment[r]; ok {
+		if p := assignment.Get(r); p != (rtl.Reg{}) {
 			return p
 		}
 		return r
@@ -365,21 +382,19 @@ func spill(f *rtl.Func, r rtl.Reg) error {
 // back before anything can read it; between calls the value lives in
 // its register.  The reload sits directly after the call, ahead of any
 // label, so only the call's own path runs it.
-func saveAroundCalls(f *rtl.Func, iv *intervalSet, saved map[rtl.Reg]bool) error {
-	if len(saved) == 0 {
+func saveAroundCalls(f *rtl.Func, iv *intervalSet, saved cfg.RegSet) error {
+	if saved.Len() == 0 {
 		return nil
 	}
-	regs := make([]rtl.Reg, 0, len(saved))
-	for r := range saved {
-		regs = append(regs, r)
-	}
+	var regs []rtl.Reg
+	saved.ForEach(func(r rtl.Reg) { regs = append(regs, r) })
 	sortRegs(regs)
 	oldFrame := f.Frame
-	slot := map[rtl.Reg]func() rtl.Expr{}
+	var slot cfg.RegMap[func() rtl.Expr]
 	at := map[*rtl.Instr][]rtl.Reg{}
 	for _, r := range regs {
-		slot[r] = newSlot(f)
-		for _, c := range iv.crossing[r].calls {
+		slot.Set(r, newSlot(f))
+		for _, c := range iv.crossing.Get(r).calls {
 			at[c] = append(at[c], r)
 		}
 	}
@@ -401,8 +416,8 @@ func saveAroundCalls(f *rtl.Func, iv *intervalSet, saved map[rtl.Reg]bool) error
 			}
 			save := rtl.NewAssign(fifo, rtl.RX(r))
 			save.Note = "save across call"
-			store := rtl.NewStore(fifo, slot[r](), 8)
-			load := rtl.NewLoad(fifo, slot[r](), 8)
+			store := rtl.NewStore(fifo, slot.Get(r)(), 8)
+			load := rtl.NewLoad(fifo, slot.Get(r)(), 8)
 			reload := rtl.NewAssign(r, rtl.RX(fifo))
 			reload.Note = "reload after call"
 			save.Line, store.Line, load.Line, reload.Line = i.Line, i.Line, i.Line, i.Line
@@ -528,20 +543,20 @@ func streamRegions(f *rtl.Func, c rtl.Class) (fifoRegions, error) {
 // FIFOs of their class carry streams (streamRegions).  Spilling one
 // would put stack traffic there, with no FIFO left to carry it, so the
 // allocator spills another register when it can.
-func pinnedRegs(f *rtl.Func) (map[rtl.Reg]bool, error) {
-	pinned := map[rtl.Reg]bool{}
+func pinnedRegs(f *rtl.Func) (cfg.RegSet, error) {
+	var pinned cfg.RegSet
 	for c := range rtl.NumClasses {
 		cls := rtl.Class(c)
 		fr, err := streamRegions(f, cls)
 		if err != nil {
-			return nil, err
+			return cfg.RegSet{}, err
 		}
 		if len(fr[rtl.FIFO0]) == 0 || len(fr[rtl.FIFO1]) == 0 {
 			continue
 		}
 		note := func(r rtl.Reg) {
 			if r.IsVirtual() && r.Class == cls {
-				pinned[r] = true
+				pinned.Add(r)
 			}
 		}
 		for n, i := range f.Code {

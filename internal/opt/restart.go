@@ -126,8 +126,9 @@ func armAt(g *cfg.Graph, l *cfg.Loop, e *cfg.Block) *restartArm {
 // all lie in arm.  Reads it streams pass the planner's candidate test,
 // step with the loop's counted induction variable, precede the arm,
 // and share a region with no write outside it.
-func streamLoopRestart(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, arm *restartArm, minTrip int64) bool {
-	ctx := analyzeLoop(f, g, l)
+func streamLoopRestart(w *loopWalk, l *cfg.Loop, arm *restartArm, minTrip int64) bool {
+	f, g := w.f, w.g
+	ctx := analyzeLoop(w, l)
 	if ctx.hasCall || len(l.Exits) != 1 || len(l.Latches) != 1 || l.Exits[0] != l.Latches[0] {
 		return false // a stream left running past another exit would outlive the loop
 	}
@@ -141,7 +142,7 @@ func streamLoopRestart(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, arm *restartArm, 
 	}
 	// Where the arm sits relative to the increment fixes the value the
 	// induction variable holds at its exit.
-	incBlock := g.BlockOf(ctx.ivs[trip.iv].defIdx)
+	incBlock := g.BlockOf(ctx.ivs.Get(trip.iv).defIdx)
 	armBefore := g.Dominates(arm.join, incBlock)
 	if !armBefore && !g.Dominates(incBlock, arm.entry) {
 		return false

@@ -35,7 +35,7 @@ func ScheduleLoopTest(f *rtl.Func) (bool, error) {
 
 func scheduleLoop(w *loopWalk, l *cfg.Loop) bool {
 	f := w.f
-	ctx := analyzeLoop(f, w.g, l)
+	ctx := analyzeLoop(w, l)
 	if ctx.hasCall {
 		return false // a callee's compares would interleave in the CC FIFO
 	}

@@ -29,7 +29,9 @@ import (
 // block's live-in or live-out set.  The definition and use counts are
 // kept up to date across rewrites instead of being recounted.
 func SinkCopies(f *rtl.Func) (bool, error) {
-	s := sinker{f: f, defCount: map[rtl.Reg]int{}, useCount: map[rtl.Reg]int{}}
+	s := sinker{f: f, defCount: intTables.Get(f), useCount: intTables.Get(f)}
+	defer intTables.Put(s.useCount)
+	defer intTables.Put(s.defCount)
 	for _, i := range f.Code {
 		s.count(i, 1)
 	}
@@ -55,18 +57,18 @@ func SinkCopies(f *rtl.Func) (bool, error) {
 // define each register, and how many register operands read it.
 type sinker struct {
 	f                  *rtl.Func
-	defCount, useCount map[rtl.Reg]int
+	defCount, useCount *cfg.RegMap[int]
 	uses               []rtl.Reg // scratch for Instr.Uses
 }
 
 // count adds delta times i's definition and uses to the counts.
 func (s *sinker) count(i *rtl.Instr, delta int) {
 	if d, ok := i.Def(); ok {
-		s.defCount[d] += delta
+		*s.defCount.At(d) += delta
 	}
 	s.uses = i.Uses(s.uses[:0])
 	for _, u := range s.uses {
-		s.useCount[u] += delta
+		*s.useCount.At(u) += delta
 	}
 }
 
@@ -95,7 +97,7 @@ func (s *sinker) sinkBlock(b *cfg.Block) bool {
 			continue
 		}
 		t, r := tx.Reg, copyI.Dst
-		if !t.IsVirtual() || s.defCount[t] != 1 || t == r {
+		if !t.IsVirtual() || s.defCount.Get(t) != 1 || t == r {
 			continue
 		}
 		if r.IsZero() || r.IsFIFO() || t.IsFIFO() {
@@ -145,7 +147,7 @@ func (s *sinker) sinkBlock(b *cfg.Block) bool {
 				reads += k
 			}
 		}
-		if reads != s.useCount[t] {
+		if reads != s.useCount.Get(t) {
 			continue
 		}
 		// t dead at block end; r not redefined before the last use of t.

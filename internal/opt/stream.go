@@ -53,11 +53,11 @@ func Streams(f *rtl.Func, minTrip int64) (bool, error) {
 	changed, err := walkLoops(f, "Streams", true,
 		func(w *loopWalk, l *cfg.Loop) bool {
 			return !slices.ContainsFunc(w.loops, func(in *cfg.Loop) bool { return in.Parent == l }) &&
-				streamLoop(w.f, w.g, l, minTrip)
+				streamLoop(w, l, minTrip)
 		},
 		func(w *loopWalk, l *cfg.Loop) bool {
 			arm := findRestartArm(w.g, l, w.loops)
-			return arm != nil && streamLoopRestart(w.f, w.g, l, arm, minTrip)
+			return arm != nil && streamLoopRestart(w, l, arm, minTrip)
 		})
 	if err != nil {
 		return changed, err
@@ -75,8 +75,9 @@ func Streams(f *rtl.Func, minTrip int64) (bool, error) {
 func DeadIVs(f *rtl.Func) (bool, error) {
 	return walkLoops(f, "DeadIVs", false, func(w *loopWalk, l *cfg.Loop) bool {
 		w.liveness()
-		ctx := analyzeLoop(w.f, w.g, l)
-		for iv, ivi := range ctx.ivs {
+		ctx := analyzeLoop(w, l)
+		for _, iv := range ctx.ivRegs {
+			ivi := ctx.ivs.Get(iv)
 			// A use inside the loop other than the increment's own
 			// operand, or one after it, keeps the variable.
 			used := slices.ContainsFunc(l.ExitTargets, func(t *cfg.Block) bool { return t.LiveIn.Has(iv) })
@@ -143,13 +144,13 @@ func analyzeTrip(ctx *loopCtx) *tripInfo {
 	var iv rtl.Reg
 	var limit rtl.Expr
 	if lx, ok := bin.L.(rtl.RegX); ok {
-		if _, isIV := ctx.ivs[lx.Reg]; isIV && ctx.operandInvariant(bin.R) {
+		if ctx.isIV(lx.Reg) && ctx.operandInvariant(bin.R) {
 			iv, limit = lx.Reg, bin.R
 		}
 	}
 	if iv.N == 0 && iv.Class == rtl.Int {
 		if rx, ok := bin.R.(rtl.RegX); ok {
-			if _, isIV := ctx.ivs[rx.Reg]; isIV && ctx.operandInvariant(bin.L) {
+			if ctx.isIV(rx.Reg) && ctx.operandInvariant(bin.L) {
 				iv, limit = rx.Reg, bin.L
 				op = op.Swap()
 			}
@@ -158,7 +159,7 @@ func analyzeTrip(ctx *loopCtx) *tripInfo {
 	if limit == nil {
 		return nil
 	}
-	ivi := ctx.ivs[iv]
+	ivi := ctx.ivs.Get(iv)
 	info := &tripInfo{iv: iv, step: ivi.step, stepReg: ivi.stepReg,
 		regStep: ivi.regStep, stepX: ivi.stepExpr(),
 		limit: limit, op: op, cmpIdx: cmpIdx, jmpIdx: jmpIdx}
@@ -233,7 +234,7 @@ func readStreams(ctx *loopCtx, p *partition, r *memRef, stepUp bool) bool {
 	if !p.hasWrite() {
 		return true
 	}
-	ivi, ok := ctx.ivs[r.lin.iv]
+	ivi, ok := ctx.ivOf(r.lin.iv)
 	if !ok || ivi.regStep && !stepUp {
 		return false
 	}
@@ -379,8 +380,9 @@ func ceilDiv(a, b int64) int64 {
 // computable trip count: reads that pass readStreams and writes of
 // partitions without reads become streams, and jnd replaces the loop
 // test.
-func streamLoop(f *rtl.Func, g *cfg.Graph, l *cfg.Loop, minTrip int64) bool {
-	ctx := analyzeLoop(f, g, l)
+func streamLoop(w *loopWalk, l *cfg.Loop, minTrip int64) bool {
+	f := w.f
+	ctx := analyzeLoop(w, l)
 	if ctx.hasCall || ctx.stream {
 		return false
 	}

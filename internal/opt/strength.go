@@ -35,7 +35,7 @@ func wmAddrNeedsHelp(lin linform) bool { return lin.expanded }
 // pointer, or folds one offset, per visit.
 func strengthReduce(f *rtl.Func, needsHelp func(lin linform) bool, fold bool) (bool, error) {
 	return walkLoops(f, "StrengthReduce", true, func(w *loopWalk, l *cfg.Loop) bool {
-		return reduceLoop(analyzeLoop(w.f, w.g, l), needsHelp, fold)
+		return reduceLoop(analyzeLoop(w, l), needsHelp, fold)
 	})
 }
 
@@ -61,7 +61,7 @@ func reduceLoop(ctx *loopCtx, needsHelp func(linform) bool, fold bool) bool {
 		if alreadyReduced(ctx, f.Code[r.accIdx].Addr) {
 			continue // address is a derived pointer (+ offset) already
 		}
-		ivi, ok := ctx.ivs[r.lin.iv]
+		ivi, ok := ctx.ivOf(r.lin.iv)
 		if !ok || ivi.regStep {
 			continue
 		}
@@ -76,7 +76,7 @@ func reduceLoop(ctx *loopCtx, needsHelp func(linform) bool, fold bool) bool {
 	}
 	for _, key := range order {
 		grp := groups[key]
-		if reduceGroup(ctx, grp, ctx.ivs[grp[0].lin.iv]) {
+		if reduceGroup(ctx, grp, ctx.ivs.Get(grp[0].lin.iv)) {
 			return true
 		}
 	}
@@ -118,10 +118,10 @@ func foldOffset(ctx *loopCtx, acc int) bool {
 	}
 	xx, xok := shl.L.(rtl.RegX)
 	sh, sok := shl.R.(rtl.Imm)
-	if !xok || !sok || sh.V < 0 || sh.V >= 32 || ctx.defCount[xx.Reg] != 1 {
+	if !xok || !sok || sh.V < 0 || sh.V >= 32 || ctx.defCount(xx.Reg) != 1 {
 		return false
 	}
-	x, d := xx.Reg, ctx.defIdx[xx.Reg][0]
+	x, d := xx.Reg, ctx.defIdx.Get(xx.Reg)[0]
 	def := f.Code[d]
 	if def.Kind != rtl.KAssign || d > acc || ctx.g.BlockOf(d) != ctx.g.BlockOf(acc) {
 		return false
@@ -135,7 +135,7 @@ func foldOffset(ctx *loopCtx, acc int) bool {
 	if !yok || !cok || yx.Reg.IsFIFO() {
 		return false
 	}
-	for _, n := range ctx.defIdx[yx.Reg] {
+	for _, n := range ctx.defIdx.Get(yx.Reg) {
 		if d < n && n < acc {
 			return false // y changes between x's definition and the access
 		}
@@ -193,7 +193,7 @@ func alreadyReduced(ctx *loopCtx, addr rtl.Expr) bool {
 	default:
 		return false
 	}
-	if _, isIV := ctx.ivs[base]; isIV {
+	if ctx.isIV(base) {
 		return true
 	}
 	return ctx.invariant(base)

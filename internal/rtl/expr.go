@@ -340,23 +340,36 @@ func RenameRegs(e Expr, fn func(Reg) Reg) Expr {
 	}
 }
 
-// RenameRegsExpr returns a copy of e with every register reference
-// replaced by the expression fn(reg).
-func RenameRegsExpr(e Expr, fn func(Reg) Expr) Expr {
+// ReplaceRegs returns e with every register reference for which to
+// gives an expression replaced by that expression (to returns nil to
+// keep the register), and whether it replaced any.  A subexpression
+// with nothing to replace is returned as it is, not rebuilt.
+func ReplaceRegs(e Expr, to func(Reg) Expr) (Expr, bool) {
 	switch x := e.(type) {
 	case RegX:
-		return fn(x.Reg)
+		if y := to(x.Reg); y != nil {
+			return y, true
+		}
 	case Bin:
-		return Bin{x.Op, RenameRegsExpr(x.L, fn), RenameRegsExpr(x.R, fn)}
+		l, lok := ReplaceRegs(x.L, to)
+		r, rok := ReplaceRegs(x.R, to)
+		if lok || rok {
+			return Bin{x.Op, l, r}, true
+		}
 	case Un:
-		return Un{x.Op, RenameRegsExpr(x.X, fn)}
+		if y, ok := ReplaceRegs(x.X, to); ok {
+			return Un{x.Op, y}, true
+		}
 	case Cvt:
-		return Cvt{x.To, RenameRegsExpr(x.X, fn)}
+		if y, ok := ReplaceRegs(x.X, to); ok {
+			return Cvt{x.To, y}, true
+		}
 	case Mem:
-		return Mem{RenameRegsExpr(x.Addr, fn), x.Size, x.Cl}
-	default:
-		return e
+		if a, ok := ReplaceRegs(x.Addr, to); ok {
+			return Mem{a, x.Size, x.Cl}, true
+		}
 	}
+	return e, false
 }
 
 // ExprSize returns the number of operator nodes in the expression; the

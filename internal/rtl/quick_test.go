@@ -179,12 +179,13 @@ func TestQuickFoldSoundOnRegisters(t *testing.T) {
 		}
 		e := build(3)
 		subst := func(x Expr) Expr {
-			return RenameRegsExpr(x, func(rg Reg) Expr {
+			out, _ := ReplaceRegs(x, func(rg Reg) Expr {
 				if v, ok := regVals[rg]; ok {
 					return Imm{v}
 				}
-				return RegX{rg}
+				return nil
 			})
+			return out
 		}
 		direct := FoldExpr(subst(e))
 		folded := FoldExpr(subst(FoldExpr(e)))

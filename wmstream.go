@@ -121,12 +121,17 @@ type CompileStats struct {
 	Funcs  int           // functions optimized
 	Total  time.Duration // summed pass time (over all workers)
 
-	table string // pre-rendered per-pass table
+	opt *opt.Stats // the recorded statistics, rendered by Table
 }
 
 // Table renders the statistics as an aligned per-pass table (the
 // output of wmcc -stats), slowest pass first.
-func (s *CompileStats) Table() string { return s.table }
+func (s *CompileStats) Table() string {
+	if s.opt == nil {
+		return ""
+	}
+	return s.opt.Table()
+}
 
 // Severity orders diagnostics from informational to fatal.  The values
 // mirror the internal diagnostics layer (package internal/diag).
@@ -261,7 +266,7 @@ func CompileContext(ctx context.Context, src string, cfg CompileConfig) (*Compil
 		})
 	}
 	st := octx.Stats()
-	res.Stats = &CompileStats{Funcs: st.Funcs, Total: st.Total, table: st.Table()}
+	res.Stats = &CompileStats{Funcs: st.Funcs, Total: st.Total, opt: st}
 	for _, ps := range st.Passes() {
 		res.Stats.Passes = append(res.Stats.Passes, PassStat{
 			Name:       ps.Name,
