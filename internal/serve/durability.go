@@ -144,12 +144,11 @@ func (jm *jobManager) recover(rec *durable.Recovery) {
 			switch r.State {
 			case "done":
 				j.state = jobDone
-				var res RunResponse
-				if err := json.Unmarshal(r.Result, &res); err != nil {
+				if !json.Valid(r.Result) {
 					jm.abandonLocked(r)
 					continue
 				}
-				j.result = &res
+				j.result = r.Result
 			case "failed":
 				j.state = jobFailed
 				if len(r.Diags) > 0 {
@@ -208,10 +207,14 @@ func (jm *jobManager) put(r durable.JobRecord) error {
 	return jm.store.Put(r)
 }
 
-// recordLocked renders the job's current state as a journal record.
-// Caller holds j.mu.
-func (jm *jobManager) recordLocked(j *job) durable.JobRecord {
-	r := durable.JobRecord{
+// recordLocked renders the job's current state as a journal record, or
+// returns nil without a store, where nothing would keep it.  Caller
+// holds j.mu.
+func (jm *jobManager) recordLocked(j *job) *durable.JobRecord {
+	if jm.store == nil {
+		return nil
+	}
+	r := &durable.JobRecord{
 		Seq:            j.seq,
 		ID:             j.id,
 		State:          j.state.String(),
@@ -229,9 +232,7 @@ func (jm *jobManager) recordLocked(j *job) durable.JobRecord {
 		// last-wins, so each one carries the original request verbatim.
 		r.Request, _ = json.Marshal(j.req)
 	}
-	if j.result != nil {
-		r.Result, _ = json.Marshal(j.result)
-	}
+	r.Result = j.result
 	r.Error = j.errMsg
 	if len(j.diags) > 0 {
 		r.Diags, _ = json.Marshal(j.diags)
@@ -312,7 +313,7 @@ func (jm *jobManager) spill(j *job, state []byte, p wmstream.RunProgress) {
 		jm.srv.metrics.jobs.add(`event="spill_failed"`, 1)
 		return
 	}
-	var rec durable.JobRecord
+	var rec *durable.JobRecord
 	var dropHash string
 	j.mu.Lock()
 	if j.resume == nil || j.resume.Hash != ref.Hash {
@@ -328,7 +329,7 @@ func (jm *jobManager) spill(j *job, state []byte, p wmstream.RunProgress) {
 	}
 	rec = jm.recordLocked(j)
 	j.mu.Unlock()
-	jm.putTraced(j, rec, "running")
+	jm.putTraced(j, rec)
 	if dropHash != "" {
 		jm.store.RemoveCheckpoint(durable.CheckpointRef{Hash: dropHash})
 	}

@@ -243,17 +243,20 @@ func TestJobQueuedSurviveRestart(t *testing.T) {
 		t.Fatalf("setup job ended %q", finished.State)
 	}
 
-	// Occupy the single worker, then queue jobs behind it.
+	// Occupy the single worker, then queue jobs behind it.  Each differs
+	// in source from helloSrc and from the others, so none completes at
+	// submission from the finished job's cache entry.
 	_, blocker := submitJob(t, ts, crashJobReq("translated"))
 	waitCycles(t, ts, blocker.ID, 100_000)
 	var queued []JobResponse
 	for n := 0; n < 3; n++ {
+		src := strings.Replace(helloSrc, "s = 0;", fmt.Sprintf("s = %d - %d;", n, n), 1)
 		res, jr := submitJob(t, ts, &JobRequest{
-			Request: Request{Source: helloSrc},
+			Request: Request{Source: src},
 			Tenant:  fmt.Sprintf("tenant-%d", n),
 		})
-		if res.status != http.StatusAccepted {
-			t.Fatalf("submit status %d", res.status)
+		if res.status != http.StatusAccepted || jr.State != "queued" {
+			t.Fatalf("submit status %d state %q, want 202 queued", res.status, jr.State)
 		}
 		queued = append(queued, jr)
 	}

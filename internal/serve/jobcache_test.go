@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"wmstream/internal/durable"
 )
 
 // execCounter is a CompileHook that counts executions per content
@@ -58,10 +60,12 @@ func jobEvents(t *testing.T, ts *httptest.Server, event string) float64 {
 
 // TestJobCacheRepeatRunsOnce: two sequential identical jobs execute
 // once.  The second completes from the entry the first stored, with the
-// same result, no progress, no attempts, and a trace that says so.
+// same result, no progress, no attempts, and a trace that says so: the
+// first looked the cache up at submission and again at dispatch, the
+// second only at submission, where it hit.
 func TestJobCacheRepeatRunsOnce(t *testing.T) {
 	var ec execCounter
-	_, ts := newTestServer(t, Config{CompileHook: ec.hook, JobProgressEvery: time.Millisecond})
+	srv, ts := newTestServer(t, Config{CompileHook: ec.hook, JobProgressEvery: time.Millisecond})
 	req := &JobRequest{Request: Request{Source: streamSrc, Level: intp(3)}}
 	key := req.cacheKey(kindRun)
 
@@ -74,6 +78,10 @@ func TestJobCacheRepeatRunsOnce(t *testing.T) {
 	}
 	if got := ec.count(key); got != 1 {
 		t.Fatalf("%d executions for two identical jobs, want 1", got)
+	}
+	// Each job counts one lookup: the dispatch re-check is not counted.
+	if st := srv.cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("cache counted %d hits and %d misses, want 1 and 1", st.Hits, st.Misses)
 	}
 	if !reflect.DeepEqual(first.Result, second.Result) {
 		t.Fatalf("cached result differs:\nexecuted: %+v\ncached:   %+v", first.Result, second.Result)
@@ -92,10 +100,11 @@ func TestJobCacheRepeatRunsOnce(t *testing.T) {
 	}
 
 	for _, c := range []struct {
-		jr    JobResponse
-		cache string
-		execs bool
-	}{{first, "miss", true}, {second, "hit", false}} {
+		jr      JobResponse
+		cache   string
+		lookups int
+		execs   bool
+	}{{first, "miss", 2, true}, {second, "hit", 1, false}} {
 		snap := getTrace(t, ts, c.jr.TraceID)
 		if !snap.Finished {
 			t.Fatalf("%s job's trace not finished when it reported done", c.cache)
@@ -104,11 +113,12 @@ func TestJobCacheRepeatRunsOnce(t *testing.T) {
 			t.Errorf("root cache attr %q, want %q", got, c.cache)
 		}
 		_, counts := spansByName(snap)
-		if counts["cache.lookup"] != 1 {
-			t.Errorf("%s job: %d cache.lookup spans, want 1", c.cache, counts["cache.lookup"])
+		if counts["cache.lookup"] != c.lookups {
+			t.Errorf("%s job: %d cache.lookup spans, want %d", c.cache, counts["cache.lookup"], c.lookups)
 		}
-		if (counts["compile"] > 0) != c.execs || (counts["sim"] > 0) != c.execs {
-			t.Errorf("%s job: compile/sim spans %d/%d, executed=%v", c.cache, counts["compile"], counts["sim"], c.execs)
+		if (counts["run"] > 0) != c.execs || (counts["compile"] > 0) != c.execs || (counts["sim"] > 0) != c.execs {
+			t.Errorf("%s job: run/compile/sim spans %d/%d/%d, executed=%v",
+				c.cache, counts["run"], counts["compile"], counts["sim"], c.execs)
 		}
 	}
 }
@@ -211,7 +221,8 @@ func TestJobFailuresNotCached(t *testing.T) {
 	}
 }
 
-// TestJobCacheDisabled: with the cache off, every job executes.
+// TestJobCacheDisabled: with the cache off, every job queues and
+// executes, a repeated one too.
 func TestJobCacheDisabled(t *testing.T) {
 	var ec execCounter
 	_, ts := newTestServer(t, Config{CacheBytes: -1, CompileHook: ec.hook})
@@ -226,6 +237,10 @@ func TestJobCacheDisabled(t *testing.T) {
 	}
 	if got := ec.count(req.cacheKey(kindRun)); got != 2 {
 		t.Fatalf("%d executions with the cache disabled, want 2", got)
+	}
+	_, counts := spansByName(getTrace(t, ts, second.TraceID))
+	if counts["queue.wait"] != 1 || counts["run"] != 1 {
+		t.Errorf("repeated job: queue.wait/run spans %d/%d, want 1/1", counts["queue.wait"], counts["run"])
 	}
 }
 
@@ -315,9 +330,10 @@ func TestRecoveredJobCompletesFromCache(t *testing.T) {
 	})
 }
 
-// TestRunResponseRoundTrip: a cache-hit job renders a result decoded
-// from the stored body, so the body must survive a decode and re-render
-// byte for byte, including the characters the encoder escapes.  (The
+// TestRunResponseRoundTrip: a client that decodes a job's result into
+// JobResponse.Result and renders it again gets the stored /run body
+// byte for byte, including the characters the encoder escapes; the
+// tests here compare job results with sync bodies that way.  (The
 // simulator writes putc as %c of a byte, so output is always valid
 // UTF-8.)
 func TestRunResponseRoundTrip(t *testing.T) {
@@ -334,5 +350,215 @@ func TestRunResponseRoundTrip(t *testing.T) {
 	}
 	if got := mustJSON(&out); !bytes.Equal(got, body) {
 		t.Fatalf("round trip changed the body:\n%s\n%s", body, got)
+	}
+}
+
+// TestJobCacheHitAtSubmit: a job whose /run content address is cached
+// is done in its 202.  It takes no queue slot and no worker (the only
+// job worker stays busy throughout), its result is the stored body as
+// it is, and its finished trace holds the one lookup and no run.  A
+// closed server still refuses it.
+func TestJobCacheHitAtSubmit(t *testing.T) {
+	var ec execCounter
+	blocker := crashJobReq("translated")
+	entered, release := make(chan struct{}), make(chan struct{})
+	var enterOnce, releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	srv, ts := newTestServer(t, Config{JobWorkers: 1, CompileHook: func(k Key) {
+		ec.hook(k)
+		if k == blocker.cacheKey(kindRun) {
+			enterOnce.Do(func() { close(entered) })
+			<-release
+		}
+	}})
+	t.Cleanup(unblock) // runs before the server's Close, which waits for the worker
+	req := &JobRequest{Request: Request{Source: streamSrc, Level: intp(3)}, Tenant: "alice"}
+	key := req.cacheKey(kindRun)
+
+	first := runJobToEnd(t, ts, req)
+	if first.State != "done" || first.Result == nil {
+		t.Fatalf("first job ended %q (error %q)", first.State, first.Error)
+	}
+	_, b := submitJob(t, ts, blocker)
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("blocker never dispatched")
+	}
+	jobGauges := func() (queued, running float64) {
+		for _, s := range scrape(t, ts).samples {
+			switch s.name {
+			case "wmserved_jobs_queued":
+				queued = s.value
+			case "wmserved_jobs_running":
+				running = s.value
+			}
+		}
+		return queued, running
+	}
+	if q, r := jobGauges(); q != 0 || r != 1 {
+		t.Fatalf("before the hit: jobs queued %g running %g, want 0 and 1", q, r)
+	}
+
+	res, second := submitJob(t, ts, req)
+	if res.status != http.StatusAccepted {
+		t.Fatalf("hit submit status %d: %s", res.status, res.body)
+	}
+	if second.State != "done" || second.Result == nil || second.Gen == 0 || second.ExpiresInSeconds <= 0 {
+		t.Fatalf("hit 202: state %q gen %d expires %g result %v, want done with a result",
+			second.State, second.Gen, second.ExpiresInSeconds, second.Result != nil)
+	}
+	if q, r := jobGauges(); q != 0 || r != 1 {
+		t.Errorf("after the hit: jobs queued %g running %g, want 0 and 1", q, r)
+	}
+	if got := ec.count(key); got != 1 {
+		t.Errorf("%d executions, want 1 (the first job's)", got)
+	}
+
+	// The result is the stored body itself, and equals the first job's
+	// result and a sync /run of the same request.
+	var raw struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(res.body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	stored, ok := srv.cache.peek(key)
+	if !ok {
+		t.Fatal("no cache entry for the job's content address")
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, stored); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw.Result, compact.Bytes()) {
+		t.Fatalf("202 result is not the stored body:\n202:    %s\nstored: %s", raw.Result, stored)
+	}
+	if !reflect.DeepEqual(first.Result, second.Result) {
+		t.Fatalf("hit result differs:\nexecuted: %+v\nhit:      %+v", first.Result, second.Result)
+	}
+	run := post(t, ts, "/run", &req.Request)
+	if run.status != http.StatusOK || run.cache != "hit" {
+		t.Fatalf("/run: status %d X-Cache %q, want 200 hit", run.status, run.cache)
+	}
+	if got := mustJSON(second.Result); !bytes.Equal(got, run.body) {
+		t.Fatalf("hit result differs from the sync body:\njob:  %s\nsync: %s", got, run.body)
+	}
+
+	snap := getTrace(t, ts, second.TraceID)
+	if !snap.Finished {
+		t.Fatal("hit job's trace not finished at its 202")
+	}
+	if got := snap.Spans[0].Attrs["cache"]; got != "hit" {
+		t.Errorf("root cache attr %q, want hit", got)
+	}
+	if got := snap.Spans[0].Attrs["state"]; got != "done" {
+		t.Errorf("root state attr %q, want done", got)
+	}
+	_, counts := spansByName(snap)
+	if counts["cache.lookup"] != 1 || counts["run"] != 0 || counts["queue.wait"] != 0 {
+		t.Errorf("hit trace: cache.lookup/run/queue.wait spans %d/%d/%d, want 1/0/0",
+			counts["cache.lookup"], counts["run"], counts["queue.wait"])
+	}
+	for event, want := range map[string]float64{"submitted": 3, "cache_hit": 1, "completed": 2} {
+		if got := jobEvents(t, ts, event); got != want {
+			t.Errorf("%s events %g, want %g", event, got, want)
+		}
+	}
+
+	deleteJob(t, ts, b.ID)
+	unblock()
+	srv.Close()
+	if res, _ := submitJob(t, ts, req); res.status != http.StatusServiceUnavailable {
+		t.Errorf("hit submit on a closed server: status %d, want 503", res.status)
+	}
+}
+
+// TestJobCacheHitAtSubmitDurable: with a journal, a hit at submission
+// writes exactly one record before its 202, the done one with its
+// result, so a crash right after the acknowledgement loses nothing:
+// the next boot restores the job, pollable, with the same result.
+func TestJobCacheHitAtSubmitDurable(t *testing.T) {
+	dir := t.TempDir()
+	faults := &durable.FaultPoints{}
+	srv := New(durableCfg(dir, faults))
+	ts := httptest.NewServer(srv)
+	req := &JobRequest{Request: Request{Source: helloSrc}, Tenant: "alice"}
+
+	first := runJobToEnd(t, ts, req)
+	if first.State != "done" {
+		t.Fatalf("first job ended %q (error %q)", first.State, first.Error)
+	}
+	ops := faults.Ops()
+	res, hit := submitJob(t, ts, req)
+	if res.status != http.StatusAccepted || hit.State != "done" {
+		t.Fatalf("hit submit: status %d state %q, want 202 done", res.status, hit.State)
+	}
+	if got := faults.Ops() - ops; got != 1 {
+		t.Fatalf("hit wrote %d journal records before its 202, want 1", got)
+	}
+	// Nothing after the acknowledgement reaches the journal.
+	faults.Kill()
+	srv.crash()
+	ts.Close()
+	srv.Close()
+
+	srv2, ts2 := newTestServer(t, durableCfg(dir, nil))
+	if rec, _ := srv2.Recovery(); rec.Restored != 2 || rec.Requeued+rec.Resumed+rec.Abandoned != 0 {
+		t.Fatalf("recovery %+v, want both jobs restored and nothing else", rec)
+	}
+	status, again := getJob(t, ts2, hit.ID, "")
+	if status != http.StatusOK || again.State != "done" || again.Tenant != "alice" {
+		t.Fatalf("restored hit job: status %d state %q tenant %q", status, again.State, again.Tenant)
+	}
+	if !reflect.DeepEqual(again.Result, first.Result) {
+		t.Fatalf("restored result differs:\nfirst:    %+v\nrestored: %+v", first.Result, again.Result)
+	}
+	if polled := waitTerminal(t, ts2, hit.ID, again.Gen); !reflect.DeepEqual(polled.Result, first.Result) {
+		t.Fatalf("polled restored result differs: %+v", polled.Result)
+	}
+}
+
+// TestJobResponseMirror: jobs render through jobResponse, so its
+// members, their order and their tags must stay JobResponse's, which
+// clients decode; only Result's type differs.  render must write what
+// the encoder writes for it, byte for byte.
+func TestJobResponseMirror(t *testing.T) {
+	var wire []reflect.StructField
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(jobResponse{})) {
+		if !f.Anonymous {
+			wire = append(wire, f)
+		}
+	}
+	pub := reflect.TypeOf(JobResponse{})
+	if pub.NumField() != len(wire) {
+		t.Fatalf("JobResponse has %d fields, jobResponse %d", pub.NumField(), len(wire))
+	}
+	for i, w := range wire {
+		p := pub.Field(i)
+		if p.Name != w.Name || p.Tag != w.Tag {
+			t.Errorf("field %d: JobResponse %s `%s`, jobResponse %s `%s`", i, p.Name, p.Tag, w.Name, w.Tag)
+		}
+		want := p.Type
+		if p.Name == "Result" {
+			want = reflect.TypeOf(json.RawMessage(nil))
+		}
+		if w.Type != want {
+			t.Errorf("field %s: jobResponse type %v, want %v", w.Name, w.Type, want)
+		}
+	}
+
+	result := mustJSON(&RunResponse{Listing: "a < b\n", Cycles: 7, Output: "x\"y"})
+	for _, r := range []jobResponse{
+		{jobHead: jobHead{ID: "1", State: "queued"}},
+		{jobHead: jobHead{ID: "2", State: "running", Gen: 3, Tenant: "t\"}", Progress: &JobProgress{Cycles: 9}}},
+		{jobHead: jobHead{ID: "3", State: "done", Gen: 1}, Result: result},
+		{jobHead: jobHead{ID: "4", State: "done", Gen: 2}, Result: bytes.TrimSuffix(result, []byte("\n")),
+			jobTail: jobTail{ExpiresInSeconds: 1.5, Attempts: 2, TraceID: "ab"}},
+		{jobHead: jobHead{ID: "5", State: "failed"}, jobTail: jobTail{Error: "e", Diagnostics: []Diagnostic{{Severity: "error", Msg: "m"}}}},
+	} {
+		if got, want := r.render(), mustJSON(&r); !bytes.Equal(got, want) {
+			t.Errorf("render differs from the encoder:\nrender:  %s\nencoder: %s", got, want)
+		}
 	}
 }

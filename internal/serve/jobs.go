@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -26,7 +27,9 @@ import (
 // class, whose JobWorkers running slots are separate from the sync
 // class's, under the JobTimeout wall budget, report periodic progress
 // snapshots from the execution core, and keep their terminal result
-// pollable for JobTTL before a janitor reclaims them.
+// pollable for JobTTL before a janitor reclaims them.  A job whose
+// /run content address the response cache already holds never enters
+// the scheduler: it is done in the 202 that acknowledges it.
 //
 // Scheduling is fair across tenants: each tenant is a scheduler lane,
 // and lanes are served round-robin, so one tenant queueing many jobs
@@ -36,7 +39,8 @@ import (
 // load-shedding discipline.
 
 // jobState is the job lifecycle: queued → running → done|failed|canceled
-// (queued jobs may also go directly to canceled).
+// (queued jobs may also go directly to canceled, and a response-cache
+// hit at submission starts out done).
 type jobState int
 
 const (
@@ -88,9 +92,12 @@ type job struct {
 	gen      int64
 	changed  chan struct{}
 	progress *JobProgress
-	result   *RunResponse
-	errMsg   string
-	diags    []Diagnostic
+	// result is the job's /run body as the response cache stores it:
+	// rendered once by the run that produced it and never decoded or
+	// re-encoded after.  Shared with the cache, so never modified.
+	result []byte
+	errMsg string
+	diags  []Diagnostic
 	// cancel aborts the running simulation; cancelRequested marks a
 	// cancel that arrived before the worker observed it.
 	cancel          context.CancelFunc
@@ -126,17 +133,56 @@ func (j *job) update(f func()) {
 	j.mu.Unlock()
 }
 
+// jobResponse is JobResponse as the server renders it, with Result
+// holding the stored /run body.  Its members, their order and their
+// tags mirror JobResponse's, which decoding clients use
+// (TestJobResponseMirror pins the two together).  The members before
+// and after Result are grouped so that render can encode them on their
+// own and write the body between them as it is.
+type jobResponse struct {
+	jobHead
+	Result json.RawMessage `json:"result,omitempty"`
+	jobTail
+}
+
+type jobHead struct {
+	ID       string       `json:"id"`
+	State    string       `json:"state"`
+	Gen      int64        `json:"gen"`
+	Tenant   string       `json:"tenant,omitempty"`
+	Progress *JobProgress `json:"progress,omitempty"`
+}
+
+type jobTail struct {
+	Error            string       `json:"error,omitempty"`
+	Diagnostics      []Diagnostic `json:"diagnostics,omitempty"`
+	ExpiresInSeconds float64      `json:"expires_in_seconds,omitempty"`
+	Attempts         int          `json:"attempts,omitempty"`
+	TraceID          string       `json:"trace_id,omitempty"`
+}
+
+// render returns the bytes mustJSON(r) returns, without handing the
+// result to the encoder, which would scan and compact every byte of a
+// body that is compact JSON already.
+func (r *jobResponse) render() []byte {
+	head, tail := mustJSON(&r.jobHead), mustJSON(&r.jobTail)
+	b := head[:len(head)-2] // without "}\n"
+	if len(r.Result) > 0 {
+		b = append(b, `,"result":`...)
+		b = append(b, bytes.TrimSuffix(r.Result, []byte("\n"))...)
+	}
+	if len(tail) > len("{}\n") {
+		b = append(b, ',')
+	}
+	return append(b, tail[1:]...) // without "{"
+}
+
 // responseLocked renders the wire form.  Caller holds j.mu.
-func (j *job) responseLocked(now time.Time) *JobResponse {
-	resp := &JobResponse{
-		ID:          j.id,
-		State:       j.state.String(),
-		Gen:         j.gen,
-		Tenant:      j.tenant,
-		Attempts:    j.attempt,
-		Result:      j.result,
-		Error:       j.errMsg,
-		Diagnostics: j.diags,
+func (j *job) responseLocked(now time.Time) *jobResponse {
+	resp := &jobResponse{
+		jobHead: jobHead{ID: j.id, State: j.state.String(), Gen: j.gen, Tenant: j.tenant},
+		Result:  j.result,
+		jobTail: jobTail{Error: j.errMsg, Diagnostics: j.diags, Attempts: j.attempt},
 	}
 	if j.progress != nil {
 		p := *j.progress
@@ -153,18 +199,23 @@ func (j *job) responseLocked(now time.Time) *JobResponse {
 	return resp
 }
 
-func (j *job) response(now time.Time) *JobResponse {
+func (j *job) response(now time.Time) *jobResponse {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.responseLocked(now)
 }
 
 // poll returns the current wire form plus the generation and the
-// channel that closes on the next change, atomically.
-func (j *job) poll(now time.Time) (*JobResponse, int64, <-chan struct{}) {
+// channel that closes on the next change, atomically.  A terminal
+// job's generation never moves again, so for one the channel is nil.
+func (j *job) poll(now time.Time) (*jobResponse, int64, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.responseLocked(now), j.gen, j.changed
+	changed := j.changed
+	if j.state.terminal() {
+		changed = nil
+	}
+	return j.responseLocked(now), j.gen, changed
 }
 
 // jobManager owns the job table and the TTL janitor; the scheduler
@@ -209,17 +260,24 @@ func (jm *jobManager) start() {
 // visible to GET /jobs/{id}.  tr/root, when non-nil, become the job's
 // end-to-end trace; the job takes ownership (finished at the terminal
 // transition) only on successful admission.
+//
+// A job whose /run content address the response cache already holds
+// is answered as a sync hit is: it takes no admission, queue slot or
+// worker, and is returned done, with the stored body as its result.
 func (jm *jobManager) submit(req *JobRequest, tr *obs.Trace, root *obs.Span) (*job, error) {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	if jm.closed {
 		return nil, ErrDraining
 	}
+	body, hit := jm.cached(root, root, req.cacheKey(kindRun), jm.srv.cache.Get)
 	// Admission is checked before the journal write, so a shed job
 	// leaves no record; under jm.mu nothing else can fill the job class
 	// before the enqueue below.
-	if err := jm.srv.sched.admit(jobClass, req.Tenant); err != nil {
-		return nil, err
+	if !hit {
+		if err := jm.srv.sched.admit(jobClass, req.Tenant); err != nil {
+			return nil, err
+		}
 	}
 	j := &job{
 		id:      newJobID(),
@@ -240,17 +298,26 @@ func (jm *jobManager) submit(req *JobRequest, tr *obs.Trace, root *obs.Span) (*j
 	// written (ErrCrashed under fault injection) must fail the submit
 	// — no acknowledgement, no obligation.
 	j.mu.Lock()
-	rec := jm.recordLocked(j)
+	var err error
+	if hit {
+		j.state = jobDone
+		j.result = body
+		j.expires = time.Now().Add(jm.cfg.JobTTL)
+		err = jm.settleLocked(j)
+	} else {
+		err = jm.putTraced(j, jm.recordLocked(j))
+	}
 	j.mu.Unlock()
-	jsp := root.StartChild("journal.append")
-	jsp.SetAttr("state", "queued")
-	if err := jm.put(rec); err != nil {
-		jsp.EndErr(err)
+	if err != nil {
 		j.trace, j.root = nil, nil
 		return nil, err
 	}
-	jsp.End()
 	jm.seq = j.seq
+	if hit {
+		jm.byID[j.id] = j
+		jm.srv.metrics.jobs.add(`event="completed"`, 1)
+		return j, nil
+	}
 	j.qspan = root.StartChild("queue.wait")
 	if err := jm.enqueueLocked(j); err != nil {
 		jm.put(durable.JobRecord{Seq: j.seq, ID: j.id, State: "deleted"})
@@ -276,10 +343,11 @@ func (jm *jobManager) held() int {
 
 // runJob executes one job through the shared perform pipeline, feeding
 // the execution core's progress snapshots into the job's generation
-// stream.  The response cache sits in front of execution: a job whose
-// content address an earlier job or sync /run already answered
-// completes from the stored body without compiling or simulating, and
-// a job that executes to a 200 result fills the cache for both tiers.
+// stream.  The response cache sits in front of execution here too: a
+// job whose content address an earlier job or sync /run answered while
+// it was queued (or before a recovered job's reboot) completes from the
+// stored body without compiling or simulating, and a job that executes
+// to a 200 result fills the cache for both tiers.
 // With a durable store, the run checkpoints periodically and transient
 // failures (a checkpoint that no longer verifies) retry with backoff,
 // falling back candidate by candidate to a clean start.
@@ -287,7 +355,7 @@ func (jm *jobManager) runJob(j *job) {
 	ctx, cancel := context.WithTimeout(jm.srv.base, jm.cfg.JobTimeout)
 	defer cancel()
 
-	var rec durable.JobRecord
+	var rec *durable.JobRecord
 	var runSpan *obs.Span
 	j.mu.Lock()
 	j.qspan.End()
@@ -306,22 +374,21 @@ func (jm *jobManager) runJob(j *job) {
 	rec = jm.recordLocked(j)
 	j.bumpLocked()
 	j.mu.Unlock()
-	jm.putTraced(j, rec, rec.State)
+	jm.putTraced(j, rec)
 	// The run span carries the execution through the shared pipeline:
 	// compile passes, sim slices, and checkpoint spills all become its
 	// children via the context.
 	ctx = obs.ContextWith(ctx, runSpan)
 
 	key := j.req.cacheKey(kindRun)
-	out, hit := jm.cached(j, runSpan, key)
+	body, hit := jm.cached(j.root, runSpan, key, jm.srv.cache.peek)
+	var out runOutcome
 	for !hit {
 		out = jm.runOnce(ctx, j, key)
 		if out.resumeErr == nil || !jm.retryWait(j) {
 			break
 		}
 	}
-
-	var body []byte
 	if !hit && out.status == http.StatusOK && out.run != nil {
 		body = out.body()
 	}
@@ -345,11 +412,11 @@ func (jm *jobManager) runJob(j *job) {
 			j.state = jobCanceled
 			event = `event="canceled"`
 		}
-	case out.status == http.StatusOK && out.run != nil:
+	case body != nil:
 		j.state = jobDone
-		j.result = out.run
+		j.result = body
 		event = `event="completed"`
-		if body != nil {
+		if !hit {
 			// Filled before the done generation is published, so a
 			// client that sees done finds the entry.
 			jm.srv.cache.Put(key, body)
@@ -377,39 +444,45 @@ func (jm *jobManager) runJob(j *job) {
 		rec = jm.recordLocked(j)
 		j.bumpLocked()
 		j.mu.Unlock()
-		jm.putTraced(j, rec, rec.State)
+		jm.putTraced(j, rec)
 	}
 	jm.removeRefs(dropRefs...)
 	jm.srv.metrics.jobs.add(event, 1)
 }
 
-// cached looks the job's content address up in the response cache and
-// decodes a stored /run body into the job's result.  The stored bytes
-// are exactly what a cold run renders, so a hit is indistinguishable
+// cached looks a job's /run content address up in the response cache
+// through lookup, under a cache.lookup child of parent, and marks the
+// job's root span with the outcome.  It runs at submission (Get) and
+// again at dispatch, for jobs that queued before an identical job or
+// sync /run filled the entry and for jobs recovered from the journal.
+// The dispatch lookup is a peek, as the sync tier's re-check inside a
+// flight is, so the cache's hit and miss counters see one lookup per
+// submitted job.  The stored body is exactly what a cold run renders,
+// so it becomes the job's result as it is: a hit is indistinguishable
 // from an execution except that it carries no progress.
-func (jm *jobManager) cached(j *job, runSpan *obs.Span, key Key) (runOutcome, bool) {
-	sp := runSpan.StartChild("cache.lookup")
-	body, ok := jm.srv.cache.Get(key)
-	var res RunResponse
-	if ok && json.Unmarshal(body, &res) != nil {
-		ok = false
-	}
+func (jm *jobManager) cached(root, parent *obs.Span, key Key, lookup func(Key) ([]byte, bool)) ([]byte, bool) {
+	sp := parent.StartChild("cache.lookup")
+	body, ok := lookup(key)
 	sp.End()
 	if !ok {
-		j.root.SetAttr("cache", "miss")
-		return runOutcome{}, false
+		root.SetAttr("cache", "miss")
+		return nil, false
 	}
-	j.root.SetAttr("cache", "hit")
+	root.SetAttr("cache", "hit")
 	jm.srv.metrics.jobs.add(`event="cache_hit"`, 1)
-	return runOutcome{status: http.StatusOK, run: &res}, true
+	return body, true
 }
 
 // putTraced journals one record with a journal.append child span on
-// the job's trace, so WAL writes show up on the job timeline.
-func (jm *jobManager) putTraced(j *job, rec durable.JobRecord, state string) error {
+// the job's trace, so WAL writes show up on the job timeline.  A nil
+// record (no store) journals nothing.
+func (jm *jobManager) putTraced(j *job, rec *durable.JobRecord) error {
+	if rec == nil {
+		return nil
+	}
 	sp := j.root.StartChild("journal.append")
-	sp.SetAttr("state", state)
-	err := jm.put(rec)
+	sp.SetAttr("state", rec.State)
+	err := jm.put(*rec)
 	sp.EndErr(err)
 	return err
 }
@@ -417,15 +490,17 @@ func (jm *jobManager) putTraced(j *job, rec durable.JobRecord, state string) err
 // settleLocked publishes a terminal state the job has just entered:
 // journal the record, close the end-to-end trace, and only then bump
 // the generation.  Pollers read state under j.mu, so none sees the
-// terminal state before its trace is finished.  Caller holds j.mu.
-func (jm *jobManager) settleLocked(j *job) {
-	rec := jm.recordLocked(j)
-	jm.putTraced(j, rec, rec.State)
+// terminal state before its trace is finished.  The journal error is
+// returned for a submission, which must not acknowledge a job it
+// could not record.  Caller holds j.mu.
+func (jm *jobManager) settleLocked(j *job) error {
+	err := jm.putTraced(j, jm.recordLocked(j))
 	if j.trace != nil {
-		j.root.SetAttr("state", rec.State)
+		j.root.SetAttr("state", j.state.String())
 		j.trace.Finish()
 	}
 	j.bumpLocked()
+	return err
 }
 
 // runOnce is one attempt: load the best resume candidate, run through
@@ -478,7 +553,7 @@ func (jm *jobManager) runOnce(ctx context.Context, j *job, key Key) runOutcome {
 // deleted immediately, queued jobs flip to canceled, running jobs get
 // their context canceled (the state transition lands when the worker
 // observes it).  Returns the job's wire form after the action.
-func (jm *jobManager) cancelJob(j *job) *JobResponse {
+func (jm *jobManager) cancelJob(j *job) *jobResponse {
 	now := time.Now()
 	var tomb *durable.JobRecord
 	var dropRefs []*durable.CheckpointRef
@@ -646,11 +721,12 @@ func (s *Server) decodeJobRequest(w http.ResponseWriter, r *http.Request) (*JobR
 	return &req, nil, 0
 }
 
-// handleJobSubmit is POST /jobs: admit (202 with the queued job) or
-// shed (429/503).  The trace opened here is the job's end-to-end
-// trace: its root "job" span outlives this request (the job finishes
-// it at its terminal transition), while the handler's own work is the
-// "admission" child span.
+// handleJobSubmit is POST /jobs: admit (202 with the queued job, or
+// with the done one on a response-cache hit) or shed (429/503).  The
+// trace opened here is the job's end-to-end trace: its root "job" span
+// outlives this request (the job finishes it at its terminal
+// transition), while the handler's own work is the "admission" child
+// span.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ctx, root := s.startTrace(r, "job")
@@ -677,7 +753,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 		handedOff = true
 		s.metrics.jobs.add(`event="submitted"`, 1)
-		s.finish(w, r, kindJobs, start, http.StatusAccepted, mustJSON(j.response(time.Now())), "")
+		s.finish(w, r, kindJobs, start, http.StatusAccepted, j.response(time.Now()).render(), "")
 	case errors.Is(err, ErrDraining):
 		s.finish(w, r, kindJobs, start, http.StatusServiceUnavailable,
 			mustJSON(&ErrorResponse{Error: "server is shutting down"}), "")
@@ -700,7 +776,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // the current state immediately.  With ?gen=N&wait=D it long-polls:
 // the response is delayed (up to D, capped by JobPollMax) until the
 // job's generation exceeds N, so pollers see every state transition
-// without tight-looping.
+// without tight-looping.  A terminal job answers at once.
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	id := r.PathValue("id")
@@ -747,17 +823,18 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 			// for in-flight requests, so a held-open long-poll would
 			// stall the whole graceful exit for up to JobPollMax.
 			w.Header().Set("Connection", "close")
-			s.finishWait(w, r, kindJobPoll, start, waited, http.StatusOK, mustJSON(resp), "")
+			s.finishWait(w, r, kindJobPoll, start, waited, http.StatusOK, resp.render(), "")
 			return
 		}
-		if sinceGen < 0 || gen > sinceGen || wait <= 0 {
-			s.finishWait(w, r, kindJobPoll, start, waited, http.StatusOK, mustJSON(resp), "")
+		// A terminal job (nil changed) has nothing left to wait for.
+		if sinceGen < 0 || gen > sinceGen || wait <= 0 || changed == nil {
+			s.finishWait(w, r, kindJobPoll, start, waited, http.StatusOK, resp.render(), "")
 			return
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			// Poll window elapsed with no change: report current state.
-			s.finishWait(w, r, kindJobPoll, start, waited, http.StatusOK, mustJSON(resp), "")
+			s.finishWait(w, r, kindJobPoll, start, waited, http.StatusOK, resp.render(), "")
 			return
 		}
 		timer := time.NewTimer(remain)
@@ -771,7 +848,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		timer.Stop()
 		waited += time.Since(parked)
 		if r.Context().Err() != nil {
-			s.finishWait(w, r, kindJobPoll, start, waited, http.StatusOK, mustJSON(resp), "")
+			s.finishWait(w, r, kindJobPoll, start, waited, http.StatusOK, resp.render(), "")
 			return
 		}
 	}
@@ -790,7 +867,7 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := s.jobs.cancelJob(j)
-	s.finish(w, r, kindJobCancel, start, http.StatusOK, mustJSON(resp), "")
+	s.finish(w, r, kindJobCancel, start, http.StatusOK, resp.render(), "")
 }
 
 // jobRequestSpan attaches a poll/cancel request to the job's

@@ -95,6 +95,25 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string, gen int64) JobRe
 	return JobResponse{}
 }
 
+// TestJobPollTerminalAtOnce: a terminal job's generation never moves
+// again, so a long-poll at its own generation answers at once instead
+// of parking for the whole wait.
+func TestJobPollTerminalAtOnce(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	done := runJobToEnd(t, ts, &JobRequest{Request: Request{Source: helloSrc}})
+	if done.State != "done" {
+		t.Fatalf("job ended %q (error %q)", done.State, done.Error)
+	}
+	start := time.Now()
+	status, again := getJob(t, ts, done.ID, fmt.Sprintf("?gen=%d&wait=2s", done.Gen))
+	if el := time.Since(start); el >= 100*time.Millisecond {
+		t.Fatalf("poll of a done job at its own gen took %v, want under 100ms", el)
+	}
+	if status != http.StatusOK || again.State != "done" || again.Gen != done.Gen {
+		t.Fatalf("poll: status %d state %q gen %d, want 200 done %d", status, again.State, again.Gen, done.Gen)
+	}
+}
+
 // TestJobLifecycle: submit → (queued|running) → long-poll to done →
 // result carries the run response → delete removes it.
 func TestJobLifecycle(t *testing.T) {

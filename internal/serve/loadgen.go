@@ -494,8 +494,9 @@ func (sh *loadShard) syncIteration(ctx context.Context, client *http.Client, cfg
 	sh.post(ctx, client, endpoint, base+"/"+endpoint, &Request{Source: src, Level: &level})
 }
 
-// jobIteration drives one full job lifecycle: submit, then either
-// cancel midway (1 in 8) or long-poll generations to a terminal state.
+// jobIteration drives one full job lifecycle: submit, then, unless the
+// submission already answered it, either cancel midway (1 in 8) or
+// long-poll generations to a terminal state.
 func (sh *loadShard) jobIteration(ctx context.Context, client *http.Client, cfg LoadConfig, rng *rand.Rand, w int, n int64) {
 	src := hitPrograms[rng.Intn(len(hitPrograms))]
 	if rng.Float64() >= cfg.HitFraction {
@@ -520,6 +521,12 @@ func (sh *loadShard) jobIteration(ctx context.Context, client *http.Client, cfg 
 	var jr JobResponse
 	if err := json.Unmarshal(body, &jr); err != nil {
 		sh.errors++
+		return
+	}
+	switch jr.State {
+	case "done", "failed", "canceled":
+		// Answered at submission (a response-cache hit): nothing to poll.
+		sh.byJobState[jr.State]++
 		return
 	}
 

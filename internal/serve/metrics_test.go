@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -364,49 +363,27 @@ func TestMetricsSlowExemplar(t *testing.T) {
 	}
 }
 
-// TestMetricsLongpollWaitSeparated submits a job, long-polls it with a
-// generous wait, and checks the parked time lands in the wait
+// TestMetricsLongpollWaitSeparated long-polls a queued job with a wait
+// it must sit out, and checks the parked time lands in the wait
 // histogram — not the service-latency histogram the p99 is built from.
 func TestMetricsLongpollWaitSeparated(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	res := post(t, ts, "/jobs", &Request{Source: helloSrc, Level: intp(1)})
+	_, ts := newTestServer(t, Config{JobWorkers: 1})
+	// The only job worker runs a long blocker, so the job behind it
+	// stays queued at its generation: a poll there parks for the whole
+	// wait.  (A poll on a terminal job would answer at once.)
+	_, blocker := submitJob(t, ts, crashJobReq("translated"))
+	res, jr := submitJob(t, ts, &JobRequest{Request: Request{Source: helloSrc, Level: intp(1)}})
 	if res.status != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", res.status, res.body)
 	}
-	var jr JobResponse
-	if err := json.Unmarshal(res.body, &jr); err != nil {
-		t.Fatal(err)
-	}
-	// Poll from gen 0 until terminal; waits ride the ?wait= park.
-	gen := jr.Gen
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("job never finished")
-		}
-		resp, err := http.Get(fmt.Sprintf("%s/jobs/%s?gen=%d&wait=2s", ts.URL, jr.ID, gen))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err := json.Unmarshal(body, &jr); err != nil {
-			t.Fatalf("poll body %s: %v", body, err)
-		}
-		gen = jr.Gen
-		if jr.State == "done" || jr.State == "failed" || jr.State == "canceled" {
-			break
-		}
-	}
-	// One more poll at the terminal generation: nothing will change, so
-	// the request parks for the full wait before reporting — a
-	// guaranteed long-poll park even when the job itself was instant.
-	resp, err := http.Get(fmt.Sprintf("%s/jobs/%s?gen=%d&wait=50ms", ts.URL, jr.ID, gen))
+	resp, err := http.Get(fmt.Sprintf("%s/jobs/%s?gen=%d&wait=50ms", ts.URL, jr.ID, jr.Gen))
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	deleteJob(t, ts, jr.ID)
+	deleteJob(t, ts, blocker.ID)
 
 	sc := scrape(t, ts)
 	var waitCount, waitSum float64

@@ -542,8 +542,9 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request
 }
 
 // runOutcome is the result of one compile(-and-run) execution in a
-// structured form both the synchronous handlers (which render it to
-// bytes) and the job tier (which stores it) consume.
+// structured form both the synchronous handlers and the job tier
+// consume: each renders it to bytes once, and the job tier reads its
+// failure diagnostics.
 type runOutcome struct {
 	status  int
 	run     *RunResponse
